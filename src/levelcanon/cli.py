@@ -12,13 +12,13 @@ import sys
 
 from .export import export_framework
 from .harness import GenConfig, run_fuzz
-from .levels import Level, UnboundVariableError, const_depth, eval_level
+from .levels import UnboundVariableError, const_depth, eval_level
 from .normalize import ReprInvariantError, eq_repr, leq_repr, normalize, subst_repr
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_repr, print_repr_json
 from .rewrite.codec import DecodeError, encode_level
 from .rewrite.engine import STRATEGIES, reduce
-from .rewrite.rules import default_rules, literal_rules
+from .rewrite.rules import builtin_ruleset
 from .rewrite.terms import SortError, term_to_str
 
 UNARY_WARN_DEPTH = 64
@@ -79,13 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_binding(text: str) -> tuple[str, int]:
     name, sep, value = text.partition("=")
-    if not sep or not name or not value.isdigit():
+    if not sep or not name or not (value.isascii() and value.isdigit()):
         raise ParseError(f"expected NAME=NAT, got {text!r}", 1, 1)
     return name, int(value)
-
-
-def _parse(expr: str, names: NameTable) -> Level:
-    return parse_level(expr, names)
 
 
 def run_cli(argv: list[str]) -> int:
@@ -95,10 +91,7 @@ def run_cli(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _dispatch(args)
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnboundVariableError as exc:
+    except (ParseError, UsageError, UnboundVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ReprInvariantError, DecodeError, SortError, ValueError) as exc:
@@ -109,19 +102,19 @@ def run_cli(argv: list[str]) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     names = NameTable()
     if args.command == "normalize":
-        r = normalize(_parse(args.expr, names))
+        r = normalize(parse_level(args.expr, names))
         print(print_repr_json(r, names) if args.json else print_repr(r, names))
         return 0
 
     if args.command in ("leq", "eq"):
-        r1 = normalize(_parse(args.expr1, names))
-        r2 = normalize(_parse(args.expr2, names))
+        r1 = normalize(parse_level(args.expr1, names))
+        r2 = normalize(parse_level(args.expr2, names))
         verdict = leq_repr(r1, r2) if args.command == "leq" else eq_repr(r1, r2)
         print("true" if verdict else "false")
         return 0 if verdict else 1
 
     if args.command == "subst":
-        r = normalize(_parse(args.expr, names))
+        r = normalize(parse_level(args.expr, names))
         for binding in args.bindings:
             name, value = _parse_binding(binding)
             r = subst_repr(r, names.intern(name), value)
@@ -129,7 +122,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "eval":
-        t = _parse(args.expr, names)
+        t = parse_level(args.expr, names)
         sigma = {}
         for binding in args.val.split(","):
             name, value = _parse_binding(binding.strip())
@@ -140,17 +133,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "rewrite":
         if args.max_steps < 1:
             raise UsageError("--max-steps must be positive")
-        t = _parse(args.expr, names)
+        t = parse_level(args.expr, names)
         if const_depth(t) > UNARY_WARN_DEPTH:
             print(f"warning: constant depth exceeds {UNARY_WARN_DEPTH}; "
                   "unary numerals will blow up", file=sys.stderr)
-        rules = literal_rules() if args.paper_literal_rules else default_rules()
         trace = None
         if args.trace:
             def trace(step, pos, rule):
                 print(f"{step}\t{'.'.join(map(str, pos)) or 'root'}\t{rule}")
-        report = reduce(encode_level(t), rules, args.strategy,
-                        args.max_steps, args.seed, trace)
+        report = reduce(encode_level(t), builtin_ruleset(args.paper_literal_rules),
+                        args.strategy, args.max_steps, args.seed, trace)
         if report.budget_exhausted:
             print("warning: step budget exhausted before a normal form",
                   file=sys.stderr)
@@ -159,7 +151,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "export":
-        t = _parse(args.expr, names) if args.expr else None
+        t = parse_level(args.expr, names) if args.expr else None
         sys.stdout.write(export_framework(t, args.paper_literal_rules))
         return 0
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .levels import Level
 from .rewrite.codec import encode_level
-from .rewrite.rules import SIGNATURE, default_rules, literal_rules
+from .rewrite.rules import SIGNATURE, builtin_ruleset, rule_dump
 from .rewrite.terms import Symbol, term_to_str
 
 
@@ -22,12 +22,11 @@ def _decl(sym: Symbol) -> str:
 
 
 def export_framework(t: Optional[Level] = None, paper_literal: bool = False) -> str:
-    rules = literal_rules() if paper_literal else default_rules()
     lines = ["# level rewrite system", "", "# symbols"]
     lines.extend(_decl(sym) for sym in SIGNATURE.values())
     lines.append("")
     lines.append("# rules")
-    lines.extend(str(rule) for rule in rules)
+    lines.append(rule_dump(builtin_ruleset(paper_literal)))
     if t is not None:
         lines.append("")
         lines.append("# query")

@@ -12,16 +12,15 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from .levels import (
     IMax, Level, Max, Succ, Var, ZERO,
-    eval_level, find_counterexample_leq, level_size, level_vars,
+    eval_level, find_counterexample_leq, level_size, level_vars, valuations_on,
 )
 from .normalize import Repr, eval_repr, leq_repr, normalize
 from .parser import NameTable
-from .printer import print_level
+from .printer import print_atom, print_level
 from .rewrite.codec import soundness_report
 from .sublevels import SubA, SubB, SubLevel, eval_sub, leq_sub
 
@@ -218,8 +217,7 @@ def exhaustive_sublevel_suite(max_vars: int, max_shift: int, bound: int) -> Diff
     """Check leq_sub against exhaustive grid evaluation on every ordered pair."""
     atoms = enumerate_sublevels(max_vars, max_shift)
     names = harness_names(max_vars)
-    vids = tuple(range(max_vars))
-    grid = [dict(zip(vids, values)) for values in product(range(bound + 1), repeat=max_vars)]
+    grid = list(valuations_on(tuple(range(max_vars)), bound))
     vectors = [tuple(eval_sub(u, sigma) for sigma in grid) for u in atoms]
     failures: list[Failure] = []
     pairs = 0
@@ -228,13 +226,7 @@ def exhaustive_sublevel_suite(max_vars: int, max_shift: int, bound: int) -> Diff
             pairs += 1
             semantic = all(a <= b for a, b in zip(vectors[i], vectors[j]))
             if semantic != leq_sub(u, v):
-                failures.append(Failure(_atom_text(u, names), _atom_text(v, names),
+                failures.append(Failure(print_atom(u, names), print_atom(v, names),
                                         "compare", None))
     return DiffReport(pairs, tuple(failures))
 
-
-def _atom_text(u: SubLevel, names: NameTable) -> str:
-    members = ",".join(names.name_of(v) for v in u.varset)
-    if isinstance(u, SubA):
-        return f"A{{{members}}}({names.name_of(u.var)})+{u.shift}"
-    return f"B{{{members}}}+{u.shift}"

@@ -30,7 +30,8 @@ def print_level(t: Level, names: NameTable) -> str:
     return "s(" * succs + core + ")" * succs
 
 
-def _atom_str(u: SubLevel, names: NameTable) -> str:
+def print_atom(u: SubLevel, names: NameTable) -> str:
+    """`A{set}(var)+shift` or `B{set}+shift`."""
     members = ",".join(names.name_of(v) for v in u.varset)
     if isinstance(u, SubA):
         return f"A{{{members}}}({names.name_of(u.var)})+{u.shift}"
@@ -39,7 +40,7 @@ def _atom_str(u: SubLevel, names: NameTable) -> str:
 
 def print_repr(r: Repr, names: NameTable) -> str:
     """`max{atom, ...}` with atoms in storage order; `max{}` when empty."""
-    return "max{" + ", ".join(_atom_str(u, names) for u in r.atoms) + "}"
+    return "max{" + ", ".join(print_atom(u, names) for u in r.atoms) + "}"
 
 
 def print_repr_json(r: Repr, names: NameTable) -> str:

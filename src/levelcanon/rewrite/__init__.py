@@ -2,17 +2,14 @@
 
 from .terms import (
     BOOL, LEVEL, NAT, NATSET, SLSET, SUBLEVEL,
-    RTerm, RewriteRule, SortError, Symbol, app, check_rule_sorts, infer_sort,
-    is_ground, is_pvar, match, pvar, subst_template, term_size, term_to_str,
-    term_vars,
+    RTerm, RewriteRule, RuleSet, SortError, Symbol, app, check_rule_sorts,
+    infer_sort, is_ground, is_pvar, match, pvar, subst_template, term_size,
+    term_to_str, term_vars,
 )
-from .rules import (
-    DEFINED_SYMBOLS, SIGNATURE, builtin_ruleset, default_rules, literal_rules,
-    rule_dump,
-)
+from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump
 from .engine import STRATEGIES, ReductionReport, Strategy, reduce
 from .codec import (
-    DecodeError, check_soundness, confluence_runs, decode_nat, decode_repr,
+    DecodeError, confluence_runs, decode_nat, decode_repr,
     encode_level, encode_nat, encode_repr, encode_sub, encode_varset,
     sample_confluence, soundness_report,
 )

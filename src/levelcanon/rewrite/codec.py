@@ -13,7 +13,7 @@ from ..normalize import Repr, normalize
 from ..sublevels import SubA, SubB, SubLevel, VarSet
 from .engine import ReductionReport, reduce
 from .rules import default_rules
-from .terms import RTerm, RewriteRule, app
+from .terms import RTerm, RuleSet, app
 
 _ZERO_N = app("zeroN")
 _NIL_N = app("nilN")
@@ -116,25 +116,17 @@ def decode_repr(term: RTerm) -> Repr:
         raise DecodeError(str(exc)) from exc
 
 
-def check_soundness(t: Level, budget: int = 1_000_000,
-                    rules: tuple[RewriteRule, ...] | None = None) -> bool:
-    """True iff the rewrite path reaches exactly the normalizer's answer."""
-    report = reduce(encode_level(t), rules or default_rules(), budget=budget)
-    if report.budget_exhausted:
-        return False
-    return report.result == encode_repr(normalize(t))
-
-
 def soundness_report(t: Level, budget: int = 1_000_000,
-                     rules: tuple[RewriteRule, ...] | None = None) -> tuple[bool, ReductionReport]:
-    """check_soundness plus the underlying reduction report (step counts)."""
+                     rules: RuleSet | None = None) -> tuple[bool, ReductionReport]:
+    """Whether the rewrite path reaches exactly the normalizer's answer,
+    with the underlying reduction report (step counts)."""
     report = reduce(encode_level(t), rules or default_rules(), budget=budget)
     ok = not report.budget_exhausted and report.result == encode_repr(normalize(t))
     return ok, report
 
 
 def confluence_runs(t: Level, strategies: int, seed: int, budget: int,
-                    rules: tuple[RewriteRule, ...] | None = None) -> list[ReductionReport]:
+                    rules: RuleSet | None = None) -> list[ReductionReport]:
     """One reduction per sampled strategy: innermost, outermost, then seeded
     random-position runs.  Step counts stay available for reporting."""
     if strategies < 2:
@@ -150,7 +142,7 @@ def confluence_runs(t: Level, strategies: int, seed: int, budget: int,
 
 def sample_confluence(t: Level, strategies: int = 5, seed: int = 0,
                       budget: int = 1_000_000,
-                      rules: tuple[RewriteRule, ...] | None = None) -> bool:
+                      rules: RuleSet | None = None) -> bool:
     """True iff all sampled strategies reach the same normal form in budget."""
     runs = confluence_runs(t, strategies, seed, budget, rules)
     if any(r.budget_exhausted for r in runs):

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import RTerm, RewriteRule, is_ground, subst_template, PVAR_HEAD
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, is_ground, match_args, subst_template
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -36,42 +36,9 @@ class _BudgetExceeded(Exception):
     pass
 
 
-_INDEX_CACHE: dict[int, tuple[tuple[RewriteRule, ...], dict]] = {}
-
-
-def _index_for(rules: tuple[RewriteRule, ...]) -> dict[str, list[RewriteRule]]:
-    cached = _INDEX_CACHE.get(id(rules))
-    if cached is not None and cached[0] is rules:
-        return cached[1]
-    index: dict[str, list[RewriteRule]] = {}
-    for rule in rules:
-        index.setdefault(rule.lhs[0], []).append(rule)
-    _INDEX_CACHE[id(rules)] = (rules, index)
-    return index
-
-
-def _match_args(pats: tuple, kids: tuple, env: dict) -> bool:
-    for pat, kid in zip(pats, kids):
-        stack = [(pat, kid)]
-        while stack:
-            p, t = stack.pop()
-            if p[0] == PVAR_HEAD:
-                name = p[1]
-                bound = env.get(name)
-                if bound is None:
-                    env[name] = t
-                elif bound != t:
-                    return False
-            elif p[0] != t[0] or len(p) != len(t):
-                return False
-            else:
-                stack.extend(zip(p[1:], t[1:]))
-    return True
-
-
 def reduce(
     term: RTerm,
-    rules: tuple[RewriteRule, ...],
+    rules: RuleSet,
     strategy: Strategy = "innermost",
     budget: int = 1_000_000,
     seed: int = 0,
@@ -93,9 +60,8 @@ def reduce(
     return _reduce_positional(term, rules, strategy, budget, seed, trace)
 
 
-def _reduce_innermost(term: RTerm, rules: tuple[RewriteRule, ...], budget: int) -> ReductionReport:
-    index = _index_for(rules)
-    get_rules = index.get
+def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionReport:
+    get_rules = rules.by_head.get
     steps = 0
     # rewrite chains nest one Python frame per step at a given position;
     # only ever raise the limit so parallel reductions cannot interfere
@@ -107,7 +73,7 @@ def _reduce_innermost(term: RTerm, rules: tuple[RewriteRule, ...], budget: int) 
         for rule in get_rules(head, ()):
             lhs = rule.lhs
             env: dict = {}
-            if len(lhs) == 1 or _match_args(lhs[1:], kids, env):
+            if len(lhs) == 1 or match_args(lhs[1:], kids, env):
                 if steps >= budget:
                     raise _BudgetExceeded
                 steps += 1
@@ -134,10 +100,10 @@ def _reduce_innermost(term: RTerm, rules: tuple[RewriteRule, ...], budget: int) 
         return ReductionReport(term, steps, True)
 
 
-def _match_at(index, node: RTerm) -> Optional[tuple[dict, RewriteRule]]:
-    for rule in index.get(node[0], ()):
+def _match_at(by_head, node: RTerm) -> Optional[tuple[dict, RewriteRule]]:
+    for rule in by_head.get(node[0], ()):
         env: dict = {}
-        if len(rule.lhs) == 1 or _match_args(rule.lhs[1:], node[1:], env):
+        if len(rule.lhs) == 1 or match_args(rule.lhs[1:], node[1:], env):
             return env, rule
     return None
 
@@ -151,15 +117,15 @@ class _RedexScanner:
     skipped by later scans.
     """
 
-    def __init__(self, index):
-        self.index = index
+    def __init__(self, by_head):
+        self.by_head = by_head
         self.clean: dict[int, RTerm] = {}
         self.redexes: dict[int, list[tuple[int, ...]]] = {}
 
     def first_outermost(self, term: RTerm, path: tuple[int, ...] = ()) -> Optional[tuple[int, ...]]:
         if id(term) in self.clean:
             return None
-        if _match_at(self.index, term) is not None:
+        if _match_at(self.by_head, term) is not None:
             return path
         for i, child in enumerate(term[1:]):
             found = self.first_outermost(child, path + (i,))
@@ -175,7 +141,7 @@ class _RedexScanner:
             found = self.first_innermost(child, path + (i,))
             if found is not None:
                 return found
-        if _match_at(self.index, term) is not None:
+        if _match_at(self.by_head, term) is not None:
             return path
         self.clean[id(term)] = term
         return None
@@ -186,7 +152,7 @@ class _RedexScanner:
         if cached is not None:
             return cached
         out: list[tuple[int, ...]] = []
-        if _match_at(self.index, term) is not None:
+        if _match_at(self.by_head, term) is not None:
             out.append(())
         for i, child in enumerate(term[1:]):
             out.extend((i,) + p for p in self.all_redexes(child))
@@ -210,14 +176,13 @@ def _replace(term: RTerm, path: tuple[int, ...], new: RTerm) -> RTerm:
 
 def _reduce_positional(
     term: RTerm,
-    rules: tuple[RewriteRule, ...],
+    rules: RuleSet,
     strategy: Strategy,
     budget: int,
     seed: int,
     trace,
 ) -> ReductionReport:
-    index = _index_for(rules)
-    scanner = _RedexScanner(index)
+    scanner = _RedexScanner(rules.by_head)
     rng = random.Random(seed)
     steps = 0
     current = term
@@ -233,7 +198,7 @@ def _reduce_positional(
             return ReductionReport(current, steps, False)
         if steps >= budget:
             return ReductionReport(current, steps, True)
-        env, rule = _match_at(index, _subterm(current, pos))
+        env, rule = _match_at(rules.by_head, _subterm(current, pos))
         if trace is not None:
             trace(steps, pos, rule)
         current = _replace(current, pos, subst_template(rule.rhs, env))

@@ -19,11 +19,9 @@ the default forms are the ones the soundness suite cross-checks.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .terms import (
     BOOL, LEVEL, NAT, NATSET, SLSET, SUBLEVEL,
-    RewriteRule, RTerm, Symbol, app, pvar,
+    RewriteRule, RTerm, RuleSet, Symbol, app, pvar,
 )
 
 _SYMBOLS: list[Symbol] = [
@@ -85,17 +83,6 @@ _SYMBOLS: list[Symbol] = [
 
 SIGNATURE: dict[str, Symbol] = {sym.name: sym for sym in _SYMBOLS}
 
-# lhs roots; everything else is a free constructor
-DEFINED_SYMBOLS = frozenset({
-    "and", "or", "not", "iteL", "iteNS", "iteSLS",
-    "plus", "maxN", "leqN", "eqN", "ltN",
-    "addN", "unionN", "memN", "subsetN", "eqSetN", "ordSetN", "ltSetN", "delN",
-    "ordSL", "ltSL", "eqSL", "leqSL",
-    "addSL", "succSL", "maxHelper", "maxHelperGo",
-    "zeroL", "succL", "maxL", "ruleL", "varL",
-    "ruleHelper", "ruleSL", "evalS", "evalL",
-})
-
 
 def _pv(names: str) -> list[RTerm]:
     return [pvar(n) for n in names.split()]
@@ -115,10 +102,22 @@ def _singleton_sl(atom: RTerm) -> RTerm:
     return app("maxS", app("addSL", NILSL, atom))
 
 
-def builtin_ruleset(paper_literal: bool = False) -> tuple[RewriteRule, ...]:
-    """The full rule set, in emission order (basic tools first, then the
-    sublevel orders, the level translation rules, comparison, successor,
-    maximum, rule and substitution groups)."""
+_BUILT: dict[bool, RuleSet] = {}
+
+
+def builtin_ruleset(paper_literal: bool = False) -> RuleSet:
+    """The full rule set, built once per flag.  The left-hand-side heads are
+    the defined symbols; every other symbol is a free constructor."""
+    rules = _BUILT.get(paper_literal)
+    if rules is None:
+        rules = _BUILT[paper_literal] = RuleSet(_emit_rules(paper_literal))
+    return rules
+
+
+def _emit_rules(paper_literal: bool) -> list[RewriteRule]:
+    """The rules in emission order (basic tools first, then the sublevel
+    orders, the level translation rules, comparison, successor, maximum,
+    rule and substitution groups)."""
     b, c, n, m, x, y, s, k = _pv("b c n m x y s k")
     e, f, q, r, u, v, t = _pv("e f q r u v t")
 
@@ -312,22 +311,13 @@ def builtin_ruleset(paper_literal: bool = False) -> tuple[RewriteRule, ...]:
     add(app("evalL", app("maxS", app("consSL", u, q)), y, n),
         app("maxL", app("evalS", u, y, n), app("evalL", app("maxS", q), y, n)))
 
-    return tuple(rules)
+    return rules
 
 
-@lru_cache(maxsize=4)
-def _cached_ruleset(paper_literal: bool) -> tuple[RewriteRule, ...]:
-    return builtin_ruleset(paper_literal)
+def default_rules() -> RuleSet:
+    return builtin_ruleset(False)
 
 
-def default_rules() -> tuple[RewriteRule, ...]:
-    return _cached_ruleset(False)
-
-
-def literal_rules() -> tuple[RewriteRule, ...]:
-    return _cached_ruleset(True)
-
-
-def rule_dump(rules: tuple[RewriteRule, ...]) -> str:
+def rule_dump(rules: RuleSet) -> str:
     """One rule per line, ``lhs --> rhs``."""
     return "\n".join(str(r) for r in rules)

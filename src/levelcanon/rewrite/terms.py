@@ -58,9 +58,7 @@ def term_vars(t: RTerm) -> frozenset[str]:
 
 
 def is_ground(t: RTerm) -> bool:
-    if is_pvar(t):
-        return False
-    return all(is_ground(c) for c in t[1:])
+    return not term_vars(t)
 
 
 def term_size(t: RTerm) -> int:
@@ -86,31 +84,34 @@ def term_to_str(t: RTerm) -> str:
     return " ".join(parts)
 
 
-def match(pattern: RTerm, term: RTerm) -> Optional[dict[str, RTerm]]:
-    """Bindings sigma with pattern[sigma] = term, or None.
+def match_args(pats: tuple, kids: tuple, env: dict[str, RTerm]) -> bool:
+    """Extend `env` so that each pattern of `pats` instantiates to the term at
+    the same position of `kids`; False if some pair does not match.
 
     A repeated pattern variable only matches syntactically equal arguments.
     """
-    env: dict[str, RTerm] = {}
-    if _match_into(pattern, term, env):
-        return env
-    return None
-
-
-def _match_into(pattern: RTerm, term: RTerm, env: dict[str, RTerm]) -> bool:
-    if pattern[0] == PVAR_HEAD:
-        name = pattern[1]
-        bound = env.get(name)
-        if bound is None:
-            env[name] = term
-            return True
-        return bound == term
-    if pattern[0] != term[0] or len(pattern) != len(term):
-        return False
-    for p, c in zip(pattern[1:], term[1:]):
-        if not _match_into(p, c, env):
-            return False
+    for pat, kid in zip(pats, kids):
+        stack = [(pat, kid)]
+        while stack:
+            p, t = stack.pop()
+            if p[0] == PVAR_HEAD:
+                name = p[1]
+                bound = env.get(name)
+                if bound is None:
+                    env[name] = t
+                elif bound != t:
+                    return False
+            elif p[0] != t[0] or len(p) != len(t):
+                return False
+            else:
+                stack.extend(zip(p[1:], t[1:]))
     return True
+
+
+def match(pattern: RTerm, term: RTerm) -> Optional[dict[str, RTerm]]:
+    """Bindings sigma with pattern[sigma] = term, or None."""
+    env: dict[str, RTerm] = {}
+    return env if match_args((pattern,), (term,), env) else None
 
 
 def subst_template(template: RTerm, env: dict[str, RTerm]) -> RTerm:
@@ -148,6 +149,20 @@ class RewriteRule:
 
     def __str__(self) -> str:
         return f"{term_to_str(self.lhs)} --> {term_to_str(self.rhs)}"
+
+
+class RuleSet(tuple):
+    """Rewrite rules in emission order, plus `by_head`: the rules of each
+    left-hand-side head symbol (the defined symbols), in the same order."""
+
+    by_head: dict[str, list[RewriteRule]]
+
+    def __new__(cls, rules):
+        self = super().__new__(cls, rules)
+        self.by_head = {}
+        for rule in self:
+            self.by_head.setdefault(rule.lhs[0], []).append(rule)
+        return self
 
 
 class SortError(ValueError):

@@ -31,14 +31,6 @@ def _check_varset(elems: VarSet) -> None:
         raise ValueError(f"negative variable id in set: {elems!r}")
 
 
-def set_insert(elems: VarSet, x: VarId) -> VarSet:
-    """E union {x}, keeping the sorted duplicate-free form."""
-    i = bisect_left(elems, x)
-    if i < len(elems) and elems[i] == x:
-        return elems
-    return elems[:i] + (x,) + elems[i:]
-
-
 def set_union(e: VarSet, f: VarSet) -> VarSet:
     if not f:
         return e
@@ -63,15 +55,6 @@ def set_delete(elems: VarSet, x: VarId) -> VarSet:
     if i < len(elems) and elems[i] == x:
         return elems[:i] + elems[i + 1:]
     return elems
-
-
-def set_lex_leq(e: VarSet, f: VarSet) -> bool:
-    """Total order on sets: lexicographic comparison of the sorted id words.
-
-    Python tuple comparison is exactly that order (a strict prefix compares
-    before any extension).
-    """
-    return e <= f
 
 
 @dataclass(frozen=True)
@@ -140,14 +123,6 @@ def sub_key(u: SubLevel) -> tuple:
     return (1, u.varset, u.shift)
 
 
-def ord_sub(u: SubLevel, v: SubLevel) -> int:
-    """Total storage order; returns -1, 0 or 1."""
-    a, b = sub_key(u), sub_key(v)
-    if a < b:
-        return -1
-    return 0 if a == b else 1
-
-
 def succ_sub(u: SubLevel) -> SubLevel:
     if isinstance(u, SubA):
         return SubA(u.varset, u.var, u.shift + 1)
@@ -170,14 +145,13 @@ def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
 
 def sorted_insert_atom(atoms: tuple[SubLevel, ...], u: SubLevel) -> tuple[SubLevel, ...]:
     """Insert `u` into a key-sorted atom tuple, keeping it sorted."""
-    keys = [sub_key(a) for a in atoms]
-    i = bisect_left(keys, sub_key(u))
+    i = bisect_left(atoms, sub_key(u), key=sub_key)
     return atoms[:i] + (u,) + atoms[i:]
 
 
 __all__ = [
     "VarSet", "SubA", "SubB", "SubLevel",
-    "set_insert", "set_union", "set_subset", "set_delete", "set_lex_leq",
-    "eval_sub", "leq_sub", "ord_sub", "sub_key", "succ_sub", "imax_sub_pair",
+    "set_union", "set_subset", "set_delete",
+    "eval_sub", "leq_sub", "sub_key", "succ_sub", "imax_sub_pair",
     "sorted_insert_atom",
 ]

@@ -9,16 +9,16 @@ from conftest import level_strategy
 from levelcanon import IMax, Max, Succ, Var, ZERO, normalize, subst_repr
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.rewrite import (
-    DEFINED_SYMBOLS, SIGNATURE, DecodeError, ReductionReport, RewriteRule,
-    app, builtin_ruleset, check_rule_sorts, check_soundness, decode_repr,
-    default_rules, encode_level, encode_nat, encode_repr, infer_sort,
-    literal_rules, match, pvar, reduce, rule_dump, sample_confluence,
-    subst_template, term_to_str,
+    SIGNATURE, DecodeError, ReductionReport, RewriteRule, app,
+    builtin_ruleset, check_rule_sorts, decode_repr, default_rules,
+    encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
+    reduce, rule_dump, sample_confluence, soundness_report, subst_template,
+    term_to_str,
 )
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
 RULES = default_rules()
-LITERAL = literal_rules()
+LITERAL = builtin_ruleset(paper_literal=True)
 
 
 def test_match_examples():
@@ -28,6 +28,9 @@ def test_match_examples():
     nonlinear = app("maxN", pvar("x"), pvar("x"))
     assert match(nonlinear, app("maxN", app("zeroN"), app("succN", app("zeroN")))) is None
     assert match(nonlinear, app("maxN", app("zeroN"), app("zeroN"))) == {"x": app("zeroN")}
+    assert match(pvar("t"), nonlinear) == {"t": nonlinear}  # bare variable at the root
+    assert match(app("succN", pvar("x")), app("succN")) is None  # same head, other arity
+    assert match(app("succN"), app("succN", app("zeroN"))) is None
 
 
 def test_rule_validation():
@@ -38,8 +41,9 @@ def test_rule_validation():
 
 
 def test_builtin_ruleset_contents():
-    assert builtin_ruleset() == RULES
-    assert builtin_ruleset(paper_literal=True) == LITERAL
+    assert builtin_ruleset() is RULES  # built once per flag
+    assert builtin_ruleset(paper_literal=True) is LITERAL
+    assert LITERAL != RULES
     assert RewriteRule(app("zeroL"), app("maxS", app("nilSL"))) in RULES
     for ite in ("iteL", "iteNS", "iteSLS"):
         assert RewriteRule(app(ite, app("true"), pvar("u"), pvar("v")), pvar("u")) in RULES
@@ -51,10 +55,18 @@ def test_builtin_ruleset_contents():
 
 def test_builtin_rules_are_first_order_left_linear_and_sorted():
     for rules in (RULES, LITERAL):
+        assert set(rules.by_head) == {rule.lhs[0] for rule in rules}
         for rule in rules:
             assert rule.is_left_linear(), rule
             check_rule_sorts(rule, SIGNATURE)
-            assert rule.lhs[0] in DEFINED_SYMBOLS
+            # constructor discipline: below its root, a left-hand side
+            # holds only constructors and pattern variables
+            stack = list(rule.lhs[1:])
+            while stack:
+                node = stack.pop()
+                if not is_pvar(node):
+                    assert node[0] not in rules.by_head, rule
+                    stack.extend(node[1:])
 
 
 def test_signature_covers_required_symbols():
@@ -136,16 +148,18 @@ def test_reduce_rejects_bad_arguments():
 
 
 def test_check_soundness_examples():
-    assert check_soundness(IMax(x, x))
-    assert check_soundness(Max(IMax(x, y), IMax(y, x)))
-    assert check_soundness(ZERO)
-    assert check_soundness(Max(Max(IMax(x, a), IMax(x, b)), x))
+    assert soundness_report(IMax(x, x))[0]
+    assert soundness_report(Max(IMax(x, y), IMax(y, x)))[0]
+    assert soundness_report(ZERO)[0]
+    assert soundness_report(Max(Max(IMax(x, a), IMax(x, b)), x))[0]
+    ok, report = soundness_report(Max(x, y), budget=3)
+    assert not ok and report.budget_exhausted and report.steps == 3
 
 
 @given(level_strategy(max_leaves=6))
 @settings(max_examples=60, deadline=None)
 def test_rewrite_path_matches_normalizer(t):
-    assert check_soundness(t)
+    assert soundness_report(t)[0]
 
 
 def test_strategies_agree():

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from levelcanon import (
-    SubA, SubB, eval_sub, imax_nat, imax_sub_pair, leq_sub, ord_sub,
-    set_delete, set_insert, set_lex_leq, set_subset, set_union, succ_sub,
+    SubA, SubB, eval_sub, imax_nat, imax_sub_pair, leq_sub, set_delete,
+    set_subset, set_union, succ_sub,
 )
 from levelcanon.harness import enumerate_sublevels
 from levelcanon.levels import valuations_on
@@ -14,9 +14,10 @@ from levelcanon.sublevels import sub_key
 
 
 def test_set_insert():
-    assert set_insert((), 0) == (0,)
-    assert set_insert((0,), 0) == (0,)
-    assert set_insert((0, 2), 1) == (0, 1, 2)
+    # insertion is union with a singleton
+    assert set_union((), (0,)) == (0,)
+    assert set_union((0,), (0,)) == (0,)
+    assert set_union((0, 2), (1,)) == (0, 1, 2)
 
 
 def test_set_union():
@@ -45,22 +46,23 @@ def _word_leq(e, f):
     return len(e) <= len(f)
 
 
+# the lexicographic set order is tuple order on sorted variable sets
 def test_set_lex_leq_examples():
-    assert set_lex_leq((), (0,))
-    assert set_lex_leq((0,), (0,))
-    assert not set_lex_leq((0, 1), (0,))
+    assert () <= (0,)
+    assert (0,) <= (0,)
+    assert not (0, 1) <= (0,)
 
 
 def test_set_lex_leq_total_order_exhaustive():
     sets = [tuple(v for v in range(3) if mask >> v & 1) for mask in range(8)]
     for e, f in product(sets, repeat=2):
-        assert set_lex_leq(e, f) == _word_leq(e, f)
-        assert set_lex_leq(e, f) or set_lex_leq(f, e)
-        if set_lex_leq(e, f) and set_lex_leq(f, e):
+        assert (e <= f) == _word_leq(e, f)
+        assert e <= f or f <= e
+        if e <= f and f <= e:
             assert e == f
     for e, f, g in product(sets, repeat=3):
-        if set_lex_leq(e, f) and set_lex_leq(f, g):
-            assert set_lex_leq(e, g)
+        if e <= f and f <= g:
+            assert e <= g
 
 
 def test_restrictions_enforced_at_construction():
@@ -87,26 +89,18 @@ def test_leq_sub_theorem_cases():
     assert leq_sub(SubA((0, 1), 0, 0), SubA((0,), 0, 1))          # case 4
 
 
+# the storage order on atoms is tuple order on their sub_key
 def test_ord_sub():
-    assert ord_sub(SubA((1,), 1, 7), SubB((), 1)) == -1  # A's before B's
-    assert ord_sub(SubA((0,), 0, 0), SubA((0,), 0, 1)) == -1
-    assert ord_sub(SubB((0,), 2), SubB((0,), 2)) == 0
+    assert sub_key(SubA((1,), 1, 7)) < sub_key(SubB((), 1))  # A's before B's
+    assert sub_key(SubA((0,), 0, 0)) < sub_key(SubA((0,), 0, 1))
+    assert sub_key(SubB((0,), 2)) == sub_key(SubB((0,), 2))
 
 
 def test_ord_sub_total_order_exhaustive():
     atoms = enumerate_sublevels(2, 2)
     assert len(atoms) == 20
     for u, v in product(atoms, repeat=2):
-        signs = {ord_sub(u, v), ord_sub(v, u)}
-        if u == v:
-            assert signs == {0}
-        else:
-            assert signs == {-1, 1}
-    for u, v, w in product(atoms, repeat=3):
-        if ord_sub(u, v) <= 0 and ord_sub(v, w) <= 0:
-            assert ord_sub(u, w) <= 0
-    keys = [sub_key(u) for u in atoms]
-    assert len(set(keys)) == len(keys)
+        assert (sub_key(u) == sub_key(v)) == (u == v)
 
 
 def test_leq_sub_antisymmetry_is_syntactic_equality():

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levelcanon
 from levelcanon import IMax, Max, Succ, Var, ZERO, normalize, repr_zero, repr_var
 from levelcanon.cli import run_cli
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level, harness_names
 from levelcanon.parser import NameTable, ParseError, parse_level
 from levelcanon.printer import print_level, print_repr, print_repr_json
+from levelcanon.rewrite import encode_repr, term_to_str
 
 
 def _names(*vars_in_order: str) -> NameTable:
@@ -152,6 +158,14 @@ def test_cli_rewrite(capsys):
     assert trace_out[0].startswith("0\troot\tzeroL --> ")
 
 
+def test_cli_rewrite_deep_numeral(capsys):
+    # the encoded level is a 900-deep successor tower
+    assert run_cli(["rewrite", "max(900,x)"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    expected = encode_repr(normalize(parse_level("max(900,x)", NameTable())))
+    assert out == [term_to_str(expected), "steps: 18911"]
+
+
 def test_cli_rewrite_literal_flag_diverges(capsys):
     assert run_cli(["rewrite", "s(x)"]) == 0
     default = capsys.readouterr().out
@@ -166,6 +180,23 @@ def test_cli_parse_error_exit_code(capsys):
     assert "column 7" in err
     assert run_cli(["bogus-subcommand"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["subst", "x", "x=\u00b2"],
+                                  ["eval", "x", "--val", "x=\u00b2"]])
+def test_cli_rejects_non_ascii_digits(argv, capsys):
+    # U+00B2 (superscript two) passes str.isdigit but is no NAT
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: expected NAME=NAT")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(levelcanon.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "levelcanon", "eq", "imax(x,x)", "x"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "true\n")
 
 
 def test_cli_export_and_fuzz(capsys):
