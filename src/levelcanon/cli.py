@@ -13,13 +13,13 @@ import sys
 from .export import export_framework
 from .harness import GenConfig, run_fuzz
 from .levels import UnboundVariableError, const_depth, eval_level
-from .normalize import ReprInvariantError, eq_repr, leq_repr, normalize, subst_repr
+from .normalize import eq_repr, leq_repr, normalize, subst_repr
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_repr, print_repr_json
-from .rewrite.codec import DecodeError, encode_level
+from .rewrite.codec import encode_level
 from .rewrite.engine import STRATEGIES, reduce
 from .rewrite.rules import builtin_ruleset
-from .rewrite.terms import SortError, term_to_str
+from .rewrite.terms import term_to_str
 
 UNARY_WARN_DEPTH = 64
 
@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=50)
-    p.add_argument("--bound", type=int, default=None)
 
     return top
 
@@ -94,7 +93,7 @@ def run_cli(argv: list[str]) -> int:
     except (ParseError, UsageError, UnboundVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReprInvariantError, DecodeError, SortError, ValueError) as exc:
+    except ValueError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
 
@@ -159,7 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.size < 1 or args.cases < 0:
             raise UsageError("--size must be positive and --cases non-negative")
         cfg = GenConfig(seed=args.seed, max_size=args.size)
-        report = run_fuzz(cfg, args.cases, bound=args.bound)
+        report = run_fuzz(cfg, args.cases)
         print(report.to_json())
         return 0 if report.ok else 1
 

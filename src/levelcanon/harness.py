@@ -15,14 +15,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .levels import (
-    IMax, Level, Max, Succ, Var, ZERO,
+    IMax, Level, Max, Succ, Var, ZERO, default_grid_bound,
     eval_level, find_counterexample_leq, level_size, level_vars, valuations_on,
 )
-from .normalize import Repr, eval_repr, leq_repr, normalize
+from .normalize import eval_repr, leq_repr, normalize
 from .parser import NameTable
 from .printer import print_atom, print_level
 from .rewrite.codec import soundness_report
 from .sublevels import SubA, SubB, SubLevel, eval_sub, leq_sub
+
+# generated numerals are successor towers of height 1..CONST_BOUND
+CONST_BOUND = 3
 
 
 @dataclass(frozen=True)
@@ -30,13 +33,12 @@ class GenConfig:
     seed: int = 0
     max_size: int = 50
     num_vars: int = 3
-    const_bound: int = 3
 
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if self.num_vars < 0 or self.const_bound < 0:
-            raise ValueError("num_vars and const_bound must be naturals")
+        if self.num_vars < 0:
+            raise ValueError("num_vars must be a natural")
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,9 @@ def _gen(rng: random.Random, budget: int, cfg: GenConfig) -> Level:
     if budget <= 1 or rng.random() < 0.22:
         pick = rng.random()
         if pick < 0.30 or cfg.num_vars == 0:
-            if cfg.const_bound > 0 and budget >= 2 and pick < 0.12:
+            if budget >= 2 and pick < 0.12:
                 t: Level = ZERO
-                for _ in range(rng.randint(1, min(cfg.const_bound, budget - 1))):
+                for _ in range(rng.randint(1, min(CONST_BOUND, budget - 1))):
                     t = Succ(t)
                 return t
             return ZERO
@@ -107,16 +109,6 @@ def harness_names(num_vars: int) -> NameTable:
     return names
 
 
-def _shift_bound(*reprs: Repr) -> int:
-    """Oracle grid bound from atom shifts: the witness constructions behind
-    the comparison cases never need values above max shift + 2."""
-    best = 0
-    for r in reprs:
-        for atom in r.atoms:
-            best = max(best, atom.shift)
-    return best + 3
-
-
 def _names_for(*ts: Level) -> NameTable:
     top = -1
     for t in ts:
@@ -136,7 +128,7 @@ def _pair_for(t: Level) -> Level:
     return gen_level(cfg, 0)
 
 
-def _differential_case(t: Level, bound: Optional[int], budget: int) -> tuple[Optional[Failure], int]:
+def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     names = _names_for(t)
     vids = tuple(sorted(level_vars(t)))
     r = normalize(t)
@@ -152,7 +144,7 @@ def _differential_case(t: Level, bound: Optional[int], budget: int) -> tuple[Opt
                            {names.name_of(v): n for v, n in sigma.items()}), 0
 
     # (b) the rewrite path must land on the same representation
-    ok, report = soundness_report(t, budget)
+    ok, report = soundness_report(t)
     if not ok:
         return Failure(print_level(t, names), None, "rewrite", None), report.steps
 
@@ -160,33 +152,31 @@ def _differential_case(t: Level, bound: Optional[int], budget: int) -> tuple[Opt
     t2 = _pair_for(t)
     names2 = _names_for(t, t2)
     r2 = normalize(t2)
-    complete = _shift_bound(r, r2)
-    grid = bound if bound is not None else complete
+    grid = default_grid_bound(t, t2)
     for lhs, rhs, n_lhs, n_rhs in ((t, t2, r, r2), (t2, t, r2, r)):
         claimed = leq_repr(n_lhs, n_rhs)
         witness = find_counterexample_leq(lhs, rhs, grid)
         if claimed and witness is not None:
             return Failure(print_level(lhs, names2), print_level(rhs, names2), "compare",
                            {names2.name_of(v): n for v, n in witness.items()}), report.steps
-        if not claimed and witness is None and grid >= complete:
-            # a witness-covering grid found nothing, so the claimed strict
-            # inequality is refuted
+        if not claimed and witness is None:
+            # the grid covers every witness construction and found nothing,
+            # so the claimed strict inequality is refuted
             return Failure(print_level(lhs, names2), print_level(rhs, names2),
                            "compare", None), report.steps
     return None, report.steps
 
 
-def differential_case(t: Level, bound: Optional[int] = None, budget: int = 1_000_000) -> Optional[Failure]:
+def differential_case(t: Level) -> Optional[Failure]:
     """Run one level through all phases; None means every path agreed."""
-    return _differential_case(t, bound, budget)[0]
+    return _differential_case(t)[0]
 
 
-def run_fuzz(cfg: GenConfig, cases: int, bound: Optional[int] = None,
-             budget: int = 1_000_000) -> DiffReport:
+def run_fuzz(cfg: GenConfig, cases: int) -> DiffReport:
     failures: list[Failure] = []
     steps: list[int] = []
     for index in range(cases):
-        failure, nsteps = _differential_case(gen_level(cfg, index), bound, budget)
+        failure, nsteps = _differential_case(gen_level(cfg, index))
         steps.append(nsteps)
         if failure is not None:
             failures.append(failure)

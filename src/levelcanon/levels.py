@@ -128,12 +128,13 @@ def const_depth(t: Level) -> int:
 
 
 def default_grid_bound(t1: Level, t2: Level) -> int:
-    """Default value grid for the falsification oracle.
+    """The value grid on which the oracle decides t1 <= t2 and t2 <= t1.
 
     Constant depth bounds every shift a minimal representation of either
     level can carry, and the witness constructions behind the sublevel
-    comparison cases never need values above shift + 2, so this grid covers
-    them with a margin of one.
+    comparison cases never need values above shift + 2, so this grid
+    (constant depth + 3 >= max shift + 3) covers them with a margin of one:
+    when it holds no counterexample, none exists.
     """
     return max(const_depth(t1), const_depth(t2)) + 3
 

@@ -6,8 +6,10 @@ Grammar::
            | "max" "(" level "," level ")" | "imax" "(" level "," level ")"
            | IDENT
 
-NAT literals desugar to successor towers; IDENT is ``[A-Za-z_][A-Za-z0-9_]*``
-excluding the keywords ``s``, ``max`` and ``imax``.  Whitespace is free.
+NAT literals desugar to successor towers of at most ``MAX_NUMERAL``; IDENT is
+``[A-Za-z_][A-Za-z0-9_]*`` excluding the keywords ``s``, ``max`` and ``imax``.
+Whitespace is free.  At most ``MAX_NESTING`` of ``s``, ``max`` and ``imax`` may
+be open along one path.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ KEYWORDS = ("s", "max", "imax")
 
 # towers above this would be pathological to build as linked nodes
 MAX_NUMERAL = 10_000
+
+# most s/max/imax open along one path: the parser and the layers after it
+# recurse once per level, and stay under the default recursion limit here
+MAX_NESTING = 500
 
 
 class NameTable:
@@ -46,9 +52,6 @@ class NameTable:
 
     def __len__(self) -> int:
         return len(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
 
 
 class ParseError(Exception):
@@ -126,7 +129,7 @@ class _Parser:
         shown = tok.text if tok.kind != "EOF" else "end of input"
         raise ParseError(f"unexpected {shown}", tok.line, tok.col, expected)
 
-    def level(self) -> Level:
+    def level(self, depth: int = 0) -> Level:
         tok = self.peek()
         if tok.kind == "NAT":
             self.pos += 1
@@ -138,18 +141,17 @@ class _Parser:
             for _ in range(n):
                 t = Succ(t)
             return t
-        if tok.kind == "s":
+        if tok.kind in ("s", "max", "imax"):
+            if depth == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
             self.pos += 1
             self.expect("(")
-            inner = self.level()
-            self.expect(")")
-            return Succ(inner)
-        if tok.kind in ("max", "imax"):
-            self.pos += 1
-            self.expect("(")
-            left = self.level()
+            left = self.level(depth + 1)
+            if tok.kind == "s":
+                self.expect(")")
+                return Succ(left)
             self.expect(",")
-            right = self.level()
+            right = self.level(depth + 1)
             self.expect(")")
             return Max(left, right) if tok.kind == "max" else IMax(left, right)
         if tok.kind == "IDENT":

@@ -3,8 +3,7 @@
 from .terms import (
     BOOL, LEVEL, NAT, NATSET, SLSET, SUBLEVEL,
     RTerm, RewriteRule, RuleSet, SortError, Symbol, app, check_rule_sorts,
-    infer_sort, is_ground, is_pvar, match, pvar, subst_template, term_size,
-    term_to_str, term_vars,
+    infer_sort, is_pvar, match, pvar, subst_template, term_to_str, term_vars,
 )
 from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump
 from .engine import STRATEGIES, ReductionReport, Strategy, reduce

@@ -13,7 +13,7 @@ from ..normalize import Repr, normalize
 from ..sublevels import SubA, SubB, SubLevel, VarSet
 from .engine import ReductionReport, reduce
 from .rules import default_rules
-from .terms import RTerm, RuleSet, app
+from .terms import RTerm, app
 
 _ZERO_N = app("zeroN")
 _NIL_N = app("nilN")
@@ -116,22 +116,20 @@ def decode_repr(term: RTerm) -> Repr:
         raise DecodeError(str(exc)) from exc
 
 
-def soundness_report(t: Level, budget: int = 1_000_000,
-                     rules: RuleSet | None = None) -> tuple[bool, ReductionReport]:
+def soundness_report(t: Level, budget: int = 1_000_000) -> tuple[bool, ReductionReport]:
     """Whether the rewrite path reaches exactly the normalizer's answer,
     with the underlying reduction report (step counts)."""
-    report = reduce(encode_level(t), rules or default_rules(), budget=budget)
+    report = reduce(encode_level(t), default_rules(), budget=budget)
     ok = not report.budget_exhausted and report.result == encode_repr(normalize(t))
     return ok, report
 
 
-def confluence_runs(t: Level, strategies: int, seed: int, budget: int,
-                    rules: RuleSet | None = None) -> list[ReductionReport]:
+def confluence_runs(t: Level, strategies: int, seed: int, budget: int) -> list[ReductionReport]:
     """One reduction per sampled strategy: innermost, outermost, then seeded
     random-position runs.  Step counts stay available for reporting."""
     if strategies < 2:
         raise ValueError("need at least two strategies to compare")
-    rules = rules or default_rules()
+    rules = default_rules()
     term = encode_level(t)
     runs = [reduce(term, rules, "innermost", budget),
             reduce(term, rules, "outermost", budget)]
@@ -141,10 +139,9 @@ def confluence_runs(t: Level, strategies: int, seed: int, budget: int,
 
 
 def sample_confluence(t: Level, strategies: int = 5, seed: int = 0,
-                      budget: int = 1_000_000,
-                      rules: RuleSet | None = None) -> bool:
+                      budget: int = 1_000_000) -> bool:
     """True iff all sampled strategies reach the same normal form in budget."""
-    runs = confluence_runs(t, strategies, seed, budget, rules)
+    runs = confluence_runs(t, strategies, seed, budget)
     if any(r.budget_exhausted for r in runs):
         return False
     first = runs[0].result

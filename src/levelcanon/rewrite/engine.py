@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, is_ground, match_args, subst_template
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, match_args, subst_template
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -46,18 +46,35 @@ def reduce(
 ) -> ReductionReport:
     """Reduce a ground term to normal form within a step budget.
 
-    Budget exhaustion is reported, not raised; the result field is only
-    meaningful when ``budget_exhausted`` is false, and is then a normal form.
+    Every defined-symbol node of `term` must carry as many arguments as its
+    rules' left-hand sides.  Budget exhaustion is reported, not raised; the
+    result field is only meaningful when ``budget_exhausted`` is false, and
+    is then a normal form.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not is_ground(term):
-        raise ValueError("reduce requires a ground term")
+    _check_input(term, rules.by_head)
     if strategy == "innermost" and trace is None:
         return _reduce_innermost(term, rules, budget)
     return _reduce_positional(term, rules, strategy, budget, seed, trace)
+
+
+def _check_input(term: RTerm, by_head) -> None:
+    """Reject pattern variables, and defined-symbol nodes whose arity differs
+    from their rules' (a rule would drop or miss arguments)."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        head = node[0]
+        if head == PVAR_HEAD:
+            raise ValueError("reduce requires a ground term")
+        for rule in by_head.get(head, ()):
+            if len(rule.lhs) != len(node):
+                raise ValueError(f"{head} takes {len(rule.lhs) - 1} arguments, "
+                                 f"got {len(node) - 1}")
+        stack.extend(node[1:])
 
 
 def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionReport:

@@ -57,20 +57,6 @@ def term_vars(t: RTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def is_ground(t: RTerm) -> bool:
-    return not term_vars(t)
-
-
-def term_size(t: RTerm) -> int:
-    n = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        n += 1
-        stack.extend(node[1:])
-    return n
-
-
 def term_to_str(t: RTerm) -> str:
     """Prefix juxtaposition syntax; compound arguments are parenthesized."""
     if is_pvar(t):

@@ -223,7 +223,7 @@ def test_criterion_6_uniqueness():
 
 
 def test_criterion_7_rewrite_path_soundness():
-    report = run_fuzz(GenConfig(seed=707, max_size=50), cases=1000, budget=BUDGET)
+    report = run_fuzz(GenConfig(seed=707, max_size=50), cases=1000)
     ok = report.ok and report.step_stats["max"] < BUDGET
     print(f"  rewrite step counts: {report.step_stats}")
     assert _report(7, ok, "1000 levels: rewrite path equals normalizer, no budget exhaustion")

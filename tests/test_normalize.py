@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from conftest import level_strategy
 from levelcanon import (
     IMax, Max, Repr, SubA, SubB, Succ, Var, ZERO,
-    eq_repr, eval_level, eval_repr, find_counterexample_leq, imax_repr,
+    const_depth, eq_repr, eval_level, eval_repr, find_counterexample_leq, imax_repr,
     insert_sub, leq_repr, leq_sub, level_vars, max_repr, normalize, repr_var,
     repr_zero, subst_repr, succ_repr,
 )
@@ -66,6 +66,15 @@ def test_succ_repr_is_the_successor(t):
     vids = tuple(sorted(level_vars(t)))
     for sigma in valuations_on(vids, 2):
         assert eval_repr(succ_repr(r), sigma) == 1 + eval_repr(r, sigma)
+
+
+@given(level_strategy(max_leaves=12))
+@settings(max_examples=300)
+def test_shifts_are_bounded_by_constant_depth(t):
+    """No atom of the minimal representation shifts further than the level's
+    constant depth; the harness's oracle grid bound relies on it."""
+    depth = const_depth(t)
+    assert all(atom.shift <= depth for atom in normalize(t).atoms)
 
 
 def test_insert_sub():

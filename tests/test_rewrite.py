@@ -145,6 +145,19 @@ def test_reduce_rejects_bad_arguments():
         reduce(app("zeroL"), RULES, strategy="weird")
     with pytest.raises(ValueError):
         reduce(pvar("u"), RULES)
+    with pytest.raises(ValueError):
+        reduce(app("succL", pvar("u")), RULES)
+
+
+def test_reduce_rejects_defined_symbols_of_the_wrong_arity():
+    # each would otherwise match a rule: `not` with no argument, `and` with
+    # one of two, and `zeroL` with an argument it would drop
+    for term in (app("not"), app("and", app("true")), app("zeroL", app("true")),
+                 app("succL", app("zeroL", app("true")))):
+        for strategy in ("innermost", "outermost", "random"):
+            with pytest.raises(ValueError, match="arguments"):
+                reduce(term, RULES, strategy)
+    assert reduce(app("not", app("true")), RULES).result == app("false")
 
 
 def test_check_soundness_examples():

@@ -13,7 +13,7 @@ from levelcanon import IMax, Max, Succ, Var, ZERO, normalize, repr_zero, repr_va
 from levelcanon.cli import run_cli
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level, harness_names
-from levelcanon.parser import NameTable, ParseError, parse_level
+from levelcanon.parser import MAX_NESTING, NameTable, ParseError, parse_level
 from levelcanon.printer import print_level, print_repr, print_repr_json
 from levelcanon.rewrite import encode_repr, term_to_str
 
@@ -182,6 +182,41 @@ def test_cli_parse_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def _nested_max(depth: int) -> str:
+    return "max(" * depth + "x" + ",y)" * depth
+
+
+def test_parse_nesting_limit():
+    assert MAX_NESTING == 500
+    t = parse_level(_nested_max(500), NameTable())
+    for _ in range(500):
+        assert isinstance(t, Max)
+        t = t.left
+    assert t == Var(0)
+    assert parse_level("s(" * 500 + "x" + ")" * 500, NameTable()) is not None
+    for text in (_nested_max(501), "s(" * 501 + "x" + ")" * 501,
+                 "imax(y," * 250 + "s(" * 251 + "x" + ")" * 501):
+        with pytest.raises(ParseError, match="nesting deeper than 500"):
+            parse_level(text, NameTable())
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["normalize", _nested_max(500)], "max{A{x}(x)+0, A{y}(y)+0}\n"),
+    (["eq", _nested_max(500), "max(x,y)"], "true\n"),
+    (["eval", _nested_max(500), "--val", "x=3,y=1"], "3\n"),
+])
+def test_cli_completes_at_the_nesting_limit(argv, out, capsys):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_rejects_nesting_beyond_the_limit(capsys):
+    # past the limit, normalize would hit the recursion limit: a traceback, exit 1
+    for depth in (501, 1500):
+        assert run_cli(["normalize", _nested_max(depth)]) == 2
+        assert "nesting deeper than 500" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["subst", "x", "x=\u00b2"],
                                   ["eval", "x", "--val", "x=\u00b2"]])
 def test_cli_rejects_non_ascii_digits(argv, capsys):
@@ -205,19 +240,21 @@ def test_cli_export_and_fuzz(capsys):
     assert run_cli(["fuzz", "--cases", "10", "--size", "10", "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["cases_run"] == 10 and report["failures"] == []
+    # the oracle grid is fixed by the levels; there is no option to shrink it
+    assert run_cli(["fuzz", "--cases", "1", "--bound", "0"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_verdicts_agree_with_the_oracle(capsys):
-    from levelcanon import find_counterexample_leq, normalize
+    from levelcanon import default_grid_bound, find_counterexample_leq
     from levelcanon.printer import print_level
 
     cfg = GenConfig(seed=55, max_size=10)
     names = harness_names(cfg.num_vars)
     for i in range(30):
         t1, t2 = gen_level(cfg, 2 * i), gen_level(cfg, 2 * i + 1)
-        shift = max((u.shift for t in (t1, t2) for u in normalize(t).atoms), default=0)
         code = run_cli(["leq", print_level(t1, names), print_level(t2, names)])
         out = capsys.readouterr().out
-        witness = find_counterexample_leq(t1, t2, shift + 3)
+        witness = find_counterexample_leq(t1, t2, default_grid_bound(t1, t2))
         assert (code == 0) == (witness is None)
         assert out == ("true\n" if witness is None else "false\n")
