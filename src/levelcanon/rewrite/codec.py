@@ -64,18 +64,35 @@ def encode_repr(r: Repr) -> RTerm:
 
 
 def encode_level(t: Level) -> RTerm:
-    match t:
-        case Zero():
-            return app("zeroL")
-        case Var(vid):
-            return app("varL", encode_nat(vid))
-        case Succ(c):
-            return app("succL", encode_level(c))
-        case Max(a, b):
-            return app("maxL", encode_level(a), encode_level(b))
-        case IMax(a, b):
-            return app("ruleL", encode_level(a), encode_level(b))
-    raise TypeError(f"not a level: {t!r}")
+    """The term of `t`, built bottom-up with an explicit stack, so a long
+    successor chain (a large numeral) cannot exhaust the Python stack."""
+    preorder = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        preorder.append(node)
+        match node:
+            case Succ(c):
+                todo.append(c)
+            case Max(a, b) | IMax(a, b):
+                todo += (a, b)
+    done: dict[int, RTerm] = {}  # id(level node) -> its term; children come first
+    for node in reversed(preorder):
+        match node:
+            case Zero():
+                term = app("zeroL")
+            case Var(vid):
+                term = app("varL", encode_nat(vid))
+            case Succ(c):
+                term = app("succL", done[id(c)])
+            case Max(a, b):
+                term = app("maxL", done[id(a)], done[id(b)])
+            case IMax(a, b):
+                term = app("ruleL", done[id(a)], done[id(b)])
+            case _:
+                raise TypeError(f"not a level: {node!r}")
+        done[id(node)] = term
+    return done[id(t)]
 
 
 def _decode_varset(t: RTerm) -> VarSet:

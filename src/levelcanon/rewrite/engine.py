@@ -10,6 +10,14 @@ The rule set is constructor-based and orthogonal, so all strategies reach the
 same normal form; the innermost strategy runs on a fast recursive evaluator,
 the others on a generic position-scanning loop.  Step counts are exact rule
 applications under tree semantics (no sharing).
+
+The innermost evaluator is memoized within each call: the normal form of
+``f(args)`` depends only on ``f`` and the normal forms of ``args``, so each
+distinct call is computed once and a repeat replays the recorded result and
+step cost.  Counts stay tree semantics, and a replay that would cross the
+budget stops exactly where re-running the call would have.  Outermost and
+random (and innermost with a trace) share nothing, so confluence sampling
+still follows genuinely different reduction orders.
 """
 
 from __future__ import annotations
@@ -80,6 +88,10 @@ def _check_input(term: RTerm, by_head) -> None:
 def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionReport:
     get_rules = rules.by_head.get
     steps = 0
+    # (head, *ids of normal kids) -> (normal form, tree steps it took).  Every
+    # kid is a value held here (or inside one), so its id stays valid, and
+    # equal normal forms are one object.
+    memo: dict[tuple, tuple[RTerm, int]] = {}
     # rewrite chains nest one Python frame per step at a given position;
     # only ever raise the limit so parallel reductions cannot interfere
     if sys.getrecursionlimit() < 100_000:
@@ -87,6 +99,16 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionRepo
 
     def rewrite_head(head: str, kids: tuple) -> RTerm:
         nonlocal steps
+        key = (head, *map(id, kids))
+        hit = memo.get(key)
+        if hit is not None:
+            result, cost = hit
+            if steps + cost > budget:
+                steps = budget  # where re-running the call would have stopped
+                raise _BudgetExceeded
+            steps += cost
+            return result
+        start = steps
         for rule in get_rules(head, ()):
             lhs = rule.lhs
             env: dict = {}
@@ -94,8 +116,12 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionRepo
                 if steps >= budget:
                     raise _BudgetExceeded
                 steps += 1
-                return eval_template(rule.rhs, env)
-        return (head, *kids)
+                result = eval_template(rule.rhs, env)
+                break
+        else:
+            result = (head, *kids)
+        memo[key] = (result, steps - start)
+        return result
 
     def eval_template(tmpl: RTerm, env: dict) -> RTerm:
         # bound subterms are already normal; only fresh structure is evaluated
@@ -115,6 +141,10 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionRepo
         return ReductionReport(result, steps, False)
     except _BudgetExceeded:
         return ReductionReport(term, steps, True)
+    finally:
+        # the closures above form a reference cycle; without this the memo
+        # would live on until a full garbage collection
+        memo.clear()
 
 
 def _match_at(by_head, node: RTerm) -> Optional[tuple[dict, RewriteRule]]:

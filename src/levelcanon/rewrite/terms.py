@@ -58,16 +58,24 @@ def term_vars(t: RTerm) -> frozenset[str]:
 
 
 def term_to_str(t: RTerm) -> str:
-    """Prefix juxtaposition syntax; compound arguments are parenthesized."""
-    if is_pvar(t):
-        return t[1]
-    if len(t) == 1:
-        return t[0]
-    parts = [t[0]]
-    for c in t[1:]:
-        s = term_to_str(c)
-        parts.append(f"({s})" if (len(c) > 1 and not is_pvar(c)) else s)
-    return " ".join(parts)
+    """Prefix juxtaposition syntax; compound arguments are parenthesized.
+
+    Printed with an explicit stack of terms and literal strings, so deep
+    terms (long numerals) cannot exhaust the Python stack.
+    """
+    parts: list[str] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif is_pvar(node):
+            parts.append(node[1])
+        else:
+            parts.append(node[0])
+            for c in reversed(node[1:]):
+                todo += (")", c, " (") if len(c) > 1 and not is_pvar(c) else (c, " ")
+    return "".join(parts)
 
 
 def match_args(pats: tuple, kids: tuple, env: dict[str, RTerm]) -> bool:

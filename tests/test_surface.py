@@ -225,13 +225,35 @@ def test_cli_rejects_non_ascii_digits(argv, capsys):
     assert capsys.readouterr().err.startswith("error: expected NAME=NAT")
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_levelcanon(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(levelcanon.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "levelcanon", "eq", "imax(x,x)", "x"],
+    return subprocess.run([sys.executable, "-m", "levelcanon", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_levelcanon("eq", "imax(x,x)", "x")
     assert (proc.returncode, proc.stdout) == (0, "true\n")
+
+
+# the encoding of the numeral 10000: a 10000-deep successor tower
+_TEN_THOUSAND = "succL (" * 9999 + "succL zeroL" + ")" * 9999
+
+
+def test_cli_export_deep_numeral():
+    # run as a process: the default recursion limit is the one that matters
+    proc = _run_levelcanon("export", "10000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("# query\n" + _TEN_THOUSAND + "\n")
+
+
+def test_cli_rewrite_deep_numeral_out_of_budget():
+    proc = _run_levelcanon("rewrite", "max(10000,x)", "--max-steps", "10")
+    assert proc.returncode == 0
+    assert proc.stdout == f"maxL ({_TEN_THOUSAND}) (varL zeroN)\nsteps: 10\n"
+    assert "step budget exhausted" in proc.stderr
 
 
 def test_cli_export_and_fuzz(capsys):
