@@ -24,8 +24,8 @@ from .levels import (
     IMax, Level, Max, Succ, Valuation, Var, VarId, Zero,
 )
 from .sublevels import (
-    SubA, SubB, SubLevel, eval_sub, imax_sub_pair, leq_sub, set_delete,
-    sorted_insert_atom, sub_key, succ_sub,
+    SubA, SubB, SubLevel, eval_sub, imax_sub_pair, leq_sub, sorted_insert_atom,
+    sub_key, subst_sub, succ_sub,
 )
 
 
@@ -50,6 +50,13 @@ class Repr:
                     raise ReprInvariantError(f"comparable atoms {u!r} and {v!r}")
 
 
+def _trusted_repr(atoms: tuple[SubLevel, ...]) -> Repr:
+    """`Repr(atoms)` unchecked, for atoms sorted and incomparable by construction."""
+    r = object.__new__(Repr)
+    r.__dict__["atoms"] = atoms
+    return r
+
+
 _ZERO_REPR = Repr(())
 _SUCC_FLOOR = SubB((), 1)
 
@@ -60,7 +67,7 @@ def repr_zero() -> Repr:
 
 
 def repr_var(x: VarId) -> Repr:
-    return Repr((SubA((x,), x, 0),))
+    return _trusted_repr((SubA((x,), x, 0),))
 
 
 def insert_sub(r: Repr, u: SubLevel) -> Repr:
@@ -69,7 +76,7 @@ def insert_sub(r: Repr, u: SubLevel) -> Repr:
         if leq_sub(u, v):
             return r
     kept = tuple(v for v in r.atoms if not leq_sub(v, u))
-    return Repr(sorted_insert_atom(kept, u))
+    return _trusted_repr(sorted_insert_atom(kept, u))
 
 
 def max_repr(r1: Repr, r2: Repr) -> Repr:
@@ -86,7 +93,7 @@ def succ_repr(r: Repr) -> Repr:
     Shifting every atom preserves both the storage order and pairwise
     incomparability, so only the floor needs a real insertion.
     """
-    bumped = Repr(tuple(succ_sub(u) for u in r.atoms))
+    bumped = _trusted_repr(tuple(succ_sub(u) for u in r.atoms))
     return insert_sub(bumped, _SUCC_FLOOR)
 
 
@@ -142,27 +149,14 @@ def eq_repr(r1: Repr, r2: Repr) -> bool:
 
 def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
     """Minimal representation of r with variable y set to the constant n.
-
-    Per atom: a zero substitution kills any atom guarding on y; an A-atom on
-    the substituted variable becomes the constant atom B(E \\ {y}, S + n);
-    every other atom just loses y from its guard set.  The atom images can
-    become comparable, so they are re-inserted rather than mapped.
-    """
+    The atom images (`subst_sub`) can become comparable, so they are re-inserted."""
     if n < 0:
         raise ValueError("substituted value must be a natural number")
     out = _ZERO_REPR
     for atom in r.atoms:
-        if n == 0 and y in atom.varset:
-            continue
-        if isinstance(atom, SubA):
-            if atom.var == y:
-                # n >= 1 here: y is in the atom's set, so n = 0 vanished above.
-                image: SubLevel = SubB(set_delete(atom.varset, y), atom.shift + n)
-            else:
-                image = SubA(set_delete(atom.varset, y), atom.var, atom.shift)
-        else:
-            image = SubB(set_delete(atom.varset, y), atom.shift)
-        out = insert_sub(out, image)
+        image = subst_sub(atom, y, n)
+        if image is not None:
+            out = insert_sub(out, image)
     return out
 
 

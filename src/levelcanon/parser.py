@@ -15,7 +15,6 @@ be open along one path.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .levels import IMax, Level, Max, Succ, Var, ZERO, VarId
 
@@ -65,98 +64,82 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAT | IDENT | KEYWORD | punctuation | EOF
-    text: str
-    line: int
-    col: int
+# one token per match: whitespace, then a numeral, a keyword or punctuation (its
+# own kind), a name, the end of input or, in error, any other character
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<NAT>[0-9]+)"
+    rf"|(?P<FIXED>(?:{'|'.join(KEYWORDS)})(?![A-Za-z0-9_])|[(),])"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<EOF>\Z)|(?P<BAD>.))", re.S)
+
+_Token = tuple[str, str, int]  # kind, text, offset
 
 
-_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[(),]")
-_SPACE_RE = re.compile(r"[ \t\r\n]+")
+def _error(text: str, offset: int, message: str,
+           expected: frozenset[str] = frozenset()) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1,
+                      expected)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        ws = _SPACE_RE.match(text, pos)
-        if ws:
-            chunk = ws.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = ws.start() + chunk.rfind("\n") + 1
-            pos = ws.end()
-            continue
+    pos = 0
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group()
-        if lexeme[0].isdigit():
-            kind = "NAT"
-        elif lexeme in KEYWORDS:
-            kind = lexeme
-        elif lexeme[0] in "(),":
-            kind = lexeme
-        else:
-            kind = "IDENT"
-        tokens.append(_Token(kind, lexeme, line, col))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+        kind, lexeme, pos = m.lastgroup, m[m.lastgroup], m.end()
+        if kind == "BAD":
+            raise _error(text, pos - 1, f"unexpected character {lexeme!r}")
+        tokens.append((lexeme if kind == "FIXED" else kind, lexeme, pos - len(lexeme)))
+        if kind == "EOF":
+            return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], names: NameTable):
-        self.tokens = tokens
+    def __init__(self, text: str, names: NameTable):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.names = names
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if tok[0] != kind:
             self.fail(tok, frozenset({kind}))
         self.pos += 1
-        return tok
 
     def fail(self, tok: _Token, expected: frozenset[str]):
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"unexpected {shown}", tok.line, tok.col, expected)
+        shown = tok[1] if tok[0] != "EOF" else "end of input"
+        raise _error(self.text, tok[2], f"unexpected {shown}", expected)
 
     def level(self, depth: int = 0) -> Level:
-        tok = self.peek()
-        if tok.kind == "NAT":
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "NAT":
             self.pos += 1
-            n = int(tok.text)
+            n = int(tok[1])
             if n > MAX_NUMERAL:
-                raise ParseError(f"numeral {tok.text} too large (limit {MAX_NUMERAL})",
-                                 tok.line, tok.col)
+                raise _error(self.text, tok[2],
+                             f"numeral {tok[1]} too large (limit {MAX_NUMERAL})")
             t: Level = ZERO
             for _ in range(n):
                 t = Succ(t)
             return t
-        if tok.kind in ("s", "max", "imax"):
+        if kind in KEYWORDS:
             if depth == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
+                raise _error(self.text, tok[2], f"nesting deeper than {MAX_NESTING}")
             self.pos += 1
             self.expect("(")
             left = self.level(depth + 1)
-            if tok.kind == "s":
+            if kind == "s":
                 self.expect(")")
                 return Succ(left)
             self.expect(",")
             right = self.level(depth + 1)
             self.expect(")")
-            return Max(left, right) if tok.kind == "max" else IMax(left, right)
-        if tok.kind == "IDENT":
+            return Max(left, right) if kind == "max" else IMax(left, right)
+        if kind == "IDENT":
             self.pos += 1
-            return Var(self.names.intern(tok.text))
+            return Var(self.names.intern(tok[1]))
         self.fail(tok, frozenset({"NAT", "IDENT", "s", "max", "imax"}))
 
     def parse(self) -> Level:
@@ -167,4 +150,4 @@ class _Parser:
 
 def parse_level(text: str, names: NameTable) -> Level:
     """Parse a level expression, interning new variables into `names`."""
-    return _Parser(_tokenize(text), names).parse()
+    return _Parser(text, names).parse()

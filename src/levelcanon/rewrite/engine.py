@@ -161,51 +161,80 @@ class _RedexScanner:
     Rewriting happens in a context, so a subterm that contains no redex can
     never acquire one; such subterms are remembered by object identity (the
     cache doubles as a keepalive so ids are never recycled while cached) and
-    skipped by later scans.
+    skipped by later scans.  The scans keep explicit stacks, so a term may be
+    as deep as a numeral's successor tower.
     """
 
     def __init__(self, by_head):
         self.by_head = by_head
         self.clean: dict[int, RTerm] = {}
-        self.redexes: dict[int, list[tuple[int, ...]]] = {}
+        # id -> (whether the node is a redex, redexes in its subterm, the
+        # node itself as the keepalive for its id)
+        self.counts: dict[int, tuple[bool, int, RTerm]] = {}
 
-    def first_outermost(self, term: RTerm, path: tuple[int, ...] = ()) -> Optional[tuple[int, ...]]:
-        if id(term) in self.clean:
+    def first_redex(self, term: RTerm, outermost: bool) -> Optional[tuple[int, ...]]:
+        """Leftmost redex position, testing each node before its children
+        (outermost) or after them (innermost)."""
+        by_head, clean = self.by_head, self.clean
+        if id(term) in clean:
             return None
-        if _match_at(self.by_head, term) is not None:
-            return path
-        for i, child in enumerate(term[1:]):
-            found = self.first_outermost(child, path + (i,))
-            if found is not None:
-                return found
-        self.clean[id(term)] = term
+        if outermost and _match_at(by_head, term) is not None:
+            return ()
+        stack = [(term, enumerate(term[1:]))]
+        path: list[int] = []  # child indices down to stack[-1]
+        while stack:
+            node, kids = stack[-1]
+            for i, child in kids:
+                if id(child) in clean:
+                    continue
+                if outermost and _match_at(by_head, child) is not None:
+                    return (*path, i)
+                stack.append((child, enumerate(child[1:])))
+                path.append(i)
+                break
+            else:
+                stack.pop()
+                if not outermost and _match_at(by_head, node) is not None:
+                    return tuple(path)
+                clean[id(node)] = node
+                if path:
+                    path.pop()
         return None
 
-    def first_innermost(self, term: RTerm, path: tuple[int, ...] = ()) -> Optional[tuple[int, ...]]:
-        if id(term) in self.clean:
-            return None
-        for i, child in enumerate(term[1:]):
-            found = self.first_innermost(child, path + (i,))
-            if found is not None:
-                return found
-        if _match_at(self.by_head, term) is not None:
-            return path
-        self.clean[id(term)] = term
-        return None
+    def redex_count(self, term: RTerm) -> int:
+        """Number of redexes in `term`, memoized per subterm identity."""
+        counts = self.counts
+        stack = [term]
+        while stack:
+            node = stack[-1]
+            if id(node) in counts:
+                stack.pop()
+                continue
+            pending = [c for c in node[1:] if id(c) not in counts]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            here = _match_at(self.by_head, node) is not None
+            counts[id(node)] = (here, here + sum(counts[id(c)][1] for c in node[1:]), node)
+        return counts[id(term)][1]
 
-    def all_redexes(self, term: RTerm) -> list[tuple[int, ...]]:
-        """Redex positions in preorder, memoized per subterm identity."""
-        cached = self.redexes.get(id(term))
-        if cached is not None:
-            return cached
-        out: list[tuple[int, ...]] = []
-        if _match_at(self.by_head, term) is not None:
-            out.append(())
-        for i, child in enumerate(term[1:]):
-            out.extend((i,) + p for p in self.all_redexes(child))
-        self.redexes[id(term)] = out
-        self.clean[id(term)] = term  # keepalive for the id
-        return out
+    def nth_redex(self, term: RTerm, k: int) -> tuple[int, ...]:
+        """Position of the k-th redex (from 0) in preorder; after
+        `redex_count(term)`, this walks one path down."""
+        path = []
+        while True:
+            if self.counts[id(term)][0]:
+                if k == 0:
+                    return tuple(path)
+                k -= 1
+            for i, child in enumerate(term[1:]):
+                n = self.counts[id(child)][1]
+                if k < n:
+                    path.append(i)
+                    term = child
+                    break
+                k -= n
 
 
 def _subterm(term: RTerm, path: tuple[int, ...]) -> RTerm:
@@ -215,10 +244,13 @@ def _subterm(term: RTerm, path: tuple[int, ...]) -> RTerm:
 
 
 def _replace(term: RTerm, path: tuple[int, ...], new: RTerm) -> RTerm:
-    if not path:
-        return new
-    i = path[0]
-    return term[: i + 1] + (_replace(term[i + 1], path[1:], new),) + term[i + 2:]
+    spine = []
+    for i in path:
+        spine.append((term, i))
+        term = term[i + 1]
+    for node, i in reversed(spine):
+        new = node[: i + 1] + (new,) + node[i + 2:]
+    return new
 
 
 def _reduce_positional(
@@ -234,13 +266,12 @@ def _reduce_positional(
     steps = 0
     current = term
     while True:
-        if strategy == "outermost":
-            pos = scanner.first_outermost(current)
-        elif strategy == "innermost":
-            pos = scanner.first_innermost(current)
+        if strategy == "random":
+            # uniform over the redex positions in preorder, without listing them
+            n = scanner.redex_count(current)
+            pos = scanner.nth_redex(current, rng.choice(range(n))) if n else None
         else:
-            redexes = scanner.all_redexes(current)
-            pos = rng.choice(redexes) if redexes else None
+            pos = scanner.first_redex(current, outermost=strategy == "outermost")
         if pos is None:
             return ReductionReport(current, steps, False)
         if steps >= budget:

@@ -10,8 +10,8 @@ Only restricted sublevels are representable here:
   * B(E, S) requires S >= 1.
 
 The comparison theorems of the algebra assume these restrictions, so the
-constructors enforce them; building an ill-formed atom is a programming
-error, not a recoverable condition.
+constructors enforce them (the atom operations below keep them and skip the
+check); an ill-formed atom is a programming error, not a recoverable condition.
 """
 
 from __future__ import annotations
@@ -85,6 +85,13 @@ class SubB:
 SubLevel = SubA | SubB
 
 
+def _trusted(cls: type, *values) -> SubLevel:
+    """`cls(*values)` unchecked, for an atom that keeps x in E and S >= 1."""
+    atom = object.__new__(cls)
+    atom.__dict__.update(zip(cls.__match_args__, values))
+    return atom
+
+
 def eval_sub(u: SubLevel, sigma: Valuation) -> int:
     for y in u.varset:
         if y not in sigma:
@@ -125,8 +132,24 @@ def sub_key(u: SubLevel) -> tuple:
 
 def succ_sub(u: SubLevel) -> SubLevel:
     if isinstance(u, SubA):
-        return SubA(u.varset, u.var, u.shift + 1)
-    return SubB(u.varset, u.shift + 1)
+        return _trusted(SubA, u.varset, u.var, u.shift + 1)
+    return _trusted(SubB, u.varset, u.shift + 1)
+
+
+def subst_sub(u: SubLevel, y: VarId, n: int) -> SubLevel | None:
+    """`u` with variable y set to the natural n, or None where that makes it 0.
+    Otherwise y leaves the guard set, and an A-atom on y becomes the constant
+    atom B(E \\ {y}, S + n), with S + n >= 1 because n >= 1 here."""
+    if y not in u.varset:
+        return u
+    if n == 0:
+        return None
+    rest = set_delete(u.varset, y)
+    if isinstance(u, SubB):
+        return _trusted(SubB, rest, u.shift)
+    if u.var == y:
+        return _trusted(SubB, rest, u.shift + n)
+    return _trusted(SubA, rest, u.var, u.shift)
 
 
 def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
@@ -139,8 +162,8 @@ def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
     """
     merged = set_union(u.varset, v.varset)
     if isinstance(u, SubA):
-        return SubA(merged, u.var, u.shift), v
-    return SubB(merged, u.shift), v
+        return _trusted(SubA, merged, u.var, u.shift), v
+    return _trusted(SubB, merged, u.shift), v
 
 
 def sorted_insert_atom(atoms: tuple[SubLevel, ...], u: SubLevel) -> tuple[SubLevel, ...]:
@@ -152,6 +175,6 @@ def sorted_insert_atom(atoms: tuple[SubLevel, ...], u: SubLevel) -> tuple[SubLev
 __all__ = [
     "VarSet", "SubA", "SubB", "SubLevel",
     "set_union", "set_subset", "set_delete",
-    "eval_sub", "leq_sub", "sub_key", "succ_sub", "imax_sub_pair",
+    "eval_sub", "leq_sub", "sub_key", "succ_sub", "subst_sub", "imax_sub_pair",
     "sorted_insert_atom",
 ]

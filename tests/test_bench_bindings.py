@@ -18,3 +18,27 @@ def test_tracer_bindings_resolve(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr, _ in bindings
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert bindings and missing == []
+
+
+def test_normalize_reaches_leq_sub_through_its_module_binding(monkeypatch):
+    # the tracer counts `sublevels.leq_sub.calls` at levelcanon.normalize.leq_sub,
+    # and a traced decide run reads correct=false if that count stays 0; the
+    # package's `normalize` function shadows the module, hence import_module
+    from levelcanon import Max, Succ, Var
+
+    nz = importlib.import_module("levelcanon.normalize")
+
+    calls = []
+    original = nz.leq_sub
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(nz, "leq_sub", counting)
+    x = Var(0)
+    nz.normalize(Max(x, Succ(x)))
+    assert calls
+    calls.clear()
+    assert nz.leq_repr(nz.repr_var(0), nz.repr_var(0))
+    assert calls

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -167,10 +168,30 @@ def test_subst_commutes_with_evaluation(t):
 @given(level_strategy())
 @settings(max_examples=250)
 def test_normalize_soundness(t):
-    r = normalize(t)  # construction already checks the antichain invariant
+    r = normalize(t)  # its invariants: test_operations_keep_the_invariants
     vids = tuple(sorted(level_vars(t)))
     for sigma in valuations_on(vids, 2):
         assert eval_repr(r, sigma) == eval_level(t, sigma)
+
+
+def _assert_valid(r):
+    """`r`, built without checks, passes the validating public constructors."""
+    assert Repr(r.atoms) == r
+    for u in r.atoms:
+        if isinstance(u, SubA):
+            assert SubA(u.varset, u.var, u.shift) == u
+        else:
+            assert SubB(u.varset, u.shift) == u
+
+
+@given(level_strategy(max_leaves=6), level_strategy(max_leaves=6),
+       st.integers(0, 2), st.integers(0, 3))
+@settings(max_examples=200)
+def test_operations_keep_the_invariants(t1, t2, y, n):
+    r1, r2 = normalize(t1), normalize(t2)
+    for r in (r1, r2, max_repr(r1, r2), imax_repr(r1, r2), succ_repr(r1),
+              subst_repr(r1, y, n), normalize(IMax(t1, Succ(t2)))):
+        _assert_valid(r)
 
 
 @given(level_strategy(max_leaves=6), level_strategy(max_leaves=6))

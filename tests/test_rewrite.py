@@ -17,6 +17,7 @@ from levelcanon.rewrite import (
     reduce, rule_dump, sample_confluence, soundness_report, subst_template,
     term_to_str,
 )
+from levelcanon.rewrite.engine import _match_at, _RedexScanner
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
 RULES = default_rules()
@@ -188,6 +189,35 @@ def test_memoized_innermost_matches_the_unmemoized_path(rules):
                 # reports where it stopped (neither is a normal form)
                 expected = term if slow.budget_exhausted else slow.result
                 assert fast.result == expected, (level, budget)
+
+
+def _redex_paths(term, postorder=False, path=()):
+    """Every redex position of `term` in preorder (or postorder), recursively:
+    the reference order of the positional strategies."""
+    here = [path] if _match_at(RULES.by_head, term) is not None else []
+    below = [p for i, child in enumerate(term[1:])
+             for p in _redex_paths(child, postorder, path + (i,))]
+    return below + here if postorder else here + below
+
+
+def test_position_scans_follow_the_reference_order():
+    # outermost takes the first redex in preorder, innermost the first in
+    # postorder, and random draws an index into the preorder list
+    cfg = GenConfig(seed=17, max_size=8)
+    seen = 0
+    for i in range(12):
+        term = encode_level(gen_level(cfg, i))
+        for budget in (1, 4, 16, 64):
+            current = reduce(term, RULES, "outermost", budget).result
+            expected = _redex_paths(current)
+            scanner = _RedexScanner(RULES.by_head)
+            assert scanner.redex_count(current) == len(expected)
+            assert [scanner.nth_redex(current, k) for k in range(len(expected))] == expected
+            for outermost, order in ((True, expected), (False, _redex_paths(current, True))):
+                first = _RedexScanner(RULES.by_head).first_redex(current, outermost)
+                assert first == (order[0] if order else None)
+            seen += len(expected)
+    assert seen > 100
 
 
 def test_memoized_innermost_frees_its_memo_on_return():

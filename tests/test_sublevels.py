@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from levelcanon import (
 )
 from levelcanon.harness import enumerate_sublevels
 from levelcanon.levels import valuations_on
-from levelcanon.sublevels import sub_key
+from levelcanon.sublevels import sub_key, subst_sub
 
 
 def test_set_insert():
@@ -123,7 +124,21 @@ def test_succ_sub():
     assert succ_sub(SubA((0,), 0, 0)) == SubA((0,), 0, 1)
     assert succ_sub(SubB((), 1)) == SubB((), 2)
     for atom in enumerate_sublevels(2, 2):
-        succ_sub(atom)  # restrictions preserved: construction does not raise
+        # built unchecked: the validating constructor must accept it
+        assert replace(succ_sub(atom)) == succ_sub(atom)
+
+
+def test_subst_sub_semantics_exhaustive():
+    grid = list(valuations_on((0, 1), 3))
+    for u in enumerate_sublevels(2, 2):
+        for y, n in product((0, 1, 2), range(3)):
+            image = subst_sub(u, y, n)
+            if image is not None:
+                assert replace(image) == image and y not in image.varset
+            for sigma in grid:
+                if sigma.get(y, n) == n:
+                    value = 0 if image is None else eval_sub(image, sigma)
+                    assert value == eval_sub(u, {**sigma, y: n}), (u, y, n, sigma)
 
 
 def test_imax_sub_pair():
@@ -140,6 +155,7 @@ def test_imax_sub_pair_semantics_exhaustive():
     grid = list(valuations_on((0, 1), 3))
     for u, v in product(atoms, repeat=2):
         a, b = imax_sub_pair(u, v)
+        assert replace(a) == a
         for sigma in grid:
             expected = imax_nat(eval_sub(u, sigma), eval_sub(v, sigma))
             assert max(eval_sub(a, sigma), eval_sub(b, sigma)) == expected

@@ -46,6 +46,36 @@ def test_parse_error_positions():
     assert err.value.col == 7
 
 
+_LEVEL_START = {"NAT", "IDENT", "s", "max", "imax"}
+
+
+# message, line, column and expected set of each error, as the parser reported
+# them when it tokenized with two regex matches per token
+@pytest.mark.parametrize("text, message, line, col, expected", [
+    ("max(x,\n\ty@)", "unexpected character '@' at line 2, column 3", 2, 3, set()),
+    ("max(x,\r\n  y@)", "unexpected character '@' at line 2, column 4", 2, 4, set()),
+    ("max(x,\n", "unexpected end of input at line 2, column 1 "
+     "(expected IDENT, NAT, imax, max, s)", 2, 1, _LEVEL_START),
+    ("max(x y)", "unexpected y at line 1, column 7 (expected ,)", 1, 7, {","}),
+    ("max(x y)@", "unexpected character '@' at line 1, column 9", 1, 9, set()),
+    ("max(x,\n 10001)", "numeral 10001 too large (limit 10000) at line 2, column 2",
+     2, 2, set()),
+    ("s(" * 501 + "x" + ")" * 501, "nesting deeper than 500 at line 1, column 1001",
+     1, 1001, set()),
+    ("s(" * 501 + "@", "unexpected character '@' at line 1, column 1003", 1, 1003, set()),
+    ("", "unexpected end of input at line 1, column 1 "
+     "(expected IDENT, NAT, imax, max, s)", 1, 1, _LEVEL_START),
+    ("max", "unexpected end of input at line 1, column 4 (expected ()", 1, 4, {"("}),
+    ("imax(x,\n\n  s(y)))", "unexpected ) at line 3, column 8 (expected EOF)",
+     3, 8, {"EOF"}),
+])
+def test_parse_error_reports(text, message, line, col, expected):
+    with pytest.raises(ParseError) as err:
+        parse_level(text, NameTable())
+    assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+    assert err.value.expected == expected
+
+
 def test_keywords_are_not_identifiers():
     with pytest.raises(ParseError):
         parse_level("s", NameTable())
@@ -254,6 +284,29 @@ def test_cli_rewrite_deep_numeral_out_of_budget():
     assert proc.returncode == 0
     assert proc.stdout == f"maxL ({_TEN_THOUSAND}) (varL zeroN)\nsteps: 10\n"
     assert "step budget exhausted" in proc.stderr
+
+
+def _shallower(out: str, layers: int) -> str:
+    """Output of a rewrite of max(N + layers, x) as it reads for max(N, x): the
+    tower's top `layers` successors and their path prefixes taken out."""
+    return (out.replace("\t" + "0." * layers, "\t")
+            .replace("succL (" * layers, "", 1).replace(")" * layers, "", 1))
+
+
+@pytest.mark.parametrize("flags", [["--strategy", "outermost"],
+                                   ["--strategy", "random", "--seed", "5"],
+                                   ["--trace"],
+                                   ["--strategy", "random", "--trace"]])
+def test_cli_rewrite_deep_numeral_positional(flags):
+    # the position scans take the same steps on a 9,900 layers deeper tower,
+    # with every redex 9,900 levels further down
+    deep = _run_levelcanon("rewrite", "max(10000,x)", "--max-steps", "10", *flags)
+    shallow = _run_levelcanon("rewrite", "max(100,x)", "--max-steps", "10", *flags)
+    assert (deep.returncode, shallow.returncode) == (0, 0)
+    assert deep.stderr == shallow.stderr
+    assert "step budget exhausted" in deep.stderr
+    assert shallow.stdout.endswith("\nsteps: 10\n")
+    assert _shallower(deep.stdout, 9_900) == shallow.stdout
 
 
 def test_cli_export_and_fuzz(capsys):
