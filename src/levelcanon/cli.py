@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from .export import export_framework
-from .harness import GenConfig, run_fuzz
 from .levels import UnboundVariableError, const_depth, eval_level
 from .normalize import eq_repr, leq_repr, normalize, subst_repr
 from .parser import NameTable, ParseError, parse_level
@@ -157,6 +156,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "fuzz":
         if args.size < 1 or args.cases < 0:
             raise UsageError("--size must be positive and --cases non-negative")
+        # imported here so that the other commands do not load the harness
+        from .harness import GenConfig, run_fuzz
+
         cfg = GenConfig(seed=args.seed, max_size=args.size)
         report = run_fuzz(cfg, args.cases)
         print(report.to_json())

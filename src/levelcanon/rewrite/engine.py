@@ -7,9 +7,13 @@ Three redex-selection strategies are supported:
   * ``random``     — a seeded uniform choice among all redex positions.
 
 The rule set is constructor-based and orthogonal, so all strategies reach the
-same normal form; the innermost strategy runs on a fast recursive evaluator,
-the others on a generic position-scanning loop.  Step counts are exact rule
-applications under tree semantics (no sharing).
+same normal form.  Every strategy dispatches through the rule set's compiled
+matchers (`RuleSet.matchers`): one generated function per defined head tests
+its rules' left sides in order, and the matched rule's generated builder
+instantiates the right side.  Innermost builds through its memoized
+evaluator, which reduces each fresh node as it is made; the positional
+strategies build plain tuples and splice them in at the redex position.
+Step counts are exact rule applications under tree semantics (no sharing).
 
 The innermost evaluator is memoized within each call: the normal form of
 ``f(args)`` depends only on ``f`` and the normal forms of ``args``, so each
@@ -27,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, match_args, subst_template
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -86,7 +90,7 @@ def _check_input(term: RTerm, by_head) -> None:
 
 
 def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionReport:
-    get_rules = rules.by_head.get
+    get_matcher = rules.matchers().get
     steps = 0
     # (head, *ids of normal kids) -> (normal form, tree steps it took).  Every
     # kid is a value held here (or inside one), so its id stays valid, and
@@ -109,27 +113,20 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionRepo
             steps += cost
             return result
         start = steps
-        for rule in get_rules(head, ()):
-            lhs = rule.lhs
-            env: dict = {}
-            if len(lhs) == 1 or match_args(lhs[1:], kids, env):
-                if steps >= budget:
-                    raise _BudgetExceeded
-                steps += 1
-                result = eval_template(rule.rhs, env)
-                break
-        else:
+        matcher = get_matcher(head)
+        found = matcher(kids) if matcher is not None else None
+        if found is None:
             result = (head, *kids)
+        else:
+            if steps >= budget:
+                raise _BudgetExceeded
+            steps += 1
+            # bound subterms are already normal; the builder hands every
+            # fresh node to rewrite_head, which reduces it on the spot
+            build, bindings, _ = found
+            result = build(rewrite_head, *bindings)
         memo[key] = (result, steps - start)
         return result
-
-    def eval_template(tmpl: RTerm, env: dict) -> RTerm:
-        # bound subterms are already normal; only fresh structure is evaluated
-        if tmpl[0] == PVAR_HEAD:
-            return env[tmpl[1]]
-        if len(tmpl) == 1:
-            return rewrite_head(tmpl[0], ())
-        return rewrite_head(tmpl[0], tuple(eval_template(c, env) for c in tmpl[1:]))
 
     def nf(t: RTerm) -> RTerm:
         if len(t) == 1:
@@ -147,12 +144,13 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionRepo
         memo.clear()
 
 
-def _match_at(by_head, node: RTerm) -> Optional[tuple[dict, RewriteRule]]:
-    for rule in by_head.get(node[0], ()):
-        env: dict = {}
-        if len(rule.lhs) == 1 or match_args(rule.lhs[1:], node[1:], env):
-            return env, rule
-    return None
+def _match_at(matchers, node: RTerm) -> Optional[tuple[Callable, tuple, RewriteRule]]:
+    matcher = matchers.get(node[0])
+    return matcher(node[1:]) if matcher is not None else None
+
+
+def _construct(head: str, kids: tuple) -> RTerm:
+    return (head, *kids)
 
 
 class _RedexScanner:
@@ -165,8 +163,8 @@ class _RedexScanner:
     as deep as a numeral's successor tower.
     """
 
-    def __init__(self, by_head):
-        self.by_head = by_head
+    def __init__(self, matchers):
+        self.matchers = matchers
         self.clean: dict[int, RTerm] = {}
         # id -> (whether the node is a redex, redexes in its subterm, the
         # node itself as the keepalive for its id)
@@ -175,10 +173,10 @@ class _RedexScanner:
     def first_redex(self, term: RTerm, outermost: bool) -> Optional[tuple[int, ...]]:
         """Leftmost redex position, testing each node before its children
         (outermost) or after them (innermost)."""
-        by_head, clean = self.by_head, self.clean
+        matchers, clean = self.matchers, self.clean
         if id(term) in clean:
             return None
-        if outermost and _match_at(by_head, term) is not None:
+        if outermost and _match_at(matchers, term) is not None:
             return ()
         stack = [(term, enumerate(term[1:]))]
         path: list[int] = []  # child indices down to stack[-1]
@@ -187,14 +185,14 @@ class _RedexScanner:
             for i, child in kids:
                 if id(child) in clean:
                     continue
-                if outermost and _match_at(by_head, child) is not None:
+                if outermost and _match_at(matchers, child) is not None:
                     return (*path, i)
                 stack.append((child, enumerate(child[1:])))
                 path.append(i)
                 break
             else:
                 stack.pop()
-                if not outermost and _match_at(by_head, node) is not None:
+                if not outermost and _match_at(matchers, node) is not None:
                     return tuple(path)
                 clean[id(node)] = node
                 if path:
@@ -215,7 +213,7 @@ class _RedexScanner:
                 stack.extend(pending)
                 continue
             stack.pop()
-            here = _match_at(self.by_head, node) is not None
+            here = _match_at(self.matchers, node) is not None
             counts[id(node)] = (here, here + sum(counts[id(c)][1] for c in node[1:]), node)
         return counts[id(term)][1]
 
@@ -261,7 +259,8 @@ def _reduce_positional(
     seed: int,
     trace,
 ) -> ReductionReport:
-    scanner = _RedexScanner(rules.by_head)
+    matchers = rules.matchers()
+    scanner = _RedexScanner(matchers)
     rng = random.Random(seed)
     steps = 0
     current = term
@@ -276,8 +275,8 @@ def _reduce_positional(
             return ReductionReport(current, steps, False)
         if steps >= budget:
             return ReductionReport(current, steps, True)
-        env, rule = _match_at(rules.by_head, _subterm(current, pos))
+        build, bindings, rule = _match_at(matchers, _subterm(current, pos))
         if trace is not None:
             trace(steps, pos, rule)
-        current = _replace(current, pos, subst_template(rule.rhs, env))
+        current = _replace(current, pos, build(_construct, *bindings))
         steps += 1

@@ -9,7 +9,7 @@ checked, not encoded in the terms themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 Sort = str
 BOOL, NAT, NATSET, SUBLEVEL, SLSET, LEVEL = (
@@ -147,7 +147,8 @@ class RewriteRule:
 
 class RuleSet(tuple):
     """Rewrite rules in emission order, plus `by_head`: the rules of each
-    left-hand-side head symbol (the defined symbols), in the same order."""
+    left-hand-side head symbol (the defined symbols), in the same order, and
+    `matchers()`: those rules compiled, once per rule set."""
 
     by_head: dict[str, list[RewriteRule]]
 
@@ -156,7 +157,84 @@ class RuleSet(tuple):
         self.by_head = {}
         for rule in self:
             self.by_head.setdefault(rule.lhs[0], []).append(rule)
+        self._matchers = None
         return self
+
+    def matchers(self) -> dict[str, Callable]:
+        """Each defined head's compiled matcher, built on first use and kept
+        on this rule set.
+
+        ``matchers()[head](kids)`` takes the argument tuple of a `head` node
+        (as many arguments as the head's rules take) and tests the rules'
+        left sides in order, with `match_args`' semantics.  It returns None,
+        or ``(build, bindings, rule)`` for the first rule that matches:
+        `bindings` are the terms bound to the rule's pattern variables in
+        the order of their first occurrence in the left side, and
+        ``build(mk, *bindings)`` instantiates the right side bottom-up,
+        calling ``mk(head, kids)`` for every node it constructs.
+        """
+        if self._matchers is None:
+            self._matchers = _compile_matchers(self.by_head)
+        return self._matchers
+
+
+def _compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callable]:
+    # Rule text reaches the generated source only as repr() literals; pattern
+    # variables become the positional names v0, v1, ... and the rules
+    # themselves are passed in by name (r<j>), never printed.
+    namespace: dict[str, object] = {}
+    builds: list[str] = []
+    matchers: list[str] = []
+    for h, (head, rules) in enumerate(by_head.items()):
+        arity = len(rules[0].lhs) - 1
+        if any(len(rule.lhs) - 1 != arity for rule in rules):
+            raise ValueError(f"the rules of {head!r} take different numbers of arguments")
+        kids = [f"k{i}" for i in range(arity)]
+        matchers.append(f"def m{h}(kids):")
+        if kids:
+            matchers.append(f"    {', '.join(kids)}, = kids")
+        for rule in rules:
+            j = len(namespace)
+            namespace[f"r{j}"] = rule
+            tests: list[str] = []
+            binds: dict[str, str] = {}
+            for pat, src in zip(rule.lhs[1:], kids):
+                _compile_pattern(pat, src, tests, binds)
+            params = dict(zip(binds, (f"v{i}" for i in range(len(binds)))))
+            builds.append(f"def b{j}(mk, {''.join(v + ', ' for v in params.values())}):")
+            builds.append(f"    return {_compile_template(rule.rhs, params)}")
+            found = f"return b{j}, ({''.join(s + ', ' for s in binds.values())}), r{j}"
+            if not tests:
+                matchers.append(f"    {found}")
+                break  # later rules of this head can never fire
+            matchers.append(f"    if {' and '.join(tests)}:")
+            matchers.append(f"        {found}")
+    exec(compile("\n".join(builds + matchers), "<compiled rules>", "exec"), namespace)
+    return {head: namespace[f"m{h}"] for h, head in enumerate(by_head)}
+
+
+def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:
+    """Append to `tests` the conditions under which the term at expression
+    `src` matches `pat`, and record in `binds` each new variable's source."""
+    if pat[0] == PVAR_HEAD:
+        if pat[1] in binds:
+            tests.append(f"{src} == {binds[pat[1]]}")
+        else:
+            binds[pat[1]] = src
+        return
+    if len(pat) == 1:
+        tests.append(f"{src} == {pat!r}")
+        return
+    tests.append(f"len({src}) == {len(pat)} and {src}[0] == {pat[0]!r}")
+    for i, child in enumerate(pat[1:], 1):
+        _compile_pattern(child, f"{src}[{i}]", tests, binds)
+
+
+def _compile_template(tmpl: RTerm, names: dict[str, str]) -> str:
+    if tmpl[0] == PVAR_HEAD:
+        return names[tmpl[1]]
+    kids = "".join(_compile_template(c, names) + ", " for c in tmpl[1:])
+    return f"mk({tmpl[0]!r}, ({kids}))"
 
 
 class SortError(ValueError):

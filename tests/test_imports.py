@@ -1,11 +1,16 @@
-"""Every name a library module imports is used in that module.
+"""Import hygiene: every name a library module imports is used in that
+module, and the CLI imports only what all of its commands need.
 
-Package ``__init__`` modules are skipped: they import names to re-export them.
+Package ``__init__`` modules are skipped by the first check: they import
+names to re-export them.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import levelcanon
@@ -37,3 +42,14 @@ def test_library_modules_use_every_import():
         if found:
             unused[str(path.relative_to(SRC))] = found
     assert unused == {}
+
+
+def test_cli_import_leaves_the_harness_unloaded():
+    # only `levelcanon fuzz` runs the differential harness; every other
+    # command's process should not pay for importing it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, levelcanon.cli; print('levelcanon.harness' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

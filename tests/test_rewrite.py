@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,15 @@ from conftest import level_strategy
 from levelcanon import IMax, Max, Succ, Var, ZERO, normalize, subst_repr
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.rewrite import (
-    SIGNATURE, DecodeError, ReductionReport, RewriteRule, app,
+    SIGNATURE, DecodeError, ReductionReport, RewriteRule, RuleSet, app,
     builtin_ruleset, check_rule_sorts, decode_repr, default_rules,
     encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
     reduce, rule_dump, sample_confluence, soundness_report, subst_template,
     term_to_str,
 )
-from levelcanon.rewrite.engine import _match_at, _RedexScanner
+from levelcanon.rewrite import terms
+from levelcanon.rewrite.engine import _RedexScanner
+from levelcanon.rewrite.terms import match_args
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
 RULES = default_rules()
@@ -161,6 +164,10 @@ def test_reduce_rejects_defined_symbols_of_the_wrong_arity():
             with pytest.raises(ValueError, match="arguments"):
                 reduce(term, RULES, strategy)
     assert reduce(app("not", app("true")), RULES).result == app("false")
+    mixed = RuleSet([RewriteRule(app("f", pvar("x")), pvar("x")),
+                     RewriteRule(app("f", pvar("x"), pvar("y")), pvar("y"))])
+    with pytest.raises(ValueError, match="different numbers of arguments"):
+        reduce(app("zeroN"), mixed)
 
 
 def _unmemoized_innermost(term, rules, budget):
@@ -194,7 +201,7 @@ def test_memoized_innermost_matches_the_unmemoized_path(rules):
 def _redex_paths(term, postorder=False, path=()):
     """Every redex position of `term` in preorder (or postorder), recursively:
     the reference order of the positional strategies."""
-    here = [path] if _match_at(RULES.by_head, term) is not None else []
+    here = [path] if any(match(rule.lhs, term) is not None for rule in RULES) else []
     below = [p for i, child in enumerate(term[1:])
              for p in _redex_paths(child, postorder, path + (i,))]
     return below + here if postorder else here + below
@@ -210,14 +217,161 @@ def test_position_scans_follow_the_reference_order():
         for budget in (1, 4, 16, 64):
             current = reduce(term, RULES, "outermost", budget).result
             expected = _redex_paths(current)
-            scanner = _RedexScanner(RULES.by_head)
+            scanner = _RedexScanner(RULES.matchers())
             assert scanner.redex_count(current) == len(expected)
             assert [scanner.nth_redex(current, k) for k in range(len(expected))] == expected
             for outermost, order in ((True, expected), (False, _redex_paths(current, True))):
-                first = _RedexScanner(RULES.by_head).first_redex(current, outermost)
+                first = _RedexScanner(RULES.matchers()).first_redex(current, outermost)
                 assert first == (order[0] if order else None)
             seen += len(expected)
     assert seen > 100
+
+
+# A hand-made rule set whose symbol and variable names would break generated
+# code that spliced them in as text: quotes, backslashes, Python keywords and
+# the names the generated functions use themselves.  `it"s\` has a
+# non-left-linear rule, `None` is a nullary defined head, and `lambda`
+# matches nested and nullary constructors.
+_S, _Z, _PAIR = "s'", 'z"', "pair\\"
+_EQ, _NONE, _LAMBDA, _DEF = 'it"s\\', "None", "lambda", "def"
+_V = [pvar(name) for name in ("x'", 'y"\\', "class", "k0", "v1", "mk", "kids")]
+HAND = RuleSet([
+    RewriteRule(app(_EQ, _V[0], _V[0]), app("true")),
+    RewriteRule(app(_EQ, app(_S, _V[1]), app(_S, _V[3])), app(_EQ, _V[1], _V[3])),
+    RewriteRule(app(_EQ, _V[2], _V[4]), app("false")),
+    RewriteRule(app(_NONE), app(_S, app(_Z))),
+    RewriteRule(app(_LAMBDA, app(_PAIR, app(_S, _V[5]), _V[6])),
+                app(_PAIR, app(_EQ, _V[6], _V[5]), app(_NONE))),
+    RewriteRule(app(_LAMBDA, app(_Z)), app(_NONE)),
+    RewriteRule(app(_LAMBDA, _V[2]), _V[2]),
+    RewriteRule(app(_DEF, _V[2], _V[3]), app(_PAIR, _V[3], app(_LAMBDA, _V[2]))),
+])
+
+
+def _hand_term(rng, depth):
+    """A random ground term over HAND's symbols; defined heads get their
+    rules' arity, constructors sometimes the wrong one."""
+    arity = {_EQ: 2, _NONE: 0, _LAMBDA: 1, _DEF: 2}
+    head = rng.choice([_S, _Z, _PAIR, *arity])
+    if head in arity:
+        n = arity[head]
+    else:
+        n = {_S: 1, _Z: 0, _PAIR: 2}[head]
+        if rng.random() < 0.2:
+            n = rng.choice([k for k in range(3) if k != n])
+    if depth == 0 and n:
+        return app(_Z)
+    return app(head, *(_hand_term(rng, depth - 1) for _ in range(n)))
+
+
+def _subterms(term):
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node[1:])
+
+
+def _vars_in_preorder(pattern):
+    names = []
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        if is_pvar(node):
+            if node[1] not in names:
+                names.append(node[1])
+        else:
+            stack.extend(reversed(node[1:]))
+    return names
+
+
+def _plain(head, kids):
+    return (head, *kids)
+
+
+def _intermediate_terms(rules):
+    """Terms met along seeded outermost and random reductions."""
+    if rules is HAND:
+        rng = random.Random(5)
+        s, z = (lambda t: app(_S, t)), app(_Z)
+        starts = [app(_EQ, s(s(z)), s(s(app(_NONE)))),
+                  app(_LAMBDA, app(_PAIR, s(app(_NONE)), app(_DEF, z, s(z)))),
+                  *(_hand_term(rng, 4) for _ in range(60))]
+    else:
+        cfg = GenConfig(seed=13, max_size=8)
+        starts = [encode_level(gen_level(cfg, i)) for i in range(10)]
+    for i, term in enumerate(starts):
+        for strategy in ("outermost", "random"):
+            for budget in (1, 3, 9, 27, 81):
+                yield reduce(term, rules, strategy, budget, seed=i).result
+
+
+@pytest.mark.parametrize("rules", [RULES, LITERAL, HAND], ids=["default", "paper_literal", "hand"])
+def test_compiled_matchers_agree_with_match_args(rules):
+    # the reference: the rules of a head in order, through the generic matcher
+    matchers = rules.matchers()
+    nodes = 0
+    for term in _intermediate_terms(rules):
+        for node in _subterms(term):
+            matcher = matchers.get(node[0])
+            found = matcher(node[1:]) if matcher is not None else None
+            for rule in rules.by_head.get(node[0], ()):
+                env = {}
+                if match_args(rule.lhs[1:], node[1:], env):
+                    break
+            else:
+                assert found is None, node
+                continue
+            build, bindings, got = found
+            assert got is rule, node
+            names = _vars_in_preorder(rule.lhs)
+            assert len(bindings) == len(names)
+            assert dict(zip(names, bindings)) == env, node
+            assert build(_plain, *bindings) == subst_template(rule.rhs, env)
+            nodes += 1
+    assert nodes > 100
+    # every rule, on its left side with a fresh constant for each variable
+    for rule in rules:
+        fresh = {name: app(f"c{i}") for i, name in enumerate(_vars_in_preorder(rule.lhs))}
+        build, bindings, got = matchers[rule.lhs[0]](subst_template(rule.lhs, fresh)[1:])
+        assert got is rule and bindings == tuple(fresh.values())
+        assert build(_plain, *bindings) == subst_template(rule.rhs, fresh)
+    if rules is HAND:
+        # the repeated variable compares whole terms
+        assert matchers[_EQ]((app(_S, app(_Z)), app(_S, app(_Z))))[2] is HAND[0]
+        assert matchers[_EQ]((app(_S, app(_Z)), app(_S, app(_S, app(_Z)))))[2] is HAND[1]
+        assert matchers[_EQ]((app(_S, app(_Z)), app(_Z)))[2] is HAND[2]
+        # a constructor of the wrong arity matches no pattern of that head
+        assert matchers[_EQ]((app(_S), app(_S, app(_Z))))[2] is HAND[2]
+        assert matchers[_LAMBDA]((app(_PAIR, app(_S), app(_Z)),))[2] is HAND[6]
+        assert matchers[_LAMBDA]((app(_PAIR, app(_S, app(_Z), app(_Z)), app(_Z)),))[2] is HAND[6]
+        assert matchers[_LAMBDA]((app(_Z, app(_Z)),))[2] is HAND[6]
+        for term in _intermediate_terms(HAND):
+            assert reduce(term, HAND) == _unmemoized_innermost(term, HAND, 10**6)
+
+
+def test_compiled_matchers_are_built_once_per_rule_set(monkeypatch):
+    built = []
+    compile_matchers = terms._compile_matchers
+
+    def counting(by_head):
+        built.append(by_head)
+        return compile_matchers(by_head)
+
+    monkeypatch.setattr(terms, "_compile_matchers", counting)
+    rules = RuleSet(RULES)
+    assert built == []  # building a rule set compiles nothing
+    term = encode_level(Max(x, Succ(y)))
+    assert reduce(term, rules) == reduce(term, RULES)
+    assert reduce(term, rules, "outermost") == reduce(term, RULES, "outermost")
+    assert built == [rules.by_head] and rules.matchers() is rules.matchers()
+    assert RULES.matchers() is not LITERAL.matchers()
+    assert RULES.matchers()["succL"] is not LITERAL.matchers()["succL"]
+    # the generated functions hang off the rule set alone
+    alive = weakref.ref(rules.matchers()["succL"])
+    del rules
+    gc.collect()
+    assert alive() is None
 
 
 def test_memoized_innermost_frees_its_memo_on_return():
