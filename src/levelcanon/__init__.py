@@ -8,7 +8,7 @@ same algebra as a first-order term rewrite system for cross-checking.
 from .levels import (
     IMax, Level, Max, Succ, UnboundVariableError, Valuation, Var, VarId, Zero,
     ZERO, const_depth, default_grid_bound, eval_level, find_counterexample_leq,
-    imax_nat, level_size, level_vars,
+    fold_level, imax_nat, level_size, level_vars,
 )
 from .sublevels import (
     SubA, SubB, SubLevel, VarSet, eval_sub, imax_sub_pair, leq_sub,

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from operator import add
+from typing import Callable, Iterator, Mapping, Optional, TypeVar
 
 VarId = int
 Valuation = Mapping[VarId, int]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -60,71 +62,82 @@ def imax_nat(i: int, j: int) -> int:
     return 0 if j == 0 else max(i, j)
 
 
+def fold_level(t: Level, zero: T, var: Callable[[VarId], T], succ: Callable[[T, int], T],
+               max_: Callable[[T, T], T], imax: Callable[[T, T], T]) -> T:
+    """The value of `t` computed bottom-up: `zero` for 0, `var(vid)` for a
+    variable, `succ(value, n)` for a run of n successors over a value, and
+    `max_`/`imax` over the values of the two sides.
+
+    Every walk over a level is this one.  It keeps its own stack, so a level
+    of any depth folds without recursion, and it calls back in post-order,
+    left side before right.  A node that is not a level raises TypeError.
+    """
+    # preorder with the right side first, each successor run entered once;
+    # reversed, that is the post-order, and runs.pop() yields the run lengths
+    order = []
+    runs = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Succ:
+            n = 0
+            while type(node) is Succ:
+                n += 1
+                node = node.child
+            runs.append(n)
+            todo.append(node)
+        elif kind is Max or kind is IMax:
+            todo.append(node.left)
+            todo.append(node.right)
+    values = []
+    for node in reversed(order):
+        kind = type(node)
+        if kind is Var:
+            values.append(var(node.vid))
+        elif kind is Zero:
+            values.append(zero)
+        elif kind is Succ:
+            values[-1] = succ(values[-1], runs.pop())
+        elif kind is Max:
+            right = values.pop()
+            values[-1] = max_(values[-1], right)
+        elif kind is IMax:
+            right = values.pop()
+            values[-1] = imax(values[-1], right)
+        else:
+            raise TypeError(f"not a level: {node!r}")
+    return values[0]
+
+
 def eval_level(t: Level, sigma: Valuation) -> int:
     """Value of `t` under `sigma`.  Raises UnboundVariableError."""
-    # Successor runs are walked iteratively so constant towers do not recurse.
-    acc = 0
-    while isinstance(t, Succ):
-        acc += 1
-        t = t.child
-    match t:
-        case Zero():
-            return acc
-        case Var(vid):
-            if vid not in sigma:
-                raise UnboundVariableError(vid)
-            return acc + sigma[vid]
-        case Max(a, b):
-            return acc + max(eval_level(a, sigma), eval_level(b, sigma))
-        case IMax(a, b):
-            return acc + imax_nat(eval_level(a, sigma), eval_level(b, sigma))
-    raise TypeError(f"not a level: {t!r}")
+    def var(vid: VarId) -> int:
+        if vid not in sigma:
+            raise UnboundVariableError(vid)
+        return sigma[vid]
+    return fold_level(t, 0, var, add, max, imax_nat)
 
 
 def level_vars(t: Level) -> frozenset[VarId]:
     """The set of variable ids occurring in `t`."""
-    out: set[VarId] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Var(vid):
-                out.add(vid)
-            case Succ(c):
-                stack.append(c)
-            case Max(a, b) | IMax(a, b):
-                stack.append(a)
-                stack.append(b)
-    return frozenset(out)
+    # filled as variables are reached: a set union at every node would copy
+    # the sets again at every level of a deep chain
+    found: set[VarId] = set()
+    fold_level(t, None, found.add, lambda value, n: None, lambda a, b: None, lambda a, b: None)
+    return frozenset(found)
 
 
 def level_size(t: Level) -> int:
     """Node count of `t`."""
-    n = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        n += 1
-        match node:
-            case Succ(c):
-                stack.append(c)
-            case Max(a, b) | IMax(a, b):
-                stack.append(a)
-                stack.append(b)
-    return n
+    pair = lambda a, b: a + b + 1
+    return fold_level(t, 1, lambda vid: 1, add, pair, pair)
 
 
 def const_depth(t: Level) -> int:
     """Maximum number of successors stacked along any path of `t`."""
-    acc = 0
-    while isinstance(t, Succ):
-        acc += 1
-        t = t.child
-    match t:
-        case Max(a, b) | IMax(a, b):
-            return acc + max(const_depth(a), const_depth(b))
-        case _:
-            return acc
+    return fold_level(t, 0, lambda vid: 0, add, max, max)
 
 
 def default_grid_bound(t1: Level, t2: Level) -> int:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .levels import (
-    IMax, Level, Max, Succ, Valuation, Var, VarId, Zero,
-)
+from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
     SubA, SubB, SubLevel, eval_sub, imax_sub_pair, leq_sub, sorted_insert_atom,
     sub_key, subst_sub, succ_sub,
@@ -117,24 +115,13 @@ def imax_repr(r1: Repr, r2: Repr) -> Repr:
 
 def normalize(t: Level) -> Repr:
     """The minimal representation of a level."""
-    succs = 0
-    while isinstance(t, Succ):
-        succs += 1
-        t = t.child
-    match t:
-        case Zero():
-            out = _ZERO_REPR
-        case Var(vid):
-            out = repr_var(vid)
-        case Max(a, b):
-            out = max_repr(normalize(a), normalize(b))
-        case IMax(a, b):
-            out = imax_repr(normalize(a), normalize(b))
-        case _:
-            raise TypeError(f"not a level: {t!r}")
-    for _ in range(succs):
-        out = succ_repr(out)
-    return out
+    return fold_level(t, _ZERO_REPR, repr_var, _succ_repr_times, max_repr, imax_repr)
+
+
+def _succ_repr_times(r: Repr, n: int) -> Repr:
+    for _ in range(n):
+        r = succ_repr(r)
+    return r
 
 
 def leq_repr(r1: Repr, r2: Repr) -> bool:

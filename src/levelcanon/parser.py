@@ -23,8 +23,8 @@ KEYWORDS = ("s", "max", "imax")
 # towers above this would be pathological to build as linked nodes
 MAX_NUMERAL = 10_000
 
-# most s/max/imax open along one path: the parser and the layers after it
-# recurse once per level, and stay under the default recursion limit here
+# most s/max/imax open along one path: the parser recurses once per open
+# level, and stays under the default recursion limit here
 MAX_NESTING = 500
 
 

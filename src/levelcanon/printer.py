@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .levels import IMax, Level, Max, Succ, Var, Zero
+from .levels import Level, fold_level
 from .normalize import Repr
 from .parser import NameTable
 from .sublevels import SubA, SubLevel
@@ -12,22 +12,8 @@ from .sublevels import SubA, SubLevel
 
 def print_level(t: Level, names: NameTable) -> str:
     """Canonical text in the input grammar; parsing it back yields `t`."""
-    succs = 0
-    while isinstance(t, Succ):
-        succs += 1
-        t = t.child
-    match t:
-        case Zero():
-            core = "0"
-        case Var(vid):
-            core = names.name_of(vid)
-        case Max(a, b):
-            core = f"max({print_level(a, names)}, {print_level(b, names)})"
-        case IMax(a, b):
-            core = f"imax({print_level(a, names)}, {print_level(b, names)})"
-        case _:
-            raise TypeError(f"not a level: {t!r}")
-    return "s(" * succs + core + ")" * succs
+    return fold_level(t, "0", names.name_of, lambda core, n: "s(" * n + core + ")" * n,
+                      lambda a, b: f"max({a}, {b})", lambda a, b: f"imax({a}, {b})")
 
 
 def print_atom(u: SubLevel, names: NameTable) -> str:

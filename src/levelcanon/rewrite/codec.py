@@ -8,7 +8,7 @@ can be compared against ``encode_repr(normalize(t))`` syntactically.
 
 from __future__ import annotations
 
-from ..levels import IMax, Level, Max, Succ, Var, Zero
+from ..levels import Level, fold_level
 from ..normalize import Repr, normalize
 from ..sublevels import SubA, SubB, SubLevel, VarSet
 from .engine import ReductionReport, reduce
@@ -16,6 +16,7 @@ from .rules import default_rules
 from .terms import RTerm, app
 
 _ZERO_N = app("zeroN")
+_ZERO_L = app("zeroL")
 _NIL_N = app("nilN")
 _NIL_SL = app("nilSL")
 
@@ -64,35 +65,17 @@ def encode_repr(r: Repr) -> RTerm:
 
 
 def encode_level(t: Level) -> RTerm:
-    """The term of `t`, built bottom-up with an explicit stack, so a long
-    successor chain (a large numeral) cannot exhaust the Python stack."""
-    preorder = []
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        preorder.append(node)
-        match node:
-            case Succ(c):
-                todo.append(c)
-            case Max(a, b) | IMax(a, b):
-                todo += (a, b)
-    done: dict[int, RTerm] = {}  # id(level node) -> its term; children come first
-    for node in reversed(preorder):
-        match node:
-            case Zero():
-                term = app("zeroL")
-            case Var(vid):
-                term = app("varL", encode_nat(vid))
-            case Succ(c):
-                term = app("succL", done[id(c)])
-            case Max(a, b):
-                term = app("maxL", done[id(a)], done[id(b)])
-            case IMax(a, b):
-                term = app("ruleL", done[id(a)], done[id(b)])
-            case _:
-                raise TypeError(f"not a level: {node!r}")
-        done[id(node)] = term
-    return done[id(t)]
+    """The term of `t`: ``zeroL``, ``varL`` of a numeral, ``succL``,
+    ``maxL`` and ``ruleL`` (imax), built by `fold_level`, so a level of any
+    depth, a large numeral included, encodes without recursion."""
+    return fold_level(t, _ZERO_L, lambda vid: app("varL", encode_nat(vid)), _succ_l_times,
+                      lambda a, b: app("maxL", a, b), lambda a, b: app("ruleL", a, b))
+
+
+def _succ_l_times(term: RTerm, n: int) -> RTerm:
+    for _ in range(n):
+        term = app("succL", term)
+    return term
 
 
 def _decode_varset(t: RTerm) -> VarSet:

@@ -3,6 +3,11 @@ module, and the CLI imports only what all of its commands need.
 
 Package ``__init__`` modules are skipped by the first check: they import
 names to re-export them.
+
+Beside them, a recursion check: no function in the modules that walk levels
+calls itself by name.  Those walks go through ``levels.fold_level``, which
+keeps its own stack, so a level of any depth is safe to pass in; a recursive
+walk would raise RecursionError on a level a few thousand deep.
 """
 
 from __future__ import annotations
@@ -42,6 +47,31 @@ def test_library_modules_use_every_import():
         if found:
             unused[str(path.relative_to(SRC))] = found
     assert unused == {}
+
+
+# the modules that walk levels; each walk is a `fold_level` call
+LEVEL_WALKERS = ("levels.py", "normalize.py", "printer.py", "rewrite/codec.py")
+
+
+def _self_calls(tree: ast.Module) -> list[str]:
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == func.name):
+                    found.append(f"{func.name} (line {node.lineno})")
+    return found
+
+
+def test_level_walkers_do_not_recurse():
+    recursive = {}
+    for name in LEVEL_WALKERS:
+        path = SRC / name
+        found = _self_calls(ast.parse(path.read_text(), str(path)))
+        if found:
+            recursive[name] = found
+    assert recursive == {}
 
 
 def test_cli_import_leaves_the_harness_unloaded():

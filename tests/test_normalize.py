@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import level_strategy
+from conftest import deep_level_strategy, level_strategy
 from levelcanon import (
     IMax, Max, Repr, SubA, SubB, Succ, Var, ZERO,
     const_depth, eq_repr, eval_level, eval_repr, find_counterexample_leq, imax_repr,
@@ -165,13 +165,25 @@ def test_subst_commutes_with_evaluation(t):
         assert eval_repr(r, sigma) == eval_level(t, extended)
 
 
-@given(level_strategy())
-@settings(max_examples=250)
-def test_normalize_soundness(t):
+def _assert_sound(t):
     r = normalize(t)  # its invariants: test_operations_keep_the_invariants
     vids = tuple(sorted(level_vars(t)))
     for sigma in valuations_on(vids, 2):
         assert eval_repr(r, sigma) == eval_level(t, sigma)
+
+
+@given(level_strategy())
+@settings(max_examples=250)
+def test_normalize_soundness(t):
+    _assert_sound(t)
+
+
+@given(deep_level_strategy())
+@settings(max_examples=25, deadline=None)
+def test_normalize_soundness_on_deep_levels(t):
+    # past the default recursion limit; fewer examples, as each one has
+    # thousands of nodes
+    _assert_sound(t)
 
 
 def _assert_valid(r):
