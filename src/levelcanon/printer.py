@@ -12,8 +12,20 @@ from .sublevels import SubA, SubLevel
 
 def print_level(t: Level, names: NameTable) -> str:
     """Canonical text in the input grammar; parsing it back yields `t`."""
-    return fold_level(t, "0", names.name_of, lambda core, n: "s(" * n + core + ")" * n,
-                      lambda a, b: f"max({a}, {b})", lambda a, b: f"imax({a}, {b})")
+    # the fold builds a rope of nested tuples of parts, joined once at the
+    # end: pasting strings at every node would copy them once per level
+    rope = fold_level(t, "0", names.name_of, lambda core, n: ("s(" * n, core, ")" * n),
+                      lambda a, b: ("max(", a, ", ", b, ")"),
+                      lambda a, b: ("imax(", a, ", ", b, ")"))
+    parts = []
+    stack = [rope]
+    while stack:
+        part = stack.pop()
+        if type(part) is str:
+            parts.append(part)
+        else:
+            stack += reversed(part)
+    return "".join(parts)
 
 
 def print_atom(u: SubLevel, names: NameTable) -> str:

@@ -11,9 +11,14 @@ same normal form.  Every strategy dispatches through the rule set's compiled
 matchers (`RuleSet.matchers`): one generated function per defined head tests
 its rules' left sides in order, and the matched rule's generated builder
 instantiates the right side.  Innermost builds through its memoized
-evaluator, which reduces each fresh node as it is made; the positional
-strategies build plain tuples and splice them in at the redex position.
-Step counts are exact rule applications under tree semantics (no sharing).
+evaluator, which reduces each fresh node as it is made.  The positional loop
+(outermost, random, and innermost with a trace) keeps one redex index over
+the current term: each node's match and the number of redexes in its
+subterm, recorded once, when the node is built.  Outermost takes the first
+redex in preorder, random a seeded uniform draw among them in preorder, and
+traced innermost the first in postorder; each choice walks one path down by
+the counts, and the step applies the recorded match.  Step counts are exact
+rule applications under tree semantics (no sharing).
 
 The innermost evaluator is memoized within each call: the normal form of
 ``f(args)`` depends only on ``f`` and the normal forms of ``args``, so each
@@ -67,30 +72,32 @@ def reduce(
         raise ValueError("budget must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    matchers = rules.matchers()  # rejects a head whose rules differ in arity
     _check_input(term, rules.by_head)
     if strategy == "innermost" and trace is None:
-        return _reduce_innermost(term, rules, budget)
-    return _reduce_positional(term, rules, strategy, budget, seed, trace)
+        return _reduce_innermost(term, matchers, budget)
+    return _reduce_positional(term, matchers, strategy, budget, seed, trace)
 
 
 def _check_input(term: RTerm, by_head) -> None:
     """Reject pattern variables, and defined-symbol nodes whose arity differs
-    from their rules' (a rule would drop or miss arguments)."""
+    from their rules' (a rule would drop or miss arguments); the rules of a
+    head all take one number of arguments."""
     stack = [term]
     while stack:
         node = stack.pop()
         head = node[0]
         if head == PVAR_HEAD:
             raise ValueError("reduce requires a ground term")
-        for rule in by_head.get(head, ()):
-            if len(rule.lhs) != len(node):
-                raise ValueError(f"{head} takes {len(rule.lhs) - 1} arguments, "
-                                 f"got {len(node) - 1}")
+        rules = by_head.get(head)
+        if rules is not None and len(rules[0].lhs) != len(node):
+            raise ValueError(f"{head} takes {len(rules[0].lhs) - 1} arguments, "
+                             f"got {len(node) - 1}")
         stack.extend(node[1:])
 
 
-def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionReport:
-    get_matcher = rules.matchers().get
+def _reduce_innermost(term: RTerm, matchers, budget: int) -> ReductionReport:
+    get_matcher = matchers.get
     steps = 0
     # (head, *ids of normal kids) -> (normal form, tree steps it took).  Every
     # kid is a value held here (or inside one), so its id stays valid, and
@@ -144,139 +151,118 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, budget: int) -> ReductionRepo
         memo.clear()
 
 
-def _match_at(matchers, node: RTerm) -> Optional[tuple[Callable, tuple, RewriteRule]]:
-    matcher = matchers.get(node[0])
-    return matcher(node[1:]) if matcher is not None else None
+class _RedexIndex:
+    """Where the redexes of the current term are, for the positional loop.
 
-
-def _construct(head: str, kids: tuple) -> RTerm:
-    return (head, *kids)
-
-
-class _RedexScanner:
-    """Position scans with a redex-free cache.
-
-    Rewriting happens in a context, so a subterm that contains no redex can
-    never acquire one; such subterms are remembered by object identity (the
-    cache doubles as a keepalive so ids are never recycled while cached) and
-    skipped by later scans.  The scans keep explicit stacks, so a term may be
-    as deep as a numeral's successor tower.
+    An entry per node, keyed by ``id(node)``: ``(match or None, redexes in
+    the node's subterm, node)``, the node being the keepalive for its id.
+    The input term is entered once, by `sweep`; after that each node is
+    entered, and matched, as it is built: `mk` is the rule builders'
+    constructor, and `replace` rebuilds the spine above a rewritten redex.
+    Entries of nodes that left the term stay until the entries outnumber
+    twice those kept at the last sweep, which then keeps only the nodes
+    reachable from the term, so memory follows the term, not the steps.
     """
 
-    def __init__(self, matchers):
+    def __init__(self, matchers, term: RTerm):
         self.matchers = matchers
-        self.clean: dict[int, RTerm] = {}
-        # id -> (whether the node is a redex, redexes in its subterm, the
-        # node itself as the keepalive for its id)
-        self.counts: dict[int, tuple[bool, int, RTerm]] = {}
+        self.entries: dict[int, tuple[Optional[tuple], int, RTerm]] = {}
+        self.sweep(term)
 
-    def first_redex(self, term: RTerm, outermost: bool) -> Optional[tuple[int, ...]]:
-        """Leftmost redex position, testing each node before its children
-        (outermost) or after them (innermost)."""
-        matchers, clean = self.matchers, self.clean
-        if id(term) in clean:
-            return None
-        if outermost and _match_at(matchers, term) is not None:
-            return ()
-        stack = [(term, enumerate(term[1:]))]
-        path: list[int] = []  # child indices down to stack[-1]
-        while stack:
-            node, kids = stack[-1]
-            for i, child in kids:
-                if id(child) in clean:
-                    continue
-                if outermost and _match_at(matchers, child) is not None:
-                    return (*path, i)
-                stack.append((child, enumerate(child[1:])))
-                path.append(i)
-                break
-            else:
-                stack.pop()
-                if not outermost and _match_at(matchers, node) is not None:
-                    return tuple(path)
-                clean[id(node)] = node
-                if path:
-                    path.pop()
-        return None
+    def enter(self, node: RTerm, kids: tuple) -> RTerm:
+        """Match `node`, whose arguments `kids` are entered, and record it."""
+        entries = self.entries
+        matcher = self.matchers.get(node[0])
+        found = matcher(kids) if matcher is not None else None
+        below = sum(entries[id(kid)][1] for kid in kids)
+        entries[id(node)] = (found, (found is not None) + below, node)
+        return node
 
-    def redex_count(self, term: RTerm) -> int:
-        """Number of redexes in `term`, memoized per subterm identity."""
-        counts = self.counts
+    def mk(self, head: str, kids: tuple) -> RTerm:
+        return self.enter((head, *kids), kids)
+
+    def sweep(self, term: RTerm) -> None:
+        """Keep the entries of the nodes reachable from `term`, entering any
+        that has none, and drop the rest."""
+        old, entries = self.entries, {}
+        self.entries = entries
         stack = [term]
         while stack:
             node = stack[-1]
-            if id(node) in counts:
-                stack.pop()
-                continue
-            pending = [c for c in node[1:] if id(c) not in counts]
+            pending = [kid for kid in node[1:] if id(kid) not in entries]
             if pending:
-                stack.extend(pending)
+                stack += pending
                 continue
             stack.pop()
-            here = _match_at(self.matchers, node) is not None
-            counts[id(node)] = (here, here + sum(counts[id(c)][1] for c in node[1:]), node)
-        return counts[id(term)][1]
+            if id(node) not in entries:
+                entry = old.get(id(node))
+                if entry is None:
+                    self.enter(node, node[1:])
+                else:
+                    entries[id(node)] = entry
+        self.limit = 2 * len(entries) + 1024
 
-    def nth_redex(self, term: RTerm, k: int) -> tuple[int, ...]:
-        """Position of the k-th redex (from 0) in preorder; after
-        `redex_count(term)`, this walks one path down."""
-        path = []
+    def nth(self, term: RTerm, k: int, postorder: bool) -> tuple[list, RTerm]:
+        """The k-th redex (from 0) of `term` in preorder or postorder, and
+        the spine ``[(node, child index), ...]`` down to it; this walks one
+        path, descending by the children's counts."""
+        entries = self.entries
+        spine = []
         while True:
-            if self.counts[id(term)][0]:
+            if not postorder and entries[id(term)][0] is not None:
                 if k == 0:
-                    return tuple(path)
+                    return spine, term
                 k -= 1
-            for i, child in enumerate(term[1:]):
-                n = self.counts[id(child)][1]
+            for i, kid in enumerate(term[1:]):
+                n = entries[id(kid)][1]
                 if k < n:
-                    path.append(i)
-                    term = child
+                    spine.append((term, i))
+                    term = kid
                     break
                 k -= n
+            else:
+                return spine, term  # postorder: the kids hold k redexes
 
-
-def _subterm(term: RTerm, path: tuple[int, ...]) -> RTerm:
-    for i in path:
-        term = term[i + 1]
-    return term
-
-
-def _replace(term: RTerm, path: tuple[int, ...], new: RTerm) -> RTerm:
-    spine = []
-    for i in path:
-        spine.append((term, i))
-        term = term[i + 1]
-    for node, i in reversed(spine):
-        new = node[: i + 1] + (new,) + node[i + 2:]
-    return new
+    def replace(self, spine: list, old: RTerm, new: RTerm) -> RTerm:
+        """Rebuild `spine` with `new` in place of `old` at its foot, entering
+        each rebuilt node; its count changes by its one changed child's."""
+        entries, get_matcher = self.entries, self.matchers.get
+        for node, i in reversed(spine):
+            found, n, _ = entries[id(node)]
+            n += entries[id(new)][1] - entries[id(old)][1] - (found is not None)
+            old, new = node, node[:i + 1] + (new,) + node[i + 2:]
+            matcher = get_matcher(new[0])
+            found = matcher(new[1:]) if matcher is not None else None
+            entries[id(new)] = (found, n + (found is not None), new)
+        return new
 
 
 def _reduce_positional(
     term: RTerm,
-    rules: RuleSet,
+    matchers,
     strategy: Strategy,
     budget: int,
     seed: int,
     trace,
 ) -> ReductionReport:
-    matchers = rules.matchers()
-    scanner = _RedexScanner(matchers)
+    index = _RedexIndex(matchers, term)
     rng = random.Random(seed)
     steps = 0
     current = term
     while True:
-        if strategy == "random":
-            # uniform over the redex positions in preorder, without listing them
-            n = scanner.redex_count(current)
-            pos = scanner.nth_redex(current, rng.choice(range(n))) if n else None
-        else:
-            pos = scanner.first_redex(current, outermost=strategy == "outermost")
-        if pos is None:
+        n = index.entries[id(current)][1]
+        if n == 0:
             return ReductionReport(current, steps, False)
+        # outermost takes the first redex in preorder, traced innermost the
+        # first in postorder, random a uniform draw among them in preorder
+        k = rng.choice(range(n)) if strategy == "random" else 0
         if steps >= budget:
             return ReductionReport(current, steps, True)
-        build, bindings, rule = _match_at(matchers, _subterm(current, pos))
+        spine, redex = index.nth(current, k, postorder=strategy == "innermost")
+        build, bindings, rule = index.entries[id(redex)][0]
         if trace is not None:
-            trace(steps, pos, rule)
-        current = _replace(current, pos, build(_construct, *bindings))
+            trace(steps, tuple(i for _, i in spine), rule)
+        current = index.replace(spine, redex, build(index.mk, *bindings))
         steps += 1
+        if len(index.entries) > index.limit:
+            index.sweep(current)

@@ -152,13 +152,13 @@ def _check_linear_walks(t, expect):
     assert level_size(t) == expect["size"]
     assert level_vars(t) == expect["vars"]
     assert term_to_str(encode_level(t)) == expect["term"]
+    assert print_level(t, _names()) == expect["text"]
 
 
 @pytest.mark.parametrize("shape", ["left", "right", "mixed"])
 def test_every_walk_takes_a_level_ten_thousand_deep(shape):
     t, expect = _deep(shape, 10_000)
     _check_linear_walks(t, expect)
-    assert print_level(t, _names()) == expect["text"]
     r = normalize(t)
     assert [eval_repr(r, s) for s in SIGMAS] == expect["values"]
 

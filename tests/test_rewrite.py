@@ -19,7 +19,7 @@ from levelcanon.rewrite import (
     term_to_str,
 )
 from levelcanon.rewrite import terms
-from levelcanon.rewrite.engine import _RedexScanner
+from levelcanon.rewrite.engine import _RedexIndex
 from levelcanon.rewrite.terms import match_args
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
@@ -198,35 +198,6 @@ def test_memoized_innermost_matches_the_unmemoized_path(rules):
                 assert fast.result == expected, (level, budget)
 
 
-def _redex_paths(term, postorder=False, path=()):
-    """Every redex position of `term` in preorder (or postorder), recursively:
-    the reference order of the positional strategies."""
-    here = [path] if any(match(rule.lhs, term) is not None for rule in RULES) else []
-    below = [p for i, child in enumerate(term[1:])
-             for p in _redex_paths(child, postorder, path + (i,))]
-    return below + here if postorder else here + below
-
-
-def test_position_scans_follow_the_reference_order():
-    # outermost takes the first redex in preorder, innermost the first in
-    # postorder, and random draws an index into the preorder list
-    cfg = GenConfig(seed=17, max_size=8)
-    seen = 0
-    for i in range(12):
-        term = encode_level(gen_level(cfg, i))
-        for budget in (1, 4, 16, 64):
-            current = reduce(term, RULES, "outermost", budget).result
-            expected = _redex_paths(current)
-            scanner = _RedexScanner(RULES.matchers())
-            assert scanner.redex_count(current) == len(expected)
-            assert [scanner.nth_redex(current, k) for k in range(len(expected))] == expected
-            for outermost, order in ((True, expected), (False, _redex_paths(current, True))):
-                first = _RedexScanner(RULES.matchers()).first_redex(current, outermost)
-                assert first == (order[0] if order else None)
-            seen += len(expected)
-    assert seen > 100
-
-
 # A hand-made rule set whose symbol and variable names would break generated
 # code that spliced them in as text: quotes, backslashes, Python keywords and
 # the names the generated functions use themselves.  `it"s\` has a
@@ -304,6 +275,72 @@ def _intermediate_terms(rules):
         for strategy in ("outermost", "random"):
             for budget in (1, 3, 9, 27, 81):
                 yield reduce(term, rules, strategy, budget, seed=i).result
+
+
+def _redex_paths(term, rules, postorder=False, path=()):
+    """Every redex position of `term` in preorder (or postorder), recursively:
+    the reference order of the positional strategies."""
+    here = [path] if any(match(rule.lhs, term) is not None for rule in rules) else []
+    below = [p for i, child in enumerate(term[1:])
+             for p in _redex_paths(child, rules, postorder, path + (i,))]
+    return below + here if postorder else here + below
+
+
+def _first_step(term, rules, strategy, seed=0):
+    """The position the engine rewrites first, or None for a normal form."""
+    first = []
+    reduce(term, rules, strategy, budget=1, seed=seed, trace=lambda s, pos, r: first.append(pos))
+    return first[0] if first else None
+
+
+def _check_index(index, term, rules):
+    matchers = rules.matchers()
+    pre, post = _redex_paths(term, rules), _redex_paths(term, rules, postorder=True)
+    assert index.entries[id(term)][1] == len(pre)
+    for order, postorder in ((pre, False), (post, True)):
+        paths = [tuple(i for _, i in index.nth(term, k, postorder)[0]) for k in range(len(order))]
+        assert paths == order
+    # outermost takes the first redex in preorder, traced innermost the first
+    # in postorder, and random draws an index into the preorder list
+    assert _first_step(term, rules, "outermost") == (pre[0] if pre else None)
+    assert _first_step(term, rules, "innermost") == (post[0] if post else None)
+    assert _first_step(term, rules, "random", seed=7) == \
+        (pre[random.Random(7).choice(range(len(pre)))] if pre else None)
+    # every stored match is the one the compiled matcher finds there
+    for node in _subterms(term):
+        stored = index.entries[id(node)][0]
+        matcher = matchers.get(node[0])
+        found = matcher(node[1:]) if matcher is not None else None
+        assert (stored is None) == (found is None), node
+        if found is not None:
+            assert stored[2] is found[2] and stored[1] == found[1], node
+    return len(pre)
+
+
+@pytest.mark.parametrize("rules", [RULES, LITERAL, HAND], ids=["default", "paper_literal", "hand"])
+def test_position_scans_follow_the_reference_order(rules):
+    terms = list(_intermediate_terms(rules))
+    if rules is not HAND:
+        cfg = GenConfig(seed=17, max_size=8)
+        terms += [reduce(encode_level(gen_level(cfg, i)), rules, "outermost", budget).result
+                  for i in range(12) for budget in (1, 4, 16, 64)]
+    seen = 0
+    for j, term in enumerate(terms):
+        index = _RedexIndex(rules.matchers(), term)
+        n = _check_index(index, term, rules)
+        seen += n
+        if not n:
+            continue
+        # one step through the index: the fresh right side and the rebuilt
+        # spine are entered as they are built, beside the stale entries
+        spine, redex = index.nth(term, j % n, postorder=False)
+        build, bindings, _ = index.entries[id(redex)][0]
+        stepped = index.replace(spine, redex, build(index.mk, *bindings))
+        _check_index(index, stepped, rules)
+        index.sweep(stepped)
+        assert set(index.entries) == {id(node) for node in _subterms(stepped)}
+        _check_index(index, stepped, rules)
+    assert seen > 100
 
 
 @pytest.mark.parametrize("rules", [RULES, LITERAL, HAND], ids=["default", "paper_literal", "hand"])
@@ -398,6 +435,22 @@ def test_memoized_innermost_frees_its_memo_on_return():
         if was_enabled:
             gc.enable()
     assert after - before < 64 * 1024
+
+
+def test_redex_index_memory_follows_the_term():
+    # random steps on the fuzz criterion's heaviest early case; an index that
+    # kept every node it ever entered peaked near 13 MB here, one that drops
+    # the nodes that left the term stays near 0.6 MB
+    term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
+    reduce(app("zeroL"), RULES)  # compile the rules outside the measurement
+    tracemalloc.start()
+    try:
+        report = reduce(term, RULES, "random", budget=5_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.steps == 5_000 and report.budget_exhausted
+    assert peak < 2 * 1024 * 1024
 
 
 def test_check_soundness_examples():
