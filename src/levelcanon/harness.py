@@ -20,7 +20,7 @@ from .levels import (
 )
 from .normalize import eval_repr, leq_repr, normalize
 from .parser import NameTable
-from .printer import print_atom, print_level
+from .printer import level_repr, print_atom, print_level
 from .rewrite.codec import soundness_report
 from .sublevels import SubA, SubB, SubLevel, eval_sub, leq_sub
 
@@ -118,9 +118,13 @@ def _names_for(*ts: Level) -> NameTable:
     return harness_names(top + 1)
 
 
-def _pair_for(t: Level) -> Level:
+def _digest(t: Level) -> int:
+    """The case's seed for its partner level and its valuations."""
+    return zlib.crc32(level_repr(t).encode())
+
+
+def _pair_for(t: Level, digest: int) -> Level:
     """Deterministic partner level, sharing t's variable pool."""
-    digest = zlib.crc32(repr(t).encode())
     vs = level_vars(t)
     num_vars = max(3, max(vs) + 1) if vs else 3
     cfg = GenConfig(seed=digest, max_size=max(4, min(20, level_size(t))),
@@ -129,10 +133,10 @@ def _pair_for(t: Level) -> Level:
 
 
 def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
-    names = _names_for(t)
     vids = tuple(sorted(level_vars(t)))
     r = normalize(t)
-    rng = random.Random(zlib.crc32(repr(t).encode()) ^ 0x5EED)
+    digest = _digest(t)
+    rng = random.Random(digest ^ 0x5EED)
 
     # (a) representation evaluation against the level semantics
     sigmas = [dict.fromkeys(vids, 0), dict.fromkeys(vids, 1)]
@@ -140,30 +144,31 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
         sigmas.append({v: rng.randint(0, 6) for v in vids})
     for sigma in sigmas:
         if eval_repr(r, sigma) != eval_level(t, sigma):
+            names = _names_for(t)
             return Failure(print_level(t, names), None, "eval",
                            {names.name_of(v): n for v, n in sigma.items()}), 0
 
     # (b) the rewrite path must land on the same representation
     ok, report = soundness_report(t)
     if not ok:
-        return Failure(print_level(t, names), None, "rewrite", None), report.steps
+        return Failure(print_level(t, _names_for(t)), None, "rewrite", None), report.steps
 
     # (c) comparison decision against grid search, both directions
-    t2 = _pair_for(t)
-    names2 = _names_for(t, t2)
+    t2 = _pair_for(t, digest)
     r2 = normalize(t2)
     grid = default_grid_bound(t, t2)
     for lhs, rhs, n_lhs, n_rhs in ((t, t2, r, r2), (t2, t, r2, r)):
         claimed = leq_repr(n_lhs, n_rhs)
         witness = find_counterexample_leq(lhs, rhs, grid)
-        if claimed and witness is not None:
-            return Failure(print_level(lhs, names2), print_level(rhs, names2), "compare",
-                           {names2.name_of(v): n for v, n in witness.items()}), report.steps
-        if not claimed and witness is None:
-            # the grid covers every witness construction and found nothing,
-            # so the claimed strict inequality is refuted
-            return Failure(print_level(lhs, names2), print_level(rhs, names2),
-                           "compare", None), report.steps
+        # a claimed t1 <= t2 with a witness is refuted; so is a claimed
+        # strict inequality without one, since the grid covers every
+        # witness construction
+        if claimed == (witness is not None):
+            names = _names_for(t, t2)
+            shown = None if witness is None else {
+                names.name_of(v): n for v, n in witness.items()}
+            return Failure(print_level(lhs, names), print_level(rhs, names), "compare",
+                           shown), report.steps
     return None, report.steps
 
 

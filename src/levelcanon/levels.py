@@ -8,7 +8,7 @@ mapping between source names and ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from operator import add
 from typing import Callable, Iterator, Mapping, Optional, TypeVar
 
@@ -158,14 +158,40 @@ def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, i
         yield dict(zip(vids, values))
 
 
+# the grid oracle's block of valuations, evaluated together
+GRID_BLOCK = 64
+
+
+def _column_succ(column: list[int], n: int) -> list[int]:
+    return [v + n for v in column]
+
+
+def _column_max(a: list[int], b: list[int]) -> list[int]:
+    return [i if i > j else j for i, j in zip(a, b)]
+
+
+def _column_imax(a: list[int], b: list[int]) -> list[int]:
+    return [0 if j == 0 else i if i > j else j for i, j in zip(a, b)]
+
+
 def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
     """Search the {0..bound} grid for a valuation with value(t1) > value(t2).
 
     A returned valuation is always a genuine counterexample to t1 <= t2;
     returning None only means the grid holds no witness, not that t1 <= t2.
+    The grid and its order are those of `valuations_on`, and the first
+    witness in that order is the one returned.
     """
     vids = tuple(sorted(level_vars(t1) | level_vars(t2)))
-    for sigma in valuations_on(vids, bound):
-        if eval_level(t1, sigma) > eval_level(t2, sigma):
-            return sigma
+    points = product(range(bound + 1), repeat=len(vids))
+    # each level folds once per block of points, its values a column with
+    # one entry per point; most witnesses lie in the first block
+    while block := list(islice(points, GRID_BLOCK)):
+        columns = dict(zip(vids, zip(*block)))
+        zeros = [0] * len(block)
+        lhs, rhs = (fold_level(t, zeros, columns.__getitem__, _column_succ, _column_max,
+                               _column_imax) for t in (t1, t2))
+        for point, a, b in zip(block, lhs, rhs):
+            if a > b:
+                return dict(zip(vids, point))
     return None

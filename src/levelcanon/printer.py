@@ -10,13 +10,13 @@ from .parser import NameTable
 from .sublevels import SubA, SubLevel
 
 
-def print_level(t: Level, names: NameTable) -> str:
-    """Canonical text in the input grammar; parsing it back yields `t`."""
-    # the fold builds a rope of nested tuples of parts, joined once at the
-    # end: pasting strings at every node would copy them once per level
-    rope = fold_level(t, "0", names.name_of, lambda core, n: ("s(" * n, core, ")" * n),
-                      lambda a, b: ("max(", a, ", ", b, ")"),
-                      lambda a, b: ("imax(", a, ", ", b, ")"))
+def _join(rope) -> str:
+    """The text of a rope: a string, or a tuple of ropes.
+
+    The printing folds build ropes and join them once at the end: pasting
+    strings at every node would copy them once per level.  One explicit stack
+    flattens a rope of any depth.
+    """
     parts = []
     stack = [rope]
     while stack:
@@ -26,6 +26,21 @@ def print_level(t: Level, names: NameTable) -> str:
         else:
             stack += reversed(part)
     return "".join(parts)
+
+
+def print_level(t: Level, names: NameTable) -> str:
+    """Canonical text in the input grammar; parsing it back yields `t`."""
+    return _join(fold_level(t, "0", names.name_of, lambda core, n: ("s(" * n, core, ")" * n),
+                            lambda a, b: ("max(", a, ", ", b, ")"),
+                            lambda a, b: ("imax(", a, ", ", b, ")")))
+
+
+def level_repr(t: Level) -> str:
+    """The same text as `repr(t)`, without the recursion of the dataclass repr."""
+    return _join(fold_level(t, "Zero()", lambda vid: f"Var(vid={vid!r})",
+                            lambda core, n: ("Succ(child=" * n, core, ")" * n),
+                            lambda a, b: ("Max(left=", a, ", right=", b, ")"),
+                            lambda a, b: ("IMax(left=", a, ", right=", b, ")")))
 
 
 def print_atom(u: SubLevel, names: NameTable) -> str:

@@ -5,6 +5,7 @@ drops its layer from a traced run, so every binding must exist."""
 from __future__ import annotations
 
 import importlib
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +43,31 @@ def test_normalize_reaches_leq_sub_through_its_module_binding(monkeypatch):
     calls.clear()
     assert nz.leq_repr(nz.repr_var(0), nz.repr_var(0))
     assert calls
+
+
+def test_fuzz_cases_reach_every_harness_binding_the_tracer_requires(monkeypatch):
+    # a traced fuzz run reads correct=false when a call count in its
+    # `reached` list stays 0; these are the ones counted at harness names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    predictions = json.loads((PERFBENCH / "predictions.json").read_text())
+    reached = set(predictions["workloads"]["fuzz"]["reached"])
+    from levelcanon import harness
+
+    counts = {}
+
+    def counting(attr, original):
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, attr, span in tracing.SPAN_BINDINGS:
+        if module == "levelcanon.harness" and f"{span}.calls" in reached:
+            counts[attr] = 0
+            monkeypatch.setattr(harness, attr, counting(attr, getattr(harness, attr)))
+    assert {"eval_level", "find_counterexample_leq"} <= set(counts)
+    cfg = harness.GenConfig(seed=707, max_size=50)  # the fuzz workload's stream
+    for index in range(5):
+        assert harness.differential_case(harness.gen_level(cfg, index)) is None
+    assert all(counts.values()), counts

@@ -13,7 +13,7 @@ import pytest
 
 from levelcanon import (
     IMax, Max, NameTable, Succ, Var, ZERO, const_depth, eval_level, eval_repr,
-    fold_level, level_size, level_vars, normalize, print_level,
+    find_counterexample_leq, fold_level, level_size, level_vars, normalize, print_level,
 )
 from levelcanon.rewrite import encode_level
 from levelcanon.rewrite.terms import term_to_str
@@ -161,6 +161,8 @@ def test_every_walk_takes_a_level_ten_thousand_deep(shape):
     _check_linear_walks(t, expect)
     r = normalize(t)
     assert [eval_repr(r, s) for s in SIGMAS] == expect["values"]
+    assert find_counterexample_leq(t, Succ(t), 2) is None
+    assert find_counterexample_leq(Succ(t), t, 2) == dict.fromkeys(sorted(expect["vars"]), 0)
 
 
 @pytest.mark.parametrize("shape", ["left", "right", "mixed"])

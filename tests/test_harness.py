@@ -6,12 +6,14 @@ from levelcanon import (
     IMax, Max, Succ, Var, ZERO, eq_repr, eval_level, find_counterexample_leq,
     level_size, level_vars, normalize,
 )
+from levelcanon import harness
 from levelcanon.harness import (
     DiffReport, Failure, GenConfig, differential_case, enumerate_sublevels,
     exhaustive_sublevel_suite, gen_level, run_fuzz,
 )
+from levelcanon.printer import level_repr
 
-x, y = Var(0), Var(1)
+x, y, z = Var(0), Var(1), Var(2)
 
 
 def test_gen_level_deterministic():
@@ -54,6 +56,42 @@ def test_differential_case_examples():
     assert differential_case(IMax(x, Succ(y))) is None
     assert differential_case(ZERO) is None
     assert differential_case(Succ(IMax(y, x))) is None
+
+
+def test_level_repr_is_the_dataclass_repr():
+    for cfg in (GenConfig(seed=707, max_size=50), GenConfig(seed=808, max_size=12)):
+        for index in range(1000):
+            t = gen_level(cfg, index)
+            assert level_repr(t) == repr(t)
+
+
+def test_differential_case_takes_a_level_deeper_than_repr_can():
+    # repr(t) recurses on depth; the case's digest must not
+    t = x
+    for i in range(1200):
+        t = Max((x, y, z)[i % 3], t)
+    assert differential_case(t) is None
+
+
+def test_failures_name_the_levels_and_the_witness(monkeypatch):
+    # each phase's Failure, forced by a wrong answer at the name the harness binds
+    t = Succ(IMax(y, x))
+    monkeypatch.setattr(harness, "eval_repr", lambda r, sigma: -1)
+    assert differential_case(t) == Failure("s(imax(x1, x0))", None, "eval", {"x0": 0, "x1": 0})
+    monkeypatch.undo()
+
+    original = harness.soundness_report
+    monkeypatch.setattr(harness, "soundness_report", lambda t: (False, original(t)[1]))
+    assert harness._differential_case(t) == (
+        Failure("s(imax(x1, x0))", None, "rewrite", None), original(t)[1].steps)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(harness, "leq_repr", lambda a, b: True)
+    assert differential_case(t) == Failure("s(imax(x1, x0))", "x2", "compare",
+                                           {"x0": 0, "x1": 0, "x2": 0})
+    monkeypatch.setattr(harness, "leq_repr", lambda a, b: False)
+    assert differential_case(Max(x, Max(y, z))) == Failure(
+        "imax(imax(x0, 0), x1)", "max(x0, max(x1, x2))", "compare", None)
 
 
 def test_paper_pair_inequality_detected_by_the_oracle():

@@ -11,7 +11,8 @@ from levelcanon import (
     const_depth, default_grid_bound, eval_level, find_counterexample_leq,
     imax_nat, level_vars,
 )
-from levelcanon.levels import valuations_on
+from levelcanon import harness
+from levelcanon.levels import GRID_BLOCK, valuations_on
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -61,6 +62,59 @@ def test_find_counterexample_none_cases():
     lhs, rhs = Max(IMax(x, y), x), Max(x, y)
     assert find_counterexample_leq(lhs, rhs, 3) is None
     assert find_counterexample_leq(rhs, lhs, 3) is None
+
+
+def _first_witness(t1, t2, bound):
+    """The oracle's contract, one valuation at a time: the first point of the
+    grid, in `valuations_on` order, where t1's value exceeds t2's."""
+    vids = tuple(sorted(level_vars(t1) | level_vars(t2)))
+    for sigma in valuations_on(vids, bound):
+        if eval_level(t1, sigma) > eval_level(t2, sigma):
+            return sigma
+    return None
+
+
+def _assert_same_witness(t1, t2, bound):
+    # equal dicts, not merely both found or both missing
+    assert find_counterexample_leq(t1, t2, bound) == _first_witness(t1, t2, bound), (t1, t2)
+
+
+def test_oracle_returns_the_first_witness_on_the_fuzz_stream():
+    cfg = harness.GenConfig(seed=707, max_size=50)
+    found = 0
+    for index in range(300):
+        t = harness.gen_level(cfg, index)
+        t2 = harness._pair_for(t, harness._digest(t))
+        bound = default_grid_bound(t, t2)
+        for lhs, rhs in ((t, t2), (t2, t)):
+            _assert_same_witness(lhs, rhs, bound)
+            found += find_counterexample_leq(lhs, rhs, bound) is not None
+    assert 0 < found < 600
+
+
+def test_oracle_on_grids_of_one_block_and_more():
+    # no variables: a one-point grid
+    assert find_counterexample_leq(Succ(ZERO), ZERO, 5) == {}
+    assert find_counterexample_leq(ZERO, IMax(Succ(ZERO), ZERO), 5) is None
+    # three variables at bound 3: exactly one block
+    assert len(list(valuations_on((0, 1, 2), 3))) == GRID_BLOCK
+    for lhs, rhs in ((Max(x, y), Max(y, z)), (IMax(x, z), Succ(y)), (Succ(Max(x, y)), z)):
+        _assert_same_witness(lhs, rhs, 3)
+        _assert_same_witness(rhs, lhs, 3)
+    # the only witnesses lie in the second block: point 100 of 125
+    three = Succ(Succ(Succ(ZERO)))
+    assert find_counterexample_leq(x, Max(three, IMax(y, z)), 4) == {0: 4, 1: 0, 2: 0}
+    # five variables: 243 points, four blocks
+    u, v = Var(3), Var(4)
+    pairs = ((Max(v, IMax(x, u)), Max(Succ(y), z)), (IMax(u, v), Max(x, Max(y, z))),
+             (Max(x, Max(y, Max(z, Max(u, v)))), Succ(Max(Max(x, y), Max(z, Max(u, v))))))
+    for lhs, rhs in pairs:
+        _assert_same_witness(lhs, rhs, 2)
+        _assert_same_witness(rhs, lhs, 2)
+    # the first witness is point 162, in the third block
+    rhs = Max(Succ(ZERO), IMax(y, Max(z, Max(u, v))))
+    assert find_counterexample_leq(x, rhs, 2) == {0: 2, 1: 0, 2: 0, 3: 0, 4: 0}
+    _assert_same_witness(x, rhs, 2)
 
 
 @given(level_strategy())
