@@ -16,7 +16,7 @@ from .sublevels import (
 )
 from .normalize import (
     Repr, ReprInvariantError, eq_repr, eval_repr, imax_repr, insert_sub,
-    leq_repr, max_repr, normalize, repr_var, repr_zero, subst_repr, succ_repr,
+    leq_repr, max_repr, repr_var, repr_zero, subst_repr, succ_repr,
 )
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_level, print_repr, print_repr_json

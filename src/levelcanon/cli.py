@@ -79,7 +79,17 @@ def _parse_binding(text: str) -> tuple[str, int]:
     name, sep, value = text.partition("=")
     if not sep or not name or not (value.isascii() and value.isdigit()):
         raise ParseError(f"expected NAME=NAT, got {text!r}", 1, 1)
-    return name, int(value)
+    return name, _int_text(int, value.lstrip("0") or "0")
+
+
+def _int_text(convert, *args):
+    """`convert(*args)`, which turns integers into text or back; a number with
+    more digits than the interpreter converts is a usage error."""
+    try:
+        return convert(*args)
+    except ValueError:
+        raise UsageError(f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                         "the interpreter's limit for integer text") from None
 
 
 def run_cli(argv: list[str]) -> int:
@@ -116,7 +126,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         for binding in args.bindings:
             name, value = _parse_binding(binding)
             r = subst_repr(r, names.intern(name), value)
-        print(print_repr(r, names))
+        print(_int_text(print_repr, r, names))
         return 0
 
     if args.command == "eval":
@@ -125,7 +135,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         for binding in args.val.split(","):
             name, value = _parse_binding(binding.strip())
             sigma[names.intern(name)] = value
-        print(eval_level(t, sigma))
+        print(_int_text(str, eval_level(t, sigma)))
         return 0
 
     if args.command == "rewrite":

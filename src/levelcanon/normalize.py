@@ -7,23 +7,23 @@ is dominated by some atom of v's.
 
 Two operations deliberately differ from their naive pointwise statements:
 
-  * the successor of a representation is the pointwise shifted atoms PLUS the
-    constant atom B({}, 1).  An A-atom vanishes wherever a set variable is 0
+  * n successors of a representation are the pointwise shifted atoms PLUS the
+    constant atom B({}, n).  An A-atom vanishes wherever a set variable is 0
     while the successor of the original level is at least 1 there, so the
     constant floor is required (s(x) at x=0 is 1, but A({x},x,1) is 0).
-  * inserting an atom drops EVERY existing atom the new one dominates, not
-    just the first one found; an inserted atom with a small variable set can
-    dominate several incomparable atoms at once.
+  * merging an atom drops EVERY kept atom the new one dominates, not just the
+    first one found; an atom with a small variable set can dominate several
+    incomparable atoms at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
-    SubA, SubB, SubLevel, eval_sub, imax_sub_pair, leq_sub, sorted_insert_atom,
-    sub_key, subst_sub, succ_sub,
+    SubA, SubB, SubLevel, eval_sub, imax_sub_pair, leq_sub, sub_key, subst_sub, succ_sub,
 )
 
 
@@ -56,7 +56,6 @@ def _trusted_repr(atoms: tuple[SubLevel, ...]) -> Repr:
 
 
 _ZERO_REPR = Repr(())
-_SUCC_FLOOR = SubB((), 1)
 
 
 def repr_zero() -> Repr:
@@ -68,60 +67,55 @@ def repr_var(x: VarId) -> Repr:
     return _trusted_repr((SubA((x,), x, 0),))
 
 
+def _merge(atoms: tuple[SubLevel, ...], candidates: Iterable[SubLevel]) -> Repr:
+    """Minimal representation of the max of an antichain and some atoms.  A
+    candidate that a kept atom dominates is dropped; otherwise it drops every
+    kept atom it dominates.  Domination is a partial order, so the kept atoms
+    are the maximal ones in any candidate order; they are sorted once."""
+    kept = list(atoms)
+    for u in candidates:
+        for v in kept:
+            if leq_sub(u, v):
+                break
+        else:
+            kept = [v for v in kept if not leq_sub(v, u)]
+            kept.append(u)
+    kept.sort(key=sub_key)
+    return _trusted_repr(tuple(kept))
+
+
 def insert_sub(r: Repr, u: SubLevel) -> Repr:
     """Minimal representation of max(r, u)."""
-    for v in r.atoms:
-        if leq_sub(u, v):
-            return r
-    kept = tuple(v for v in r.atoms if not leq_sub(v, u))
-    return _trusted_repr(sorted_insert_atom(kept, u))
+    return _merge(r.atoms, (u,))
 
 
 def max_repr(r1: Repr, r2: Repr) -> Repr:
     """Minimal representation of max(r1, r2)."""
-    out = r1
-    for u in r2.atoms:
-        out = insert_sub(out, u)
-    return out
+    return _merge(r1.atoms, r2.atoms)
 
 
-def succ_repr(r: Repr) -> Repr:
-    """Minimal representation of s(r): pointwise shift plus the B({},1) floor.
-
-    Shifting every atom preserves both the storage order and pairwise
-    incomparability, so only the floor needs a real insertion.
-    """
-    bumped = _trusted_repr(tuple(succ_sub(u) for u in r.atoms))
-    return insert_sub(bumped, _SUCC_FLOOR)
+def succ_repr(r: Repr, n: int) -> Repr:
+    """Minimal representation of s^n(r), n >= 1: every atom shifted by n (which
+    keeps them an antichain) plus the B({}, n) floor, which is above the
+    floors of the shorter runs and below every shifted atom that is active."""
+    return _merge(tuple(succ_sub(u, n) for u in r.atoms), (SubB((), n),))
 
 
 def imax_repr(r1: Repr, r2: Repr) -> Repr:
     """Minimal representation of imax(r1, r2).
 
     imax(0, t) is t and imax(t, 0) is 0; otherwise imax distributes over the
-    max on both sides, reducing to atom pairs.
+    max on both sides, and the pair (u, v) gives u under v's guard set and v
+    (`imax_sub_pair`).  The v's make up r2, so the guarded u's are merged into it.
     """
-    if not r1.atoms:
+    if not r1.atoms or not r2.atoms:
         return r2
-    if not r2.atoms:
-        return r2
-    out = _ZERO_REPR
-    for u in r1.atoms:
-        for v in r2.atoms:
-            a, b = imax_sub_pair(u, v)
-            out = insert_sub(insert_sub(out, a), b)
-    return out
+    return _merge(r2.atoms, (imax_sub_pair(u, v)[0] for u in r1.atoms for v in r2.atoms))
 
 
 def normalize(t: Level) -> Repr:
     """The minimal representation of a level."""
-    return fold_level(t, _ZERO_REPR, repr_var, _succ_repr_times, max_repr, imax_repr)
-
-
-def _succ_repr_times(r: Repr, n: int) -> Repr:
-    for _ in range(n):
-        r = succ_repr(r)
-    return r
+    return fold_level(t, _ZERO_REPR, repr_var, succ_repr, max_repr, imax_repr)
 
 
 def leq_repr(r1: Repr, r2: Repr) -> bool:
@@ -136,15 +130,11 @@ def eq_repr(r1: Repr, r2: Repr) -> bool:
 
 def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
     """Minimal representation of r with variable y set to the constant n.
-    The atom images (`subst_sub`) can become comparable, so they are re-inserted."""
+    The atom images (`subst_sub`) can become comparable, so they are merged."""
     if n < 0:
         raise ValueError("substituted value must be a natural number")
-    out = _ZERO_REPR
-    for atom in r.atoms:
-        image = subst_sub(atom, y, n)
-        if image is not None:
-            out = insert_sub(out, image)
-    return out
+    images = (subst_sub(u, y, n) for u in r.atoms)
+    return _merge((), (u for u in images if u is not None))
 
 
 def eval_repr(r: Repr, sigma: Valuation) -> int:

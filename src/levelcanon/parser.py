@@ -116,8 +116,10 @@ class _Parser:
         kind = tok[0]
         if kind == "NAT":
             self.pos += 1
-            n = int(tok[1])
-            if n > MAX_NUMERAL:
+            # the length first: int() refuses text longer than the interpreter's limit
+            digits = tok[1].lstrip("0") or "0"
+            n = int(digits) if len(digits) <= len(str(MAX_NUMERAL)) else None
+            if n is None or n > MAX_NUMERAL:
                 raise _error(self.text, tok[2],
                              f"numeral {tok[1]} too large (limit {MAX_NUMERAL})")
             t: Level = ZERO

@@ -130,10 +130,11 @@ def sub_key(u: SubLevel) -> tuple:
     return (1, u.varset, u.shift)
 
 
-def succ_sub(u: SubLevel) -> SubLevel:
+def succ_sub(u: SubLevel, n: int) -> SubLevel:
+    """`u` with its shift raised by the natural n."""
     if isinstance(u, SubA):
-        return _trusted(SubA, u.varset, u.var, u.shift + 1)
-    return _trusted(SubB, u.varset, u.shift + 1)
+        return _trusted(SubA, u.varset, u.var, u.shift + n)
+    return _trusted(SubB, u.varset, u.shift + n)
 
 
 def subst_sub(u: SubLevel, y: VarId, n: int) -> SubLevel | None:
@@ -166,15 +167,8 @@ def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
     return _trusted(SubB, merged, u.shift), v
 
 
-def sorted_insert_atom(atoms: tuple[SubLevel, ...], u: SubLevel) -> tuple[SubLevel, ...]:
-    """Insert `u` into a key-sorted atom tuple, keeping it sorted."""
-    i = bisect_left(atoms, sub_key(u), key=sub_key)
-    return atoms[:i] + (u,) + atoms[i:]
-
-
 __all__ = [
     "VarSet", "SubA", "SubB", "SubLevel",
     "set_union", "set_subset", "set_delete",
     "eval_sub", "leq_sub", "sub_key", "succ_sub", "subst_sub", "imax_sub_pair",
-    "sorted_insert_atom",
 ]

@@ -10,9 +10,9 @@ import random
 
 from levelcanon import (
     IMax, Level, Max, Succ, Var, Zero, ZERO,
-    eq_repr, eval_level, eval_repr, find_counterexample_leq, level_vars,
-    normalize, subst_repr,
+    eq_repr, eval_level, eval_repr, find_counterexample_leq, level_vars, subst_repr,
 )
+from levelcanon.normalize import normalize
 from levelcanon.cli import run_cli
 from levelcanon.harness import GenConfig, gen_level, exhaustive_sublevel_suite, run_fuzz
 from levelcanon.rewrite import sample_confluence

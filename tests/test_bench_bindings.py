@@ -23,11 +23,9 @@ def test_tracer_bindings_resolve(monkeypatch):
 
 def test_normalize_reaches_leq_sub_through_its_module_binding(monkeypatch):
     # the tracer counts `sublevels.leq_sub.calls` at levelcanon.normalize.leq_sub,
-    # and a traced decide run reads correct=false if that count stays 0; the
-    # package's `normalize` function shadows the module, hence import_module
+    # and a traced decide run reads correct=false if that count stays 0
+    import levelcanon.normalize as nz
     from levelcanon import Max, Succ, Var
-
-    nz = importlib.import_module("levelcanon.normalize")
 
     calls = []
     original = nz.leq_sub

@@ -13,8 +13,9 @@ import pytest
 
 from levelcanon import (
     IMax, Max, NameTable, Succ, Var, ZERO, const_depth, eval_level, eval_repr,
-    find_counterexample_leq, fold_level, level_size, level_vars, normalize, print_level,
+    find_counterexample_leq, fold_level, level_size, level_vars, print_level,
 )
+from levelcanon.normalize import normalize
 from levelcanon.rewrite import encode_level
 from levelcanon.rewrite.terms import term_to_str
 

@@ -4,9 +4,10 @@ import json
 
 from levelcanon import (
     IMax, Max, Succ, Var, ZERO, eq_repr, eval_level, find_counterexample_leq,
-    level_size, level_vars, normalize,
+    level_size, level_vars,
 )
 from levelcanon import harness
+from levelcanon.normalize import normalize
 from levelcanon.harness import (
     DiffReport, Failure, GenConfig, differential_case, enumerate_sublevels,
     exhaustive_sublevel_suite, gen_level, run_fuzz,

@@ -4,6 +4,10 @@ module, and the CLI imports only what all of its commands need.
 Package ``__init__`` modules are skipped by the first check: they import
 names to re-export them.
 
+A package must not bind a submodule's name to anything but that submodule:
+``import levelcanon.normalize as m`` and dotted ``monkeypatch`` paths look the
+name up on the package.
+
 Beside them, a recursion check: no function in the modules that walk levels
 calls itself by name.  Those walks go through ``levels.fold_level``, which
 keeps its own stack, so a level of any depth is safe to pass in; a recursive
@@ -13,7 +17,9 @@ walk would raise RecursionError on a level a few thousand deep.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +53,19 @@ def test_library_modules_use_every_import():
         if found:
             unused[str(path.relative_to(SRC))] = found
     assert unused == {}
+
+
+def test_submodules_are_the_package_attributes_of_their_names():
+    shadowed = []
+    for package in ("levelcanon", "levelcanon.rewrite"):
+        pkg = importlib.import_module(package)
+        for info in pkgutil.iter_modules(pkg.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"{package}.{info.name}")
+            if getattr(pkg, info.name) is not module:
+                shadowed.append(module.__name__)
+    assert shadowed == []
 
 
 # the modules that walk levels; each walk is a `fold_level` call

@@ -10,10 +10,10 @@ from conftest import deep_level_strategy, level_strategy
 from levelcanon import (
     IMax, Max, Repr, SubA, SubB, Succ, Var, ZERO,
     const_depth, eq_repr, eval_level, eval_repr, find_counterexample_leq, imax_repr,
-    insert_sub, leq_repr, leq_sub, level_vars, max_repr, normalize, repr_var,
+    insert_sub, leq_repr, leq_sub, level_vars, max_repr, repr_var,
     repr_zero, subst_repr, succ_repr,
 )
-from levelcanon.normalize import ReprInvariantError
+from levelcanon.normalize import ReprInvariantError, normalize
 from levelcanon.levels import valuations_on
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
@@ -51,13 +51,13 @@ def test_repr_var():
 def test_succ_repr_adds_the_constant_floor():
     # pointwise shifting alone is wrong at zero valuations: s(x) evaluates
     # to 1 at x = 0 while the shifted atom A({x},x,1) evaluates to 0
-    assert succ_repr(repr_zero()).atoms == (SubB((), 1),)
-    assert succ_repr(repr_var(0)).atoms == (SubA((0,), 0, 1), SubB((), 1))
-    assert eval_repr(succ_repr(repr_var(0)), {0: 0}) == 1
+    assert succ_repr(repr_zero(), 1).atoms == (SubB((), 1),)
+    assert succ_repr(repr_var(0), 1).atoms == (SubA((0,), 0, 1), SubB((), 1))
+    assert eval_repr(succ_repr(repr_var(0), 1), {0: 0}) == 1
     r = Repr((SubA((0,), 0, 0), SubB((1,), 1)))
-    assert succ_repr(r).atoms == (SubA((0,), 0, 1), SubB((), 1), SubB((1,), 2))
+    assert succ_repr(r, 1).atoms == (SubA((0,), 0, 1), SubB((), 1), SubB((1,), 2))
     for sigma in valuations_on((0, 1), 3):
-        assert eval_repr(succ_repr(r), sigma) == 1 + eval_repr(r, sigma)
+        assert eval_repr(succ_repr(r, 1), sigma) == 1 + eval_repr(r, sigma)
 
 
 @given(level_strategy(max_leaves=6))
@@ -66,7 +66,38 @@ def test_succ_repr_is_the_successor(t):
     r = normalize(t)
     vids = tuple(sorted(level_vars(t)))
     for sigma in valuations_on(vids, 2):
-        assert eval_repr(succ_repr(r), sigma) == 1 + eval_repr(r, sigma)
+        assert eval_repr(succ_repr(r, 1), sigma) == 1 + eval_repr(r, sigma)
+
+
+@given(level_strategy(max_leaves=6), st.integers(1, 5))
+@settings(max_examples=150)
+def test_a_successor_run_is_one_shift(t, n):
+    # s^n(t) is every atom shifted by n plus the one floor B({}, n): the same
+    # representation as n single successors
+    r = normalize(t)
+    stepped, tower = r, t
+    for _ in range(n):
+        stepped, tower = succ_repr(stepped, 1), Succ(tower)
+    assert normalize(tower) == succ_repr(r, n) == stepped
+
+
+def test_a_long_successor_run_costs_one_merge(monkeypatch):
+    # one shift and one merged floor, not a merge per successor
+    import levelcanon.normalize as nz
+
+    calls = []
+    original = nz.leq_sub
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(nz, "leq_sub", counting)
+    t = x
+    for _ in range(10_000):
+        t = Succ(t)
+    assert nz.normalize(t).atoms == (SubA((0,), 0, 10_000), SubB((), 10_000))
+    assert len(calls) < 10
 
 
 @given(level_strategy(max_leaves=12))
@@ -103,7 +134,7 @@ def test_max_repr():
     r = normalize(Max(x, Succ(y)))
     assert max_repr(repr_zero(), r) == r
     assert max_repr(r, r) == r
-    assert max_repr(repr_var(0), succ_repr(repr_var(0))) == succ_repr(repr_var(0))
+    assert max_repr(repr_var(0), succ_repr(repr_var(0), 1)) == succ_repr(repr_var(0), 1)
 
 
 def test_imax_repr():
@@ -201,8 +232,8 @@ def _assert_valid(r):
 @settings(max_examples=200)
 def test_operations_keep_the_invariants(t1, t2, y, n):
     r1, r2 = normalize(t1), normalize(t2)
-    for r in (r1, r2, max_repr(r1, r2), imax_repr(r1, r2), succ_repr(r1),
-              subst_repr(r1, y, n), normalize(IMax(t1, Succ(t2)))):
+    for r in (r1, r2, max_repr(r1, r2), imax_repr(r1, r2), succ_repr(r1, 1),
+              succ_repr(r1, n + 2), subst_repr(r1, y, n), normalize(IMax(t1, Succ(t2)))):
         _assert_valid(r)
 
 
@@ -211,7 +242,7 @@ def test_operations_keep_the_invariants(t1, t2, y, n):
 def test_normalize_commutes_with_constructors(t1, t2):
     assert normalize(Max(t1, t2)) == max_repr(normalize(t1), normalize(t2))
     assert normalize(IMax(t1, t2)) == imax_repr(normalize(t1), normalize(t2))
-    assert normalize(Succ(t1)) == succ_repr(normalize(t1))
+    assert normalize(Succ(t1)) == succ_repr(normalize(t1), 1)
 
 
 @given(level_strategy(max_leaves=6), level_strategy(max_leaves=6))

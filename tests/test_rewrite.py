@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import level_strategy
-from levelcanon import IMax, Max, Succ, Var, ZERO, normalize, subst_repr
+from levelcanon import IMax, Max, Succ, Var, ZERO, subst_repr
 from levelcanon.harness import GenConfig, gen_level
+from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
     SIGNATURE, DecodeError, ReductionReport, RewriteRule, RuleSet, app,
     builtin_ruleset, check_rule_sorts, decode_repr, default_rules,

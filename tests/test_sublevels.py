@@ -121,11 +121,19 @@ def test_leq_sub_agrees_with_semantics_exhaustively():
 
 
 def test_succ_sub():
-    assert succ_sub(SubA((0,), 0, 0)) == SubA((0,), 0, 1)
-    assert succ_sub(SubB((), 1)) == SubB((), 2)
+    assert succ_sub(SubA((0,), 0, 0), 1) == SubA((0,), 0, 1)
+    assert succ_sub(SubB((), 1), 1) == SubB((), 2)
+    assert succ_sub(SubA((0,), 0, 2), 5) == SubA((0,), 0, 7)
+    assert succ_sub(SubB((1,), 3), 10_000) == SubB((1,), 10_003)
+    grid = list(valuations_on((0, 1), 3))
     for atom in enumerate_sublevels(2, 2):
-        # built unchecked: the validating constructor must accept it
-        assert replace(succ_sub(atom)) == succ_sub(atom)
+        for n in (1, 2, 7):
+            # built unchecked: the validating constructor must accept it
+            assert replace(succ_sub(atom, n)) == succ_sub(atom, n)
+            for sigma in grid:
+                guarded = all(sigma[v] for v in atom.varset)
+                expected = eval_sub(atom, sigma) + n if guarded else 0
+                assert eval_sub(succ_sub(atom, n), sigma) == expected
 
 
 def test_subst_sub_semantics_exhaustive():

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import levelcanon
-from levelcanon import IMax, Max, Succ, Var, ZERO, normalize, repr_zero, repr_var
+from levelcanon import IMax, Max, Succ, Var, ZERO, repr_zero, repr_var
 from levelcanon.cli import run_cli
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level, harness_names
+from levelcanon.normalize import normalize
 from levelcanon.parser import MAX_NESTING, NameTable, ParseError, parse_level
 from levelcanon.printer import print_level, print_repr, print_repr_json
 from levelcanon.rewrite import encode_repr, term_to_str
@@ -253,6 +254,49 @@ def test_cli_rejects_non_ascii_digits(argv, capsys):
     # U+00B2 (superscript two) passes str.isdigit but is no NAT
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: expected NAME=NAT")
+
+
+# the interpreter converts at most 4,300 digits between int and text
+LONG = "9" * 5000
+PRINTABLE = "9" * 4300
+TOO_MANY_DIGITS = ("error: a number has more than 4300 digits, "
+                   "the interpreter's limit for integer text\n")
+
+
+@pytest.mark.parametrize("argv", [["normalize", LONG], ["leq", "x", LONG]])
+def test_cli_rejects_a_numeral_longer_than_integer_text(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeral 999") and "too large (limit 10000)" in err
+
+
+def test_cli_reads_a_zero_padded_numeral_of_any_length(capsys):
+    assert run_cli(["normalize", "0" * 4999 + "7"]) == 0
+    assert capsys.readouterr().out == "max{B{}+7}\n"
+
+
+@pytest.mark.parametrize("argv", [["eval", "x", "--val", "x=" + LONG],
+                                  ["subst", "x", "x=" + LONG]])
+def test_cli_rejects_a_binding_longer_than_integer_text(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == TOO_MANY_DIGITS
+
+
+@pytest.mark.parametrize("argv", [["eval", "s(x)", "--val", "x=" + PRINTABLE],
+                                  ["subst", "s(x)", "x=" + PRINTABLE]])
+def test_cli_rejects_a_result_longer_than_integer_text(argv, capsys):
+    # the binding converts, but its successor has 4,301 digits
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == TOO_MANY_DIGITS
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "x", "--val", "x=" + PRINTABLE], PRINTABLE + "\n"),
+    (["subst", "x", "x=" + PRINTABLE], "max{B{}+" + PRINTABLE + "}\n"),
+])
+def test_cli_prints_a_result_at_the_integer_text_limit(argv, out, capsys):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def _run_levelcanon(*argv: str) -> subprocess.CompletedProcess:
