@@ -120,8 +120,10 @@ class _Parser:
             digits = tok[1].lstrip("0") or "0"
             n = int(digits) if len(digits) <= len(str(MAX_NUMERAL)) else None
             if n is None or n > MAX_NUMERAL:
-                raise _error(self.text, tok[2],
-                             f"numeral {tok[1]} too large (limit {MAX_NUMERAL})")
+                # a numeral longer than the limit's text is named by its length
+                shown = (tok[1] if len(tok[1]) <= len(str(MAX_NUMERAL))
+                         else f"of {len(tok[1])} digits")
+                raise _error(self.text, tok[2], f"numeral {shown} too large (limit {MAX_NUMERAL})")
             t: Level = ZERO
             for _ in range(n):
                 t = Succ(t)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from conftest import level_strategy
 from levelcanon import IMax, Max, Succ, Var, ZERO, subst_repr
+from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
@@ -21,6 +22,7 @@ from levelcanon.rewrite import (
 )
 from levelcanon.rewrite import terms
 from levelcanon.rewrite.engine import _RedexIndex
+from levelcanon.rewrite.rules import read_rules
 from levelcanon.rewrite.terms import match_args
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
@@ -74,6 +76,26 @@ def test_builtin_rules_are_first_order_left_linear_and_sorted():
                 if not is_pvar(node):
                     assert node[0] not in rules.by_head, rule
                     stack.extend(node[1:])
+
+
+@pytest.mark.parametrize("paper_literal", [False, True], ids=["default", "paper_literal"])
+def test_the_export_reads_back_as_the_signature_and_the_rule_set(paper_literal):
+    signature, rules = read_rules(export_framework(None, paper_literal))
+    assert list(signature.items()) == list(SIGNATURE.items())
+    assert rules == list(builtin_ruleset(paper_literal))
+
+
+def test_the_published_forms_replace_only_the_rules_of_their_heads():
+    swapped = {"varL", "succL", "maxHelper", "maxHelperGo", "evalS"}
+    assert {head for head in RULES.by_head.keys() | LITERAL.by_head.keys()
+            if RULES.by_head.get(head) != LITERAL.by_head.get(head)} == swapped
+    assert [r for r in RULES if r.lhs[0] not in swapped] == \
+        [r for r in LITERAL if r.lhs[0] not in swapped]
+
+
+def test_read_rules_rejects_a_line_that_is_neither_declaration_nor_rule():
+    with pytest.raises(ValueError, match="neither a declaration nor a rule"):
+        read_rules(export_framework(x))  # the query line
 
 
 def test_signature_covers_required_symbols():
