@@ -7,7 +7,6 @@ mapping between source names and ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from operator import add
 from typing import Callable, Iterator, Mapping, Optional, TypeVar
@@ -17,31 +16,94 @@ Valuation = Mapping[VarId, int]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class _Node:
+    """A level node: immutable, its fields named by `__match_args__`.
+
+    Hash, equality and repr take a level of any depth.  The hash is computed
+    once, at construction, from the children's hashes; equality walks both
+    levels with its own stack; repr is `printer.level_repr`'s text.
+    """
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b) or not issubclass(kind, _Node):
+                if a != b:
+                    return False
+            elif a._hash != b._hash:
+                return False
+            else:
+                todo += ((getattr(a, f), getattr(b, f)) for f in kind.__match_args__)
+        return True
+
+    def __repr__(self) -> str:
+        from .printer import level_repr
+        return level_repr(self)
 
 
-@dataclass(frozen=True)
-class Succ:
-    child: "Level"
+# a node's fields are set here, once; its own __setattr__ refuses any later
+_init = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Max:
-    left: "Level"
-    right: "Level"
+class Zero(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _init(self, "_hash", hash(Zero))
 
 
-@dataclass(frozen=True)
-class IMax:
-    left: "Level"
-    right: "Level"
+class Succ(_Node):
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+
+    def __init__(self, child: "Level"):
+        _init(self, "child", child)
+        _init(self, "_hash", hash((Succ, child)))
 
 
-@dataclass(frozen=True)
-class Var:
-    vid: VarId
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Level", right: "Level"):
+        _init(self, "left", left)
+        _init(self, "right", right)
+        _init(self, "_hash", hash((type(self), left, right)))
+
+
+class Max(_Binary):
+    __slots__ = ()
+
+
+class IMax(_Binary):
+    __slots__ = ()
+
+
+class Var(_Node):
+    __slots__ = ("vid",)
+    __match_args__ = ("vid",)
+
+    def __init__(self, vid: VarId):
+        _init(self, "vid", vid)
+        _init(self, "_hash", hash((Var, vid)))
 
 
 Level = Zero | Succ | Max | IMax | Var

@@ -23,7 +23,8 @@ from typing import Iterable
 
 from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
-    SubA, SubB, SubLevel, eval_sub, imax_sub_pair, leq_sub, sub_key, subst_sub, succ_sub,
+    SubA, SubB, SubLevel, _trusted, eval_sub, imax_sub_pair, leq_sub, sub_key, subst_sub,
+    succ_sub,
 )
 
 
@@ -64,7 +65,10 @@ def repr_zero() -> Repr:
 
 
 def repr_var(x: VarId) -> Repr:
-    return _trusted_repr((SubA((x,), x, 0),))
+    """The representation {A({x}, x, 0)}; its atom needs only x >= 0 checked."""
+    if x < 0:
+        raise ValueError(f"negative variable id in set: {(x,)!r}")
+    return _trusted_repr((_trusted(SubA, (x,), x, 0),))
 
 
 def _merge(atoms: tuple[SubLevel, ...], candidates: Iterable[SubLevel]) -> Repr:
@@ -98,7 +102,7 @@ def succ_repr(r: Repr, n: int) -> Repr:
     """Minimal representation of s^n(r), n >= 1: every atom shifted by n (which
     keeps them an antichain) plus the B({}, n) floor, which is above the
     floors of the shorter runs and below every shifted atom that is active."""
-    return _merge(tuple(succ_sub(u, n) for u in r.atoms), (SubB((), n),))
+    return _merge(tuple(succ_sub(u, n) for u in r.atoms), (_trusted(SubB, (), n),))
 
 
 def imax_repr(r1: Repr, r2: Repr) -> Repr:

@@ -15,6 +15,7 @@ be open along one path.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .levels import IMax, Level, Max, Succ, Var, ZERO, VarId
 
@@ -23,8 +24,8 @@ KEYWORDS = ("s", "max", "imax")
 # towers above this would be pathological to build as linked nodes
 MAX_NUMERAL = 10_000
 
-# most s/max/imax open along one path: the parser recurses once per open
-# level, and stays under the default recursion limit here
+# most s/max/imax open along one path: an input limit, as the numeral's is;
+# the parser keeps its own stack and would take any depth
 MAX_NESTING = 500
 
 
@@ -64,14 +65,17 @@ class ParseError(Exception):
         self.expected = expected
 
 
-# one token per match: whitespace, then a numeral, a keyword or punctuation (its
-# own kind), a name, the end of input or, in error, any other character
-_TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:(?P<NAT>[0-9]+)"
-    rf"|(?P<FIXED>(?:{'|'.join(KEYWORDS)})(?![A-Za-z0-9_])|[(),])"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<EOF>\Z)|(?P<BAD>.))", re.S)
+# the first character no lexeme can hold
+_BAD_RE = re.compile(r"[^ \t\r\n0-9A-Za-z_(),]")
 
-_Token = tuple[str, str, int]  # kind, text, offset
+# one lexeme per match, after whitespace: a numeral, a name or keyword,
+# punctuation, or the empty end of input
+_LEXEME_RE = re.compile(r"[ \t\r\n]*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[(),]|\Z)")
+
+# what may start a level
+_LEVEL_START = frozenset({"NAT", "IDENT", *KEYWORDS})
+
+_BINARY = {"max": Max, "imax": IMax}
 
 
 def _error(text: str, offset: int, message: str,
@@ -81,77 +85,76 @@ def _error(text: str, offset: int, message: str,
                       expected)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(text, pos)
-        kind, lexeme, pos = m.lastgroup, m[m.lastgroup], m.end()
-        if kind == "BAD":
-            raise _error(text, pos - 1, f"unexpected character {lexeme!r}")
-        tokens.append((lexeme if kind == "FIXED" else kind, lexeme, pos - len(lexeme)))
-        if kind == "EOF":
-            return tokens
+def _error_at(text: str, index: int, message: str,
+              expected: frozenset[str] = frozenset()) -> ParseError:
+    """The error at the `index`-th lexeme, whose offset is found only now."""
+    offset = next(islice(_LEXEME_RE.finditer(text), index, None)).start(1)
+    return _error(text, offset, message, expected)
 
 
-class _Parser:
-    def __init__(self, text: str, names: NameTable):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.names = names
+def _unexpected(text: str, lexemes: list[str], index: int,
+                expected: frozenset[str]) -> ParseError:
+    return _error_at(text, index, f"unexpected {lexemes[index] or 'end of input'}", expected)
 
-    def expect(self, kind: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            self.fail(tok, frozenset({kind}))
-        self.pos += 1
 
-    def fail(self, tok: _Token, expected: frozenset[str]):
-        shown = tok[1] if tok[0] != "EOF" else "end of input"
-        raise _error(self.text, tok[2], f"unexpected {shown}", expected)
-
-    def level(self, depth: int = 0) -> Level:
-        tok = self.tokens[self.pos]
-        kind = tok[0]
-        if kind == "NAT":
-            self.pos += 1
-            # the length first: int() refuses text longer than the interpreter's limit
-            digits = tok[1].lstrip("0") or "0"
-            n = int(digits) if len(digits) <= len(str(MAX_NUMERAL)) else None
-            if n is None or n > MAX_NUMERAL:
-                # a numeral longer than the limit's text is named by its length
-                shown = (tok[1] if len(tok[1]) <= len(str(MAX_NUMERAL))
-                         else f"of {len(tok[1])} digits")
-                raise _error(self.text, tok[2], f"numeral {shown} too large (limit {MAX_NUMERAL})")
-            t: Level = ZERO
-            for _ in range(n):
-                t = Succ(t)
-            return t
-        if kind in KEYWORDS:
-            if depth == MAX_NESTING:
-                raise _error(self.text, tok[2], f"nesting deeper than {MAX_NESTING}")
-            self.pos += 1
-            self.expect("(")
-            left = self.level(depth + 1)
-            if kind == "s":
-                self.expect(")")
-                return Succ(left)
-            self.expect(",")
-            right = self.level(depth + 1)
-            self.expect(")")
-            return Max(left, right) if kind == "max" else IMax(left, right)
-        if kind == "IDENT":
-            self.pos += 1
-            return Var(self.names.intern(tok[1]))
-        self.fail(tok, frozenset({"NAT", "IDENT", "s", "max", "imax"}))
-
-    def parse(self) -> Level:
-        t = self.level()
-        self.expect("EOF")
-        return t
+def _numeral(text: str, lexemes: list[str], index: int) -> Level:
+    digits = lexemes[index]
+    # the length first: int() refuses text longer than the interpreter's limit
+    significant = digits.lstrip("0") or "0"
+    n = int(significant) if len(significant) <= len(str(MAX_NUMERAL)) else None
+    if n is None or n > MAX_NUMERAL:
+        # a numeral longer than the limit's text is named by its length
+        shown = digits if len(digits) <= len(str(MAX_NUMERAL)) else f"of {len(digits)} digits"
+        raise _error_at(text, index, f"numeral {shown} too large (limit {MAX_NUMERAL})")
+    t: Level = ZERO
+    for _ in range(n):
+        t = Succ(t)
+    return t
 
 
 def parse_level(text: str, names: NameTable) -> Level:
-    """Parse a level expression, interning new variables into `names`."""
-    return _Parser(text, names).parse()
+    """Parse a level expression, interning new variables into `names`.
+
+    A character outside the grammar is reported first, wherever it stands.
+    The lexemes are then read left to right with an explicit stack of the
+    open `s`, `max` and `imax`: each entry is the constructor and, once its
+    comma is read, the left side.
+    """
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise _error(text, bad.start(), f"unexpected character {bad[0]!r}")
+    lexemes = _LEXEME_RE.findall(text)
+    stack: list[list] = []
+    i = 0
+    while True:
+        # a level starts at lexeme i
+        lex = lexemes[i]
+        if lex in KEYWORDS:
+            if len(stack) == MAX_NESTING:
+                raise _error_at(text, i, f"nesting deeper than {MAX_NESTING}")
+            if lexemes[i + 1] != "(":
+                raise _unexpected(text, lexemes, i + 1, frozenset({"("}))
+            stack.append([_BINARY.get(lex, Succ), None])
+            i += 2
+            continue
+        if lex in "(),":  # punctuation, or "" at the end of input
+            raise _unexpected(text, lexemes, i, _LEVEL_START)
+        # digits sort before letters and "_"
+        t = _numeral(text, lexemes, i) if lex[0] <= "9" else Var(names.intern(lex))
+        i += 1
+        # close every node the level completes, up to the next right side
+        while stack:
+            make, left = stack[-1]
+            want = ")" if make is Succ or left is not None else ","
+            if lexemes[i] != want:
+                raise _unexpected(text, lexemes, i, frozenset({want}))
+            i += 1
+            if want == ",":
+                stack[-1][1] = t
+                break
+            t = Succ(t) if make is Succ else make(left, t)
+            stack.pop()
+        else:
+            if lexemes[i]:
+                raise _unexpected(text, lexemes, i, frozenset({"EOF"}))
+            return t

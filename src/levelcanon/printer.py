@@ -36,7 +36,8 @@ def print_level(t: Level, names: NameTable) -> str:
 
 
 def level_repr(t: Level) -> str:
-    """The same text as `repr(t)`, without the recursion of the dataclass repr."""
+    """The constructor calls that build `t`, as `Max(left=Var(vid=0), right=Zero())`;
+    `repr` of a level is this text."""
     return _join(fold_level(t, "Zero()", lambda vid: f"Var(vid={vid!r})",
                             lambda core, n: ("Succ(child=" * n, core, ")" * n),
                             lambda a, b: ("Max(left=", a, ", right=", b, ")"),

@@ -10,8 +10,9 @@ Only restricted sublevels are representable here:
   * B(E, S) requires S >= 1.
 
 The comparison theorems of the algebra assume these restrictions, so the
-constructors enforce them (the atom operations below keep them and skip the
-check); an ill-formed atom is a programming error, not a recoverable condition.
+constructors enforce them (the atom operations below and the atoms `normalize`
+starts from keep them and skip the check, through `_trusted`); an ill-formed
+atom is a programming error, not a recoverable condition.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ def set_union(e: VarSet, f: VarSet) -> VarSet:
 
 
 def set_subset(f: VarSet, e: VarSet) -> bool:
-    """True iff every element of f is in e (two-pointer merge scan)."""
-    i = 0
+    """True iff every element of f is in e.  The sets are a few ids long, so
+    a membership scan of e beats a binary search."""
     for x in f:
-        i = bisect_left(e, x, i)
-        if i >= len(e) or e[i] != x:
+        if x not in e:
             return False
     return True
 

@@ -3,8 +3,7 @@ node that is not a level, and levels far deeper than the recursion limit.
 
 Deep levels are built iteratively, and their expected sizes, variables,
 constant depths, values, texts and encodings are tracked while they are built,
-without the functions under test.  They are never compared with `==` or
-`repr`, both of which recurse.
+without the functions under test.
 """
 
 from __future__ import annotations

@@ -59,15 +59,17 @@ def test_differential_case_examples():
     assert differential_case(Succ(IMax(y, x))) is None
 
 
-def test_level_repr_is_the_dataclass_repr():
-    for cfg in (GenConfig(seed=707, max_size=50), GenConfig(seed=808, max_size=12)):
-        for index in range(1000):
-            t = gen_level(cfg, index)
-            assert level_repr(t) == repr(t)
+def test_level_repr_prints_the_constructor_calls():
+    assert level_repr(ZERO) == repr(ZERO) == "Zero()"
+    assert level_repr(z) == repr(z) == "Var(vid=2)"
+    t = Succ(Succ(Max(x, IMax(ZERO, Succ(y)))))
+    assert level_repr(t) == repr(t) == (
+        "Succ(child=Succ(child=Max(left=Var(vid=0), "
+        "right=IMax(left=Zero(), right=Succ(child=Var(vid=1))))))")
 
 
-def test_differential_case_takes_a_level_deeper_than_repr_can():
-    # repr(t) recurses on depth; the case's digest must not
+def test_differential_case_takes_a_level_past_the_recursion_limit():
+    # the case's digest is taken from its text, which must not recurse
     t = x
     for i in range(1200):
         t = Max((x, y, z)[i % 3], t)

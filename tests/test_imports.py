@@ -8,10 +8,11 @@ A package must not bind a submodule's name to anything but that submodule:
 ``import levelcanon.normalize as m`` and dotted ``monkeypatch`` paths look the
 name up on the package.
 
-Beside them, a recursion check: no function in the modules that walk levels
-calls itself by name.  Those walks go through ``levels.fold_level``, which
-keeps its own stack, so a level of any depth is safe to pass in; a recursive
-walk would raise RecursionError on a level a few thousand deep.
+Beside them, a recursion check: no function in the modules that walk or read
+levels calls itself by name.  Those walks go through ``levels.fold_level``,
+which keeps its own stack, and the parser keeps a stack of the open nodes, so
+a level of any depth is safe to pass in; a recursive walk would raise
+RecursionError on a level a few thousand deep.
 """
 
 from __future__ import annotations
@@ -68,8 +69,18 @@ def test_submodules_are_the_package_attributes_of_their_names():
     assert shadowed == []
 
 
-# the modules that walk levels; each walk is a `fold_level` call
-LEVEL_WALKERS = ("levels.py", "normalize.py", "printer.py", "rewrite/codec.py")
+# the modules that walk levels, each walk a `fold_level` call, and the parser
+LEVEL_WALKERS = ("levels.py", "normalize.py", "parser.py", "printer.py", "rewrite/codec.py")
+
+
+def _calls_itself(call: ast.AST, name: str) -> bool:
+    """`call` is `name(...)` or, in a method, `self.name(...)`."""
+    if not isinstance(call, ast.Call):
+        return False
+    f = call.func
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self":
+        return f.attr == name
+    return isinstance(f, ast.Name) and f.id == name
 
 
 def _self_calls(tree: ast.Module) -> list[str]:
@@ -77,8 +88,7 @@ def _self_calls(tree: ast.Module) -> list[str]:
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == func.name):
+                if _calls_itself(node, func.name):
                     found.append(f"{func.name} (line {node.lineno})")
     return found
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import level_strategy
 from levelcanon import (
-    IMax, Max, Succ, UnboundVariableError, Var, ZERO,
+    IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero,
     const_depth, default_grid_bound, eval_level, find_counterexample_leq,
     imax_nat, level_vars,
 )
@@ -46,6 +46,40 @@ def test_level_vars():
     assert level_vars(ZERO) == frozenset()
     assert level_vars(Max(x, IMax(y, x))) == frozenset({0, 1})
     assert level_vars(Succ(z)) == frozenset({2})
+
+
+def test_levels_are_immutable_and_match_their_fields():
+    t = Max(x, Succ(ZERO))
+    for field in ("left", "right", "vid"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, y)
+    with pytest.raises(AttributeError):
+        del t.left
+    match t:
+        case Max(Var(vid), Succ(Zero())):
+            assert vid == 0
+        case _:
+            pytest.fail("no match")
+    assert t == Max(Var(0), Succ(Zero())) and hash(t) == hash(Max(Var(0), Succ(Zero())))
+    assert t != IMax(x, Succ(ZERO)) and t != Max(y, Succ(ZERO)) and t != "x"
+
+
+def _chain(base, depth: int):
+    t = base
+    for i in range(depth):
+        t = (Succ(t), Max(t, y), IMax(z, t))[i % 3]
+    return t
+
+
+def test_hash_eq_and_repr_take_chains_ten_thousand_deep():
+    a, b = _chain(x, 10_000), _chain(x, 10_000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _chain(y, 10_000) and a != _chain(x, 9_999)
+    assert {a: 1}[b] == 1
+    t = x
+    for _ in range(10_000):
+        t = Succ(t)
+    assert repr(t) == "Succ(child=" * 10_000 + "Var(vid=0)" + ")" * 10_000
 
 
 def test_find_counterexample_paper_pair():

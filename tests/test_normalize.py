@@ -48,6 +48,14 @@ def test_repr_var():
     assert repr_var(0) != repr_var(1)
 
 
+def test_repr_var_rejects_a_negative_id():
+    # the one check a variable atom needs; the rest hold by construction
+    with pytest.raises(ValueError, match=r"^negative variable id in set: \(-1,\)$"):
+        repr_var(-1)
+    with pytest.raises(ValueError, match=r"^negative variable id in set: \(-2,\)$"):
+        normalize(Var(-2))
+
+
 def test_succ_repr_adds_the_constant_floor():
     # pointwise shifting alone is wrong at zero valuations: s(x) evaluates
     # to 1 at x = 0 while the shifted atom A({x},x,1) evaluates to 0

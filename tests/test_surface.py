@@ -242,7 +242,7 @@ def test_cli_completes_at_the_nesting_limit(argv, out, capsys):
 
 
 def test_cli_rejects_nesting_beyond_the_limit(capsys):
-    # past the limit, normalize would hit the recursion limit: a traceback, exit 1
+    # the limit is one of the input syntax: past it, a parse error and exit 2
     for depth in (501, 1500):
         assert run_cli(["normalize", _nested_max(depth)]) == 2
         assert "nesting deeper than 500" in capsys.readouterr().err
