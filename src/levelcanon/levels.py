@@ -20,7 +20,8 @@ class _Node:
     """A level node: immutable, its fields named by `__match_args__`.
 
     Hash, equality and repr take a level of any depth.  The hash is computed
-    once, at construction, from the children's hashes; equality walks both
+    once, at construction, from the children's stored hashes (a child that
+    is not a node has none and goes through `hash`); equality walks both
     levels with its own stack; repr is `printer.level_repr`'s text.
     """
 
@@ -76,7 +77,11 @@ class Succ(_Node):
 
     def __init__(self, child: "Level"):
         _init(self, "child", child)
-        _init(self, "_hash", hash((Succ, child)))
+        try:
+            h = hash((Succ, child._hash))
+        except AttributeError:  # not a level node
+            h = hash((Succ, hash(child)))
+        _init(self, "_hash", h)
 
 
 class _Binary(_Node):
@@ -86,7 +91,11 @@ class _Binary(_Node):
     def __init__(self, left: "Level", right: "Level"):
         _init(self, "left", left)
         _init(self, "right", right)
-        _init(self, "_hash", hash((type(self), left, right)))
+        try:
+            h = hash((type(self), left._hash, right._hash))
+        except AttributeError:  # a side that is not a level node
+            h = hash((type(self), hash(left), hash(right)))
+        _init(self, "_hash", h)
 
 
 class Max(_Binary):

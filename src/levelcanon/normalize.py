@@ -23,8 +23,7 @@ from typing import Iterable
 
 from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
-    SubA, SubB, SubLevel, _trusted, eval_sub, imax_sub_pair, leq_sub, sub_key, subst_sub,
-    succ_sub,
+    SubLevel, _sub_a, _sub_b, eval_sub, imax_sub_pair, leq_sub, sub_key, subst_sub, succ_sub,
 )
 
 
@@ -57,6 +56,7 @@ def _trusted_repr(atoms: tuple[SubLevel, ...]) -> Repr:
 
 
 _ZERO_REPR = Repr(())
+_NO_GUARD = frozenset()
 
 
 def repr_zero() -> Repr:
@@ -68,14 +68,15 @@ def repr_var(x: VarId) -> Repr:
     """The representation {A({x}, x, 0)}; its atom needs only x >= 0 checked."""
     if x < 0:
         raise ValueError(f"negative variable id in set: {(x,)!r}")
-    return _trusted_repr((_trusted(SubA, (x,), x, 0),))
+    return _trusted_repr((_sub_a((x,), x, 0, frozenset((x,))),))
 
 
 def _merge(atoms: tuple[SubLevel, ...], candidates: Iterable[SubLevel]) -> Repr:
     """Minimal representation of the max of an antichain and some atoms.  A
     candidate that a kept atom dominates is dropped; otherwise it drops every
     kept atom it dominates.  Domination is a partial order, so the kept atoms
-    are the maximal ones in any candidate order; they are sorted once."""
+    are the maximal ones in any candidate order; they are sorted once, as
+    tuples, which is the storage order."""
     kept = list(atoms)
     for u in candidates:
         for v in kept:
@@ -84,7 +85,7 @@ def _merge(atoms: tuple[SubLevel, ...], candidates: Iterable[SubLevel]) -> Repr:
         else:
             kept = [v for v in kept if not leq_sub(v, u)]
             kept.append(u)
-    kept.sort(key=sub_key)
+    kept.sort()
     return _trusted_repr(tuple(kept))
 
 
@@ -102,7 +103,7 @@ def succ_repr(r: Repr, n: int) -> Repr:
     """Minimal representation of s^n(r), n >= 1: every atom shifted by n (which
     keeps them an antichain) plus the B({}, n) floor, which is above the
     floors of the shorter runs and below every shifted atom that is active."""
-    return _merge(tuple(succ_sub(u, n) for u in r.atoms), (_trusted(SubB, (), n),))
+    return _merge(tuple(succ_sub(u, n) for u in r.atoms), (_sub_b((), n, _NO_GUARD),))
 
 
 def imax_repr(r1: Repr, r2: Repr) -> Repr:

@@ -11,14 +11,22 @@ Only restricted sublevels are representable here:
 
 The comparison theorems of the algebra assume these restrictions, so the
 constructors enforce them (the atom operations below and the atoms `normalize`
-starts from keep them and skip the check, through `_trusted`); an ill-formed
-atom is a programming error, not a recoverable condition.
+starts from keep them and skip the check); an ill-formed atom is a
+programming error, not a recoverable condition.
+
+An atom is a tuple tagged by its kind and closed by its guard set:
+(0, E, x, S, G) for A and (1, E, S, G) for B, where G is frozenset(E).  So
+tuple order is the storage order (A's before B's, then (set, var, shift) or
+(set, shift)) and `sub_key` is the atom without its guard.  The guard makes
+the subset test of a comparison one C-level set operation.  It is a frozenset
+and not an int bitmask because a mask `1 << x` takes memory and time in
+proportion to the variable id x itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .levels import Valuation, VarId, UnboundVariableError
 
@@ -57,52 +65,77 @@ def set_delete(elems: VarSet, x: VarId) -> VarSet:
     return elems
 
 
-@dataclass(frozen=True)
-class SubA:
-    varset: VarSet
-    var: VarId
-    shift: int
+class _Atom(tuple):
+    """The fields and text shared by both atom kinds; immutable as a tuple."""
 
-    def __post_init__(self):
-        _check_varset(self.varset)
-        if self.var not in self.varset:
-            raise ValueError(f"A-atom variable {self.var} not in its set {self.varset!r}")
-        if self.shift < 0:
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    varset = property(itemgetter(1))
+    shift = property(itemgetter(-2))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:-1]
+
+
+class SubA(_Atom):
+    """A(varset, var, shift), stored as (0, varset, var, shift, guard)."""
+
+    __slots__ = ()
+    __match_args__ = ("varset", "var", "shift")
+    var = property(itemgetter(2))
+
+    def __new__(cls, varset: VarSet, var: VarId, shift: int):
+        _check_varset(varset)
+        if var not in varset:
+            raise ValueError(f"A-atom variable {var} not in its set {varset!r}")
+        if shift < 0:
             raise ValueError("negative shift")
+        return _new(cls, (0, varset, var, shift, frozenset(varset)))
 
 
-@dataclass(frozen=True)
-class SubB:
-    varset: VarSet
-    shift: int
+class SubB(_Atom):
+    """B(varset, shift), stored as (1, varset, shift, guard)."""
 
-    def __post_init__(self):
-        _check_varset(self.varset)
-        if self.shift < 1:
+    __slots__ = ()
+    __match_args__ = ("varset", "shift")
+
+    def __new__(cls, varset: VarSet, shift: int):
+        _check_varset(varset)
+        if shift < 1:
             raise ValueError("B-atom shift must be at least 1")
+        return _new(cls, (1, varset, shift, frozenset(varset)))
 
 
 SubLevel = SubA | SubB
 
+_new = tuple.__new__
 
-def _trusted(cls: type, *values) -> SubLevel:
-    """`cls(*values)` unchecked, for an atom that keeps x in E and S >= 1."""
-    atom = object.__new__(cls)
-    atom.__dict__.update(zip(cls.__match_args__, values))
-    return atom
+
+def _sub_a(varset: VarSet, var: VarId, shift: int, guard: frozenset) -> SubA:
+    """SubA unchecked, for x in E and guard = frozenset(E) by construction."""
+    return _new(SubA, (0, varset, var, shift, guard))
+
+
+def _sub_b(varset: VarSet, shift: int, guard: frozenset) -> SubB:
+    """SubB unchecked, for S >= 1 and guard = frozenset(E) by construction."""
+    return _new(SubB, (1, varset, shift, guard))
 
 
 def eval_sub(u: SubLevel, sigma: Valuation) -> int:
-    for y in u.varset:
+    for y in u[1]:
         if y not in sigma:
             raise UnboundVariableError(y)
         if sigma[y] == 0:
             return 0
-    if isinstance(u, SubA):
-        if u.var not in sigma:
-            raise UnboundVariableError(u.var)
-        return sigma[u.var] + u.shift
-    return u.shift
+    if u[0]:
+        return u[2]
+    if u[2] not in sigma:
+        raise UnboundVariableError(u[2])
+    return sigma[u[2]] + u[3]
 
 
 def leq_sub(u: SubLevel, v: SubLevel) -> bool:
@@ -112,45 +145,46 @@ def leq_sub(u: SubLevel, v: SubLevel) -> bool:
     (2) B(E,S) <= B(F,K)   iff F subset E and S <= K;
     (3) B(E,S) <= A(F,x,K) iff F subset E and S <= K + 1;
     (4) A(E,x,S) <= A(F,y,K) iff F subset E, x = y and S <= K.
+
+    "F subset E" is one test on the guards.
     """
-    if isinstance(u, SubA):
-        if isinstance(v, SubB):
-            return False
-        return set_subset(v.varset, u.varset) and u.var == v.var and u.shift <= v.shift
-    if isinstance(v, SubB):
-        return set_subset(v.varset, u.varset) and u.shift <= v.shift
-    return set_subset(v.varset, u.varset) and u.shift <= v.shift + 1
+    if u[0]:
+        if v[0]:
+            return u[2] <= v[2] and v[3] <= u[3]
+        return u[2] <= v[3] + 1 and v[4] <= u[3]
+    return not v[0] and u[2] == v[2] and u[3] <= v[3] and v[4] <= u[4]
 
 
 def sub_key(u: SubLevel) -> tuple:
     """Sort key for the storage order: all A's before all B's, then
-    lexicographic on (set, var, shift) for A and (set, shift) for B."""
-    if isinstance(u, SubA):
-        return (0, u.varset, u.var, u.shift)
-    return (1, u.varset, u.shift)
+    lexicographic on (set, var, shift) for A and (set, shift) for B.  It is
+    the atom without its guard, so atoms sort as plain tuples."""
+    return u[:-1]
 
 
 def succ_sub(u: SubLevel, n: int) -> SubLevel:
     """`u` with its shift raised by the natural n."""
-    if isinstance(u, SubA):
-        return _trusted(SubA, u.varset, u.var, u.shift + n)
-    return _trusted(SubB, u.varset, u.shift + n)
+    if u[0]:
+        return _sub_b(u[1], u[2] + n, u[3])
+    return _sub_a(u[1], u[2], u[3] + n, u[4])
 
 
 def subst_sub(u: SubLevel, y: VarId, n: int) -> SubLevel | None:
     """`u` with variable y set to the natural n, or None where that makes it 0.
     Otherwise y leaves the guard set, and an A-atom on y becomes the constant
     atom B(E \\ {y}, S + n), with S + n >= 1 because n >= 1 here."""
-    if y not in u.varset:
+    guard = u[-1]
+    if y not in guard:
         return u
     if n == 0:
         return None
-    rest = set_delete(u.varset, y)
-    if isinstance(u, SubB):
-        return _trusted(SubB, rest, u.shift)
-    if u.var == y:
-        return _trusted(SubB, rest, u.shift + n)
-    return _trusted(SubA, rest, u.var, u.shift)
+    rest = set_delete(u[1], y)
+    guard = guard - {y}
+    if u[0]:
+        return _sub_b(rest, u[2], guard)
+    if u[2] == y:
+        return _sub_b(rest, u[3] + n, guard)
+    return _sub_a(rest, u[2], u[3], guard)
 
 
 def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
@@ -161,10 +195,13 @@ def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
     least 1, so the impredicative max degenerates to max while u's extra
     guard variables from F never fire.
     """
-    merged = set_union(u.varset, v.varset)
-    if isinstance(u, SubA):
-        return _trusted(SubA, merged, u.var, u.shift), v
-    return _trusted(SubB, merged, u.shift), v
+    if v[-1] <= u[-1]:
+        return u, v
+    guard = u[-1] | v[-1]
+    merged = tuple(sorted(guard))
+    if u[0]:
+        return _sub_b(merged, u[2], guard), v
+    return _sub_a(merged, u[2], u[3], guard), v
 
 
 __all__ = [

@@ -43,6 +43,27 @@ def test_normalize_reaches_leq_sub_through_its_module_binding(monkeypatch):
     assert calls
 
 
+def test_normalize_makes_the_leq_sub_calls_the_benchmark_counts(monkeypatch):
+    # `sublevels.leq_sub.calls` is an exact count in traced runs; the count on
+    # a fixed stream shows a drift in the merge's comparisons without one
+    import levelcanon.normalize as nz
+    from levelcanon.harness import GenConfig, gen_level
+
+    calls = 0
+    original = nz.leq_sub
+
+    def counting(u, v):
+        nonlocal calls
+        calls += 1
+        return original(u, v)
+
+    monkeypatch.setattr(nz, "leq_sub", counting)
+    cfg = GenConfig(seed=707, max_size=50)
+    for index in range(1_000):
+        nz.normalize(gen_level(cfg, index))
+    assert calls == 21_599
+
+
 def test_fuzz_cases_reach_every_harness_binding_the_tracer_requires(monkeypatch):
     # a traced fuzz run reads correct=false when a call count in its
     # `reached` list stays 0; these are the ones counted at harness names

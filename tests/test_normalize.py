@@ -226,9 +226,11 @@ def test_normalize_soundness_on_deep_levels(t):
 
 
 def _assert_valid(r):
-    """`r`, built without checks, passes the validating public constructors."""
+    """`r`, built without checks, passes the validating public constructors,
+    and every atom carries the guard set of its variable set."""
     assert Repr(r.atoms) == r
     for u in r.atoms:
+        assert u[-1] == frozenset(u.varset)
         if isinstance(u, SubA):
             assert SubA(u.varset, u.var, u.shift) == u
         else:

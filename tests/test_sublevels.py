@@ -1,17 +1,26 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+import pickle
+import time
 from itertools import product
 
 import pytest
 
 from levelcanon import (
-    SubA, SubB, eval_sub, imax_nat, imax_sub_pair, leq_sub, set_delete,
+    Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub_pair, leq_sub, set_delete,
     set_subset, set_union, succ_sub,
 )
 from levelcanon.harness import enumerate_sublevels
 from levelcanon.levels import valuations_on
+from levelcanon.normalize import normalize
 from levelcanon.sublevels import sub_key, subst_sub
+
+
+def _rebuilt(atom):
+    """`atom` built again through its checked constructor, which raises on
+    an atom that breaks the restrictions."""
+    return type(atom)(*(getattr(atom, name) for name in atom.__match_args__))
 
 
 def test_set_insert():
@@ -67,14 +76,52 @@ def test_set_lex_leq_total_order_exhaustive():
 
 
 def test_restrictions_enforced_at_construction():
-    with pytest.raises(ValueError):
-        SubA((0,), 1, 0)  # variable not in its set
-    with pytest.raises(ValueError):
-        SubB((0,), 0)  # constant atom needs a positive shift
-    with pytest.raises(ValueError):
-        SubA((1, 0), 0, 0)  # unsorted set
+    with pytest.raises(ValueError, match=r"^A-atom variable 1 not in its set \(0,\)$"):
+        SubA((0,), 1, 0)
+    with pytest.raises(ValueError, match=r"^B-atom shift must be at least 1$"):
+        SubB((0,), 0)
+    with pytest.raises(ValueError, match=r"^variable set not strictly increasing: \(1, 0\)$"):
+        SubA((1, 0), 0, 0)
+    with pytest.raises(ValueError, match=r"^negative variable id in set: \(-1,\)$"):
+        SubB((-1,), 1)
+    with pytest.raises(ValueError, match=r"^negative shift$"):
+        SubA((0,), 0, -1)
     SubA((0, 1), 0, 0)
     SubB((), 1)
+
+
+def test_atom_surface():
+    a, b = SubA((0, 2), 2, 1), SubB((), 3)
+    assert repr(a) == "SubA(varset=(0, 2), var=2, shift=1)"
+    assert repr(b) == "SubB(varset=(), shift=3)"
+    assert (a.varset, a.var, a.shift, b.varset, b.shift) == ((0, 2), 2, 1, (), 3)
+    assert isinstance(a, SubA) and not isinstance(a, SubB) and isinstance(b, SubB)
+    for atom, name in ((a, "varset"), (a, "var"), (a, "shift"), (b, "shift"), (b, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(atom, name, 0)
+    match a:
+        case SubA(varset, var, shift):
+            assert (varset, var, shift) == ((0, 2), 2, 1)
+        case _:
+            pytest.fail("SubA pattern did not match")
+    match b:
+        case SubA():
+            pytest.fail("a B-atom matched the SubA pattern")
+        case SubB(varset, shift):
+            assert (varset, shift) == ((), 3)
+    assert a != SubA((0, 2), 2, 2) and SubB((0,), 1) != SubB((1,), 1)
+    assert _rebuilt(a) == a and hash(_rebuilt(b)) == hash(b)
+    for atom in (a, b):
+        for image in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+            assert image == atom and type(image) is type(atom)
+
+
+def test_a_huge_variable_id_normalizes_in_milliseconds():
+    # the guard is a set of ids: its cost does not grow with an id's size
+    start = time.perf_counter()
+    r = normalize(Max(Var(10**9), Succ(Var(3))))
+    assert time.perf_counter() - start < 0.010
+    assert r.atoms == (SubA((3,), 3, 1), SubA((10**9,), 10**9, 0), SubB((), 1))
 
 
 def test_eval_sub():
@@ -129,7 +176,7 @@ def test_succ_sub():
     for atom in enumerate_sublevels(2, 2):
         for n in (1, 2, 7):
             # built unchecked: the validating constructor must accept it
-            assert replace(succ_sub(atom, n)) == succ_sub(atom, n)
+            assert _rebuilt(succ_sub(atom, n)) == succ_sub(atom, n)
             for sigma in grid:
                 guarded = all(sigma[v] for v in atom.varset)
                 expected = eval_sub(atom, sigma) + n if guarded else 0
@@ -142,7 +189,7 @@ def test_subst_sub_semantics_exhaustive():
         for y, n in product((0, 1, 2), range(3)):
             image = subst_sub(u, y, n)
             if image is not None:
-                assert replace(image) == image and y not in image.varset
+                assert _rebuilt(image) == image and y not in image.varset
             for sigma in grid:
                 if sigma.get(y, n) == n:
                     value = 0 if image is None else eval_sub(image, sigma)
@@ -163,7 +210,7 @@ def test_imax_sub_pair_semantics_exhaustive():
     grid = list(valuations_on((0, 1), 3))
     for u, v in product(atoms, repeat=2):
         a, b = imax_sub_pair(u, v)
-        assert replace(a) == a
+        assert _rebuilt(a) == a
         for sigma in grid:
             expected = imax_nat(eval_sub(u, sigma), eval_sub(v, sigma))
             assert max(eval_sub(a, sigma), eval_sub(b, sigma)) == expected
