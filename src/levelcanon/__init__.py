@@ -11,8 +11,7 @@ from .levels import (
     fold_level, imax_nat, level_size, level_vars,
 )
 from .sublevels import (
-    SubA, SubB, SubLevel, VarSet, eval_sub, imax_sub_pair, leq_sub,
-    set_delete, set_subset, set_union, succ_sub,
+    SubA, SubB, SubLevel, VarSet, eval_sub, imax_sub, leq_sub, set_delete, succ_sub,
 )
 from .normalize import (
     Repr, ReprInvariantError, eq_repr, eval_repr, imax_repr, insert_sub,

@@ -18,12 +18,11 @@ Two operations deliberately differ from their naive pointwise statements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
-    SubLevel, _sub_a, _sub_b, eval_sub, imax_sub_pair, leq_sub, sub_key, subst_sub, succ_sub,
+    SubLevel, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, subst_sub, succ_sub,
 )
 
 
@@ -31,28 +30,32 @@ class ReprInvariantError(ValueError):
     """A representation failed the sorted-antichain invariant."""
 
 
-@dataclass(frozen=True)
-class Repr:
-    """A minimal representation: atoms sorted by the storage order,
-    pairwise incomparable, all satisfying the sublevel restrictions."""
+class Repr(tuple):
+    """A minimal representation: the tuple of its atoms, sorted by the storage
+    order (tuple order), pairwise incomparable, each a restricted sublevel.
+    The operations below build it unchecked, as `_new(Repr, atoms)`."""
 
-    atoms: tuple[SubLevel, ...] = ()
+    __slots__ = ()
+    __match_args__ = ("atoms",)
 
-    def __post_init__(self):
-        keys = [sub_key(u) for u in self.atoms]
-        if any(b <= a for a, b in zip(keys, keys[1:])):
-            raise ReprInvariantError(f"atoms not strictly sorted: {self.atoms!r}")
-        for i, u in enumerate(self.atoms):
-            for v in self.atoms[i + 1:]:
+    def __new__(cls, atoms: tuple[SubLevel, ...] = ()):
+        if any(b <= a for a, b in zip(atoms, atoms[1:])):
+            raise ReprInvariantError(f"atoms not strictly sorted: {atoms!r}")
+        for i, u in enumerate(atoms):
+            for v in atoms[i + 1:]:
                 if leq_sub(u, v) or leq_sub(v, u):
                     raise ReprInvariantError(f"comparable atoms {u!r} and {v!r}")
+        return _new(cls, atoms)
 
+    @property
+    def atoms(self) -> tuple[SubLevel, ...]:
+        return tuple(self)
 
-def _trusted_repr(atoms: tuple[SubLevel, ...]) -> Repr:
-    """`Repr(atoms)` unchecked, for atoms sorted and incomparable by construction."""
-    r = object.__new__(Repr)
-    r.__dict__["atoms"] = atoms
-    return r
+    def __repr__(self) -> str:
+        return f"Repr(atoms={tuple(self)!r})"
+
+    def __reduce__(self) -> tuple:
+        return Repr, (tuple(self),)
 
 
 _ZERO_REPR = Repr(())
@@ -68,10 +71,10 @@ def repr_var(x: VarId) -> Repr:
     """The representation {A({x}, x, 0)}; its atom needs only x >= 0 checked."""
     if x < 0:
         raise ValueError(f"negative variable id in set: {(x,)!r}")
-    return _trusted_repr((_sub_a((x,), x, 0, frozenset((x,))),))
+    return _new(Repr, (_sub_a((x,), x, 0, frozenset((x,))),))
 
 
-def _merge(atoms: tuple[SubLevel, ...], candidates: Iterable[SubLevel]) -> Repr:
+def _merge(atoms: Iterable[SubLevel], candidates: Iterable[SubLevel]) -> Repr:
     """Minimal representation of the max of an antichain and some atoms.  A
     candidate that a kept atom dominates is dropped; otherwise it drops every
     kept atom it dominates.  Domination is a partial order, so the kept atoms
@@ -86,36 +89,36 @@ def _merge(atoms: tuple[SubLevel, ...], candidates: Iterable[SubLevel]) -> Repr:
             kept = [v for v in kept if not leq_sub(v, u)]
             kept.append(u)
     kept.sort()
-    return _trusted_repr(tuple(kept))
+    return _new(Repr, kept)
 
 
 def insert_sub(r: Repr, u: SubLevel) -> Repr:
     """Minimal representation of max(r, u)."""
-    return _merge(r.atoms, (u,))
+    return _merge(r, (u,))
 
 
 def max_repr(r1: Repr, r2: Repr) -> Repr:
     """Minimal representation of max(r1, r2)."""
-    return _merge(r1.atoms, r2.atoms)
+    return _merge(r1, r2)
 
 
 def succ_repr(r: Repr, n: int) -> Repr:
     """Minimal representation of s^n(r), n >= 1: every atom shifted by n (which
     keeps them an antichain) plus the B({}, n) floor, which is above the
     floors of the shorter runs and below every shifted atom that is active."""
-    return _merge(tuple(succ_sub(u, n) for u in r.atoms), (_sub_b((), n, _NO_GUARD),))
+    return _merge((succ_sub(u, n) for u in r), (_sub_b((), n, _NO_GUARD),))
 
 
 def imax_repr(r1: Repr, r2: Repr) -> Repr:
     """Minimal representation of imax(r1, r2).
 
     imax(0, t) is t and imax(t, 0) is 0; otherwise imax distributes over the
-    max on both sides, and the pair (u, v) gives u under v's guard set and v
-    (`imax_sub_pair`).  The v's make up r2, so the guarded u's are merged into it.
+    max on both sides, and imax(u, v) is max(u under v's guard set, v)
+    (`imax_sub`).  The v's make up r2, so the guarded u's are merged into it.
     """
-    if not r1.atoms or not r2.atoms:
+    if not r1 or not r2:
         return r2
-    return _merge(r2.atoms, (imax_sub_pair(u, v)[0] for u in r1.atoms for v in r2.atoms))
+    return _merge(r2, (imax_sub(u, v) for u in r1 for v in r2))
 
 
 def normalize(t: Level) -> Repr:
@@ -125,12 +128,12 @@ def normalize(t: Level) -> Repr:
 
 def leq_repr(r1: Repr, r2: Repr) -> bool:
     """r1 <= r2 iff every atom of r1 is dominated by some atom of r2."""
-    return all(any(leq_sub(u, v) for v in r2.atoms) for u in r1.atoms)
+    return all(any(leq_sub(u, v) for v in r2) for u in r1)
 
 
 def eq_repr(r1: Repr, r2: Repr) -> bool:
     """Equality of representations is syntactic equality of atom sets."""
-    return r1.atoms == r2.atoms
+    return r1 == r2
 
 
 def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
@@ -138,14 +141,14 @@ def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
     The atom images (`subst_sub`) can become comparable, so they are merged."""
     if n < 0:
         raise ValueError("substituted value must be a natural number")
-    images = (subst_sub(u, y, n) for u in r.atoms)
+    images = (subst_sub(u, y, n) for u in r)
     return _merge((), (u for u in images if u is not None))
 
 
 def eval_repr(r: Repr, sigma: Valuation) -> int:
     """Max of the atom values; 0 for the empty representation."""
     best = 0
-    for u in r.atoms:
+    for u in r:
         val = eval_sub(u, sigma)
         if val > best:
             best = val

@@ -54,12 +54,12 @@ def print_atom(u: SubLevel, names: NameTable) -> str:
 
 def print_repr(r: Repr, names: NameTable) -> str:
     """`max{atom, ...}` with atoms in storage order; `max{}` when empty."""
-    return "max{" + ", ".join(print_atom(u, names) for u in r.atoms) + "}"
+    return "max{" + ", ".join(print_atom(u, names) for u in r) + "}"
 
 
 def print_repr_json(r: Repr, names: NameTable) -> str:
     atoms = []
-    for u in r.atoms:
+    for u in r:
         entry: dict = {"kind": "A" if isinstance(u, SubA) else "B",
                        "set": [names.name_of(v) for v in u.varset]}
         if isinstance(u, SubA):

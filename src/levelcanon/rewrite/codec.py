@@ -59,7 +59,7 @@ def encode_sub(u: SubLevel) -> RTerm:
 
 def encode_repr(r: Repr) -> RTerm:
     t = _NIL_SL
-    for atom in reversed(r.atoms):
+    for atom in reversed(r):
         t = app("consSL", encode_sub(atom), t)
     return app("maxS", t)
 

@@ -223,17 +223,10 @@ class _RedexIndex:
             else:
                 return spine, term  # postorder: the kids hold k redexes
 
-    def replace(self, spine: list, old: RTerm, new: RTerm) -> RTerm:
-        """Rebuild `spine` with `new` in place of `old` at its foot, entering
-        each rebuilt node; its count changes by its one changed child's."""
-        entries, get_matcher = self.entries, self.matchers.get
+    def replace(self, spine: list, new: RTerm) -> RTerm:
+        """Rebuild `spine` with `new` at its foot, entering each rebuilt node."""
         for node, i in reversed(spine):
-            found, n, _ = entries[id(node)]
-            n += entries[id(new)][1] - entries[id(old)][1] - (found is not None)
-            old, new = node, node[:i + 1] + (new,) + node[i + 2:]
-            matcher = get_matcher(new[0])
-            found = matcher(new[1:]) if matcher is not None else None
-            entries[id(new)] = (found, n + (found is not None), new)
+            new = self.mk(node[0], node[1:i + 1] + (new,) + node[i + 2:])
         return new
 
 
@@ -262,7 +255,7 @@ def _reduce_positional(
         build, bindings, rule = index.entries[id(redex)][0]
         if trace is not None:
             trace(steps, tuple(i for _, i in spine), rule)
-        current = index.replace(spine, redex, build(index.mk, *bindings))
+        current = index.replace(spine, build(index.mk, *bindings))
         steps += 1
         if len(index.entries) > index.limit:
             index.sweep(current)

@@ -16,11 +16,11 @@ programming error, not a recoverable condition.
 
 An atom is a tuple tagged by its kind and closed by its guard set:
 (0, E, x, S, G) for A and (1, E, S, G) for B, where G is frozenset(E).  So
-tuple order is the storage order (A's before B's, then (set, var, shift) or
-(set, shift)) and `sub_key` is the atom without its guard.  The guard makes
-the subset test of a comparison one C-level set operation.  It is a frozenset
-and not an int bitmask because a mask `1 << x` takes memory and time in
-proportion to the variable id x itself.
+tuple order is the storage order: A's before B's, then (set, var, shift) or
+(set, shift); the guard never decides it.  The guard makes the subset test of
+a comparison one C-level set operation.  It is a frozenset and not an int
+bitmask because a mask `1 << x` takes memory and time in proportion to the
+variable id x itself.
 """
 
 from __future__ import annotations
@@ -38,24 +38,6 @@ def _check_varset(elems: VarSet) -> None:
         raise ValueError(f"variable set not strictly increasing: {elems!r}")
     if any(x < 0 for x in elems):
         raise ValueError(f"negative variable id in set: {elems!r}")
-
-
-def set_union(e: VarSet, f: VarSet) -> VarSet:
-    if not f:
-        return e
-    if not e:
-        return f
-    merged = sorted(set(e) | set(f))
-    return tuple(merged)
-
-
-def set_subset(f: VarSet, e: VarSet) -> bool:
-    """True iff every element of f is in e.  The sets are a few ids long, so
-    a membership scan of e beats a binary search."""
-    for x in f:
-        if x not in e:
-            return False
-    return True
 
 
 def set_delete(elems: VarSet, x: VarId) -> VarSet:
@@ -77,8 +59,8 @@ class _Atom(tuple):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
-    def __getnewargs__(self) -> tuple:
-        return self[1:-1]
+    def __reduce__(self) -> tuple:
+        return type(self), self[1:-1]
 
 
 class SubA(_Atom):
@@ -155,13 +137,6 @@ def leq_sub(u: SubLevel, v: SubLevel) -> bool:
     return not v[0] and u[2] == v[2] and u[3] <= v[3] and v[4] <= u[4]
 
 
-def sub_key(u: SubLevel) -> tuple:
-    """Sort key for the storage order: all A's before all B's, then
-    lexicographic on (set, var, shift) for A and (set, shift) for B.  It is
-    the atom without its guard, so atoms sort as plain tuples."""
-    return u[:-1]
-
-
 def succ_sub(u: SubLevel, n: int) -> SubLevel:
     """`u` with its shift raised by the natural n."""
     if u[0]:
@@ -187,8 +162,8 @@ def subst_sub(u: SubLevel, y: VarId, n: int) -> SubLevel | None:
     return _sub_a(rest, u[2], u[3], guard)
 
 
-def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
-    """The two atoms whose max is equivalent to imax(u, v).
+def imax_sub(u: SubLevel, v: SubLevel) -> SubLevel:
+    """`u` under `v`'s guard set, the atom whose max with v is imax(u, v).
 
     imax(u, v) == max(u[E union F], v) where E is u's set and F is v's set:
     when some variable of F is 0 both sides are 0, and otherwise v is at
@@ -196,16 +171,15 @@ def imax_sub_pair(u: SubLevel, v: SubLevel) -> tuple[SubLevel, SubLevel]:
     guard variables from F never fire.
     """
     if v[-1] <= u[-1]:
-        return u, v
+        return u
     guard = u[-1] | v[-1]
     merged = tuple(sorted(guard))
     if u[0]:
-        return _sub_b(merged, u[2], guard), v
-    return _sub_a(merged, u[2], u[3], guard), v
+        return _sub_b(merged, u[2], guard)
+    return _sub_a(merged, u[2], u[3], guard)
 
 
 __all__ = [
     "VarSet", "SubA", "SubB", "SubLevel",
-    "set_union", "set_subset", "set_delete",
-    "eval_sub", "leq_sub", "sub_key", "succ_sub", "subst_sub", "imax_sub_pair",
+    "set_delete", "eval_sub", "leq_sub", "succ_sub", "subst_sub", "imax_sub",
 ]

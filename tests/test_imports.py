@@ -8,6 +8,9 @@ A package must not bind a submodule's name to anything but that submodule:
 ``import levelcanon.normalize as m`` and dotted ``monkeypatch`` paths look the
 name up on the package.
 
+The public names of the package and of `levelcanon.sublevels` are pinned
+against literal lists, so that adding or removing one shows up as a diff.
+
 Beside them, a recursion check: no function in the modules that walk or read
 levels calls itself by name.  Those walks go through ``levels.fold_level``,
 which keeps its own stack, and the parser keeps a stack of the open nodes, so
@@ -23,6 +26,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import levelcanon
@@ -112,3 +116,24 @@ def test_cli_import_leaves_the_harness_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: which of them are package attributes depends
+    # on what the process has imported so far
+    names = sorted(name for name in dir(levelcanon) if not name.startswith("_")
+                   and not isinstance(getattr(levelcanon, name), types.ModuleType))
+    assert names == [
+        "IMax", "Level", "Max", "NameTable", "ParseError", "Repr", "ReprInvariantError",
+        "SubA", "SubB", "SubLevel", "Succ", "UnboundVariableError", "Valuation", "Var",
+        "VarId", "VarSet", "ZERO", "Zero", "const_depth", "default_grid_bound", "eq_repr",
+        "eval_level", "eval_repr", "eval_sub", "export_framework", "find_counterexample_leq",
+        "fold_level", "imax_nat", "imax_repr", "imax_sub", "insert_sub", "leq_repr",
+        "leq_sub", "level_size", "level_vars", "max_repr", "parse_level", "print_level",
+        "print_repr", "print_repr_json", "repr_var", "repr_zero", "set_delete",
+        "subst_repr", "succ_repr", "succ_sub",
+    ]
+    assert levelcanon.sublevels.__all__ == [
+        "VarSet", "SubA", "SubB", "SubLevel",
+        "set_delete", "eval_sub", "leq_sub", "succ_sub", "subst_sub", "imax_sub",
+    ]

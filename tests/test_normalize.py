@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import hypothesis.strategies as st
@@ -32,6 +34,52 @@ def test_repr_validates_its_invariants():
     with pytest.raises(ReprInvariantError):
         Repr((SubA((0,), 0, 0), SubA((0,), 0, 1)))  # comparable pair
     Repr((SubA((0,), 0, 0), SubA((1,), 1, 0)))
+
+
+def test_repr_invariant_messages():
+    with pytest.raises(ReprInvariantError) as err:
+        Repr((SubB((), 1), SubA((0,), 0, 0)))
+    assert str(err.value) == (
+        "atoms not strictly sorted: (SubB(varset=(), shift=1), SubA(varset=(0,), var=0, shift=0))")
+    with pytest.raises(ReprInvariantError) as err:
+        Repr((SubA((0,), 0, 0), SubA((0, 1), 0, 0)))
+    assert str(err.value) == ("comparable atoms SubA(varset=(0,), var=0, shift=0) "
+                              "and SubA(varset=(0, 1), var=0, shift=0)")
+    with pytest.raises(ReprInvariantError, match="^atoms not strictly sorted: "):
+        Repr((SubB((), 1), SubB((), 1)))  # a repeated atom is not strictly sorted
+
+
+def test_repr_surface():
+    r = normalize(Max(Succ(x), IMax(y, x)))
+    assert repr(r) == ("Repr(atoms=(SubA(varset=(0,), var=0, shift=1), "
+                       "SubA(varset=(0, 1), var=1, shift=0), SubB(varset=(), shift=1)))")
+    assert repr(repr_zero()) == "Repr(atoms=())"
+    assert type(r.atoms) is tuple and r.atoms == tuple(r) and len(r) == len(r.atoms) == 3
+    assert r == r.atoms and hash(r) == hash(r.atoms) and Repr(r.atoms) == r
+    for name in ("atoms", "extra", "__dict__"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, ())
+    match r:
+        case Repr(atoms):
+            assert atoms == r.atoms and type(atoms) is tuple
+        case _:
+            pytest.fail("Repr pattern did not match")
+    for image in (copy.deepcopy(r), pickle.loads(pickle.dumps(r)), copy.copy(r)):
+        assert image == r and type(image) is Repr
+
+
+def test_repr_unpickling_is_checked():
+    # pickle rebuilds a Repr through its checked constructor, under every
+    # protocol: turning each int 1 into 0 makes the second atom a copy of
+    # the first
+    r = Repr((SubA((0,), 0, 0), SubA((1,), 1, 0)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(r, protocol)
+        assert pickle.loads(data) == r
+        bad = data.replace(b"K\x01", b"K\x00").replace(b"I1\n", b"I0\n")
+        assert bad != data
+        with pytest.raises(ReprInvariantError, match="^atoms not strictly sorted: "):
+            pickle.loads(bad)
 
 
 def test_repr_zero():

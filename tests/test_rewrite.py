@@ -358,7 +358,7 @@ def test_position_scans_follow_the_reference_order(rules):
         # spine are entered as they are built, beside the stale entries
         spine, redex = index.nth(term, j % n, postorder=False)
         build, bindings, _ = index.entries[id(redex)][0]
-        stepped = index.replace(spine, redex, build(index.mk, *bindings))
+        stepped = index.replace(spine, build(index.mk, *bindings))
         _check_index(index, stepped, rules)
         index.sweep(stepped)
         assert set(index.entries) == {id(node) for node in _subterms(stepped)}

@@ -8,38 +8,18 @@ from itertools import product
 import pytest
 
 from levelcanon import (
-    Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub_pair, leq_sub, set_delete,
-    set_subset, set_union, succ_sub,
+    Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub, leq_sub, set_delete, succ_sub,
 )
 from levelcanon.harness import enumerate_sublevels
 from levelcanon.levels import valuations_on
 from levelcanon.normalize import normalize
-from levelcanon.sublevels import sub_key, subst_sub
+from levelcanon.sublevels import subst_sub
 
 
 def _rebuilt(atom):
     """`atom` built again through its checked constructor, which raises on
     an atom that breaks the restrictions."""
     return type(atom)(*(getattr(atom, name) for name in atom.__match_args__))
-
-
-def test_set_insert():
-    # insertion is union with a singleton
-    assert set_union((), (0,)) == (0,)
-    assert set_union((0,), (0,)) == (0,)
-    assert set_union((0, 2), (1,)) == (0, 1, 2)
-
-
-def test_set_union():
-    assert set_union((), (1,)) == (1,)
-    assert set_union((0,), (0, 1)) == (0, 1)
-    assert set_union((0,), (1,)) == (0, 1)
-
-
-def test_set_subset():
-    assert set_subset((), (0,))
-    assert not set_subset((0, 1), (0,))
-    assert set_subset((0,), (0,))
 
 
 def test_set_delete():
@@ -112,8 +92,16 @@ def test_atom_surface():
     assert a != SubA((0, 2), 2, 2) and SubB((0,), 1) != SubB((1,), 1)
     assert _rebuilt(a) == a and hash(_rebuilt(b)) == hash(b)
     for atom in (a, b):
-        for image in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+        images = [copy.deepcopy(atom)] + [pickle.loads(pickle.dumps(atom, protocol))
+                                           for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for image in images:
             assert image == atom and type(image) is type(atom)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        # unpickling goes through the checked constructor: shift 1 -> 0
+        data = pickle.dumps(SubB((), 1), protocol)
+        bad = data.replace(b"K\x01", b"K\x00").replace(b"I1\n", b"I0\n")
+        with pytest.raises(ValueError, match="^B-atom shift must be at least 1$"):
+            pickle.loads(bad)
 
 
 def test_a_huge_variable_id_normalizes_in_milliseconds():
@@ -137,18 +125,27 @@ def test_leq_sub_theorem_cases():
     assert leq_sub(SubA((0, 1), 0, 0), SubA((0,), 0, 1))          # case 4
 
 
-# the storage order on atoms is tuple order on their sub_key
+def _storage_key(u):
+    """The storage order spelled out: A's before B's, then (set, var, shift)
+    for A and (set, shift) for B."""
+    return (0, u.varset, u.var, u.shift) if isinstance(u, SubA) else (1, u.varset, u.shift)
+
+
+# the storage order on atoms is their order as plain tuples
 def test_ord_sub():
-    assert sub_key(SubA((1,), 1, 7)) < sub_key(SubB((), 1))  # A's before B's
-    assert sub_key(SubA((0,), 0, 0)) < sub_key(SubA((0,), 0, 1))
-    assert sub_key(SubB((0,), 2)) == sub_key(SubB((0,), 2))
+    assert tuple(SubA((1,), 1, 7)) < tuple(SubB((), 1))  # A's before B's
+    assert tuple(SubA((0,), 0, 0)) < tuple(SubA((0,), 0, 1))
+    assert tuple(SubA((0,), 0, 5)) < tuple(SubA((0, 1), 0, 0))  # set before shift
+    assert tuple(SubB((), 9)) < tuple(SubB((0,), 1))
+    assert tuple(SubB((0,), 2)) == tuple(SubB((0,), 2))
 
 
 def test_ord_sub_total_order_exhaustive():
     atoms = enumerate_sublevels(2, 2)
     assert len(atoms) == 20
     for u, v in product(atoms, repeat=2):
-        assert (sub_key(u) == sub_key(v)) == (u == v)
+        assert (tuple(u) == tuple(v)) == (u == v) == (_storage_key(u) == _storage_key(v))
+        assert (tuple(u) < tuple(v)) == (_storage_key(u) < _storage_key(v))
 
 
 def test_leq_sub_antisymmetry_is_syntactic_equality():
@@ -196,21 +193,18 @@ def test_subst_sub_semantics_exhaustive():
                     assert value == eval_sub(u, {**sigma, y: n}), (u, y, n, sigma)
 
 
-def test_imax_sub_pair():
-    assert imax_sub_pair(SubA((0,), 0, 0), SubA((1,), 1, 0)) == (
-        SubA((0, 1), 0, 0), SubA((1,), 1, 0))
-    assert imax_sub_pair(SubB((0,), 1), SubB((1,), 2)) == (
-        SubB((0, 1), 1), SubB((1,), 2))
-    assert imax_sub_pair(SubA((0,), 0, 2), SubA((0,), 0, 2)) == (
-        SubA((0,), 0, 2), SubA((0,), 0, 2))
+def test_imax_sub():
+    assert imax_sub(SubA((0,), 0, 0), SubA((1,), 1, 0)) == SubA((0, 1), 0, 0)
+    assert imax_sub(SubB((0,), 1), SubB((1,), 2)) == SubB((0, 1), 1)
+    assert imax_sub(SubA((0,), 0, 2), SubA((0,), 0, 2)) == SubA((0,), 0, 2)
 
 
-def test_imax_sub_pair_semantics_exhaustive():
+def test_imax_sub_semantics_exhaustive():
     atoms = enumerate_sublevels(2, 1)
     grid = list(valuations_on((0, 1), 3))
     for u, v in product(atoms, repeat=2):
-        a, b = imax_sub_pair(u, v)
+        a = imax_sub(u, v)
         assert _rebuilt(a) == a
         for sigma in grid:
             expected = imax_nat(eval_sub(u, sigma), eval_sub(v, sigma))
-            assert max(eval_sub(a, sigma), eval_sub(b, sigma)) == expected
+            assert max(eval_sub(a, sigma), eval_sub(v, sigma)) == expected
