@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 from operator import add
-from typing import Callable, Iterator, Mapping, Optional, TypeVar
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 VarId = int
 Valuation = Mapping[VarId, int]
@@ -60,15 +60,11 @@ class _Node:
         return level_repr(self)
 
 
-# a node's fields are set here, once; its own __setattr__ refuses any later
-_init = object.__setattr__
-
-
 class Zero(_Node):
     __slots__ = ()
 
     def __init__(self):
-        _init(self, "_hash", hash(Zero))
+        _set_hash(self, hash(Zero))
 
 
 class Succ(_Node):
@@ -76,12 +72,12 @@ class Succ(_Node):
     __match_args__ = ("child",)
 
     def __init__(self, child: "Level"):
-        _init(self, "child", child)
+        _set_child(self, child)
         try:
             h = hash((Succ, child._hash))
         except AttributeError:  # not a level node
             h = hash((Succ, hash(child)))
-        _init(self, "_hash", h)
+        _set_hash(self, h)
 
 
 class _Binary(_Node):
@@ -89,13 +85,13 @@ class _Binary(_Node):
     __match_args__ = ("left", "right")
 
     def __init__(self, left: "Level", right: "Level"):
-        _init(self, "left", left)
-        _init(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
         try:
             h = hash((type(self), left._hash, right._hash))
         except AttributeError:  # a side that is not a level node
             h = hash((type(self), hash(left), hash(right)))
-        _init(self, "_hash", h)
+        _set_hash(self, h)
 
 
 class Max(_Binary):
@@ -111,9 +107,16 @@ class Var(_Node):
     __match_args__ = ("vid",)
 
     def __init__(self, vid: VarId):
-        _init(self, "vid", vid)
-        _init(self, "_hash", hash((Var, vid)))
+        _set_vid(self, vid)
+        _set_hash(self, hash((Var, vid)))
 
+
+# a node's fields are set once, in its __init__, through the slot descriptors
+# bound here; its own __setattr__ refuses any later assignment
+_set_hash = _Node._hash.__set__
+_set_child = Succ.child.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_vid = Var.vid.__set__
 
 Level = Zero | Succ | Max | IMax | Var
 
@@ -182,13 +185,32 @@ def fold_level(t: Level, zero: T, var: Callable[[VarId], T], succ: Callable[[T, 
     return values[0]
 
 
-def eval_level(t: Level, sigma: Valuation) -> int:
-    """Value of `t` under `sigma`.  Raises UnboundVariableError."""
-    def var(vid: VarId) -> int:
+def _column_succ(column: list[int], n: int) -> list[int]:
+    return [v + n for v in column]
+
+
+def _column_max(a: list[int], b: list[int]) -> list[int]:
+    return [i if i > j else j for i, j in zip(a, b)]
+
+
+def _column_imax(a: list[int], b: list[int]) -> list[int]:
+    return [0 if j == 0 else i if i > j else j for i, j in zip(a, b)]
+
+
+def eval_level(t: Level, sigma: Valuation, width: Optional[int] = None) -> int | Sequence[int]:
+    """Value of `t` under `sigma`.  Raises UnboundVariableError.
+
+    With a `width`, `sigma` maps each variable to a column of `width`
+    values, one per point, and the result is the column of `t`'s values at
+    those points: one fold for all of them.
+    """
+    def var(vid: VarId):
         if vid not in sigma:
             raise UnboundVariableError(vid)
         return sigma[vid]
-    return fold_level(t, 0, var, add, max, imax_nat)
+    if width is None:
+        return fold_level(t, 0, var, add, max, imax_nat)
+    return fold_level(t, [0] * width, var, _column_succ, _column_max, _column_imax)
 
 
 def level_vars(t: Level) -> frozenset[VarId]:
@@ -233,18 +255,6 @@ def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, i
 GRID_BLOCK = 64
 
 
-def _column_succ(column: list[int], n: int) -> list[int]:
-    return [v + n for v in column]
-
-
-def _column_max(a: list[int], b: list[int]) -> list[int]:
-    return [i if i > j else j for i, j in zip(a, b)]
-
-
-def _column_imax(a: list[int], b: list[int]) -> list[int]:
-    return [0 if j == 0 else i if i > j else j for i, j in zip(a, b)]
-
-
 def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
     """Search the {0..bound} grid for a valuation with value(t1) > value(t2).
 
@@ -259,9 +269,7 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     # one entry per point; most witnesses lie in the first block
     while block := list(islice(points, GRID_BLOCK)):
         columns = dict(zip(vids, zip(*block)))
-        zeros = [0] * len(block)
-        lhs, rhs = (fold_level(t, zeros, columns.__getitem__, _column_succ, _column_max,
-                               _column_imax) for t in (t1, t2))
+        lhs, rhs = (eval_level(t, columns, len(block)) for t in (t1, t2))
         for point, a, b in zip(block, lhs, rhs):
             if a > b:
                 return dict(zip(vids, point))

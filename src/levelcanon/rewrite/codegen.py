@@ -1,0 +1,195 @@
+"""Python source generated from a rule set, and compiled: the matchers of the
+positional strategies and the innermost evaluator (`RuleSet.matchers` and
+`RuleSet.evaluator`).
+
+Imported on a rule set's first reduction, so a process that reduces nothing
+does not load it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from .terms import PVAR_HEAD, RTerm, RewriteRule
+
+
+def _kids(head: str, rules: list[RewriteRule]) -> list[str]:
+    """Parameter names k0, k1, ... for the arguments of `head`, whose rules
+    must all take one number of them."""
+    arity = len(rules[0].lhs) - 1
+    if any(len(rule.lhs) - 1 != arity for rule in rules):
+        raise ValueError(f"the rules of {head!r} take different numbers of arguments")
+    return [f"k{i}" for i in range(arity)]
+
+
+def _left_sides(rules: list[RewriteRule], kids: list[str]):
+    """Each rule in order with the tests under which arguments `kids` match
+    its left side and the source of each of its variables, up to the first
+    rule that matches every argument (later ones can never fire)."""
+    for rule in rules:
+        tests: list[str] = []
+        binds: dict[str, str] = {}
+        for pat, src in zip(rule.lhs[1:], kids):
+            _compile_pattern(pat, src, tests, binds)
+        yield rule, tests, binds
+        if not tests:
+            return
+
+
+def _items(exprs) -> str:
+    return "".join(e + ", " for e in exprs)
+
+
+def compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callable]:
+    # Rule text reaches the generated source only as repr() literals; pattern
+    # variables become the positional names v0, v1, ... and the rules
+    # themselves are passed in by name (r<j>), never printed.
+    namespace: dict[str, object] = {}
+    builds: list[str] = []
+    matchers: list[str] = []
+    for h, (head, rules) in enumerate(by_head.items()):
+        kids = _kids(head, rules)
+        matchers.append(f"def m{h}(kids):")
+        if kids:
+            matchers.append(f"    {_items(kids)}= kids")
+        for rule, tests, binds in _left_sides(rules, kids):
+            j = len(namespace)
+            namespace[f"r{j}"] = rule
+            params = dict(zip(binds, (f"v{i}" for i in range(len(binds)))))
+            builds.append(f"def b{j}(mk, {_items(params.values())}):")
+            builds.append(f"    return {_compile_template(rule.rhs, params, _mk_node)}")
+            matchers.append(f"    if {' and '.join(tests) or 'True'}:")
+            matchers.append(f"        return b{j}, ({_items(binds.values())}), r{j}")
+    exec(compile("\n".join(builds + matchers), "<compiled rules>", "exec"), namespace)
+    return {head: namespace[f"m{h}"] for h, head in enumerate(by_head)}
+
+
+def _mk_node(head: str, kids: list[str]) -> str:
+    return f"mk({head!r}, ({_items(kids)}))"
+
+
+# One evaluation's state and the code that every symbol's function shares;
+# the generated functions are nested in `evaluation`, so each evaluation has
+# its own memo and step count.
+_EVALUATION = """\
+def evaluation(budget, exceeded):
+    memo = {}
+    get = memo.get
+    steps = 0
+
+    def replay(hit):
+        nonlocal steps
+        result, cost = hit
+        if steps + cost > budget:
+            steps = budget
+            raise exceeded
+        steps += cost
+        return result
+
+    def tick():
+        nonlocal steps
+        if steps >= budget:
+            raise exceeded
+        steps += 1
+
+    def count():
+        return steps
+
+    def apply(head, kids):
+        defined = calls(head)
+        if defined is not None:
+            return defined(*kids)
+        key = (head, *map(id, kids))
+        hit = get(key)
+        if hit is None:
+            hit = memo[key] = ((head, *kids), 0)
+        return hit[0]
+"""
+
+
+def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
+    # One function per defined head (f<h>), one per constructor arity (c<n>,
+    # the head its first argument), and one value per nullary constructor
+    # that a right side builds (n<i>, made once per evaluation).  Symbol text
+    # reaches the source only as repr() literals, and a pattern variable is
+    # its source expression in the arguments, such as k1[2].
+    defined = {head: f"f{h}" for h, head in enumerate(by_head)}
+    arities: set[int] = set()
+    nullary: dict[str, str] = {}
+
+    def node(head: str, kids: list[str]) -> str:
+        if head in defined:
+            return f"{defined[head]}({', '.join(kids)})"
+        arities.add(len(kids))
+        if not kids:
+            return nullary.setdefault(head, f"n{len(nullary)}")
+        return f"c{len(kids)}({head!r}, {_items(kids)})"
+
+    def lookup(head: str, kids: list[str]) -> str:
+        return f"        hit = get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
+
+    lines = [_EVALUATION]
+    for head, rules in by_head.items():
+        kids = _kids(head, rules)
+        lines += [f"    def {defined[head]}({', '.join(kids)}):",
+                  lookup(repr(head), kids),
+                  "        if hit:",
+                  "            return replay(hit)",
+                  "        start = steps"]
+        branch = "if"
+        for rule, tests, binds in _left_sides(rules, kids):
+            lines += [f"        {branch} {' and '.join(tests) or 'True'}:",
+                      "            tick()",
+                      f"            result = {_compile_template(rule.rhs, binds, node)}"]
+            branch = "elif"
+        if tests:  # arguments that no rule matches make a normal form
+            lines += ["        else:",
+                      f"            result = ({head!r}, {_items(kids)})"]
+        lines += ["        memo[key] = result, steps - start",
+                  "        return result"]
+    for arity in arities:
+        kids = [f"k{i}" for i in range(arity)]
+        lines += [f"    def c{arity}(head, {_items(kids)}):",
+                  lookup("head", kids),
+                  "        if hit is None:",
+                  f"            hit = memo[key] = ((head, {_items(kids)}), 0)",
+                  "        return hit[0]"]
+    lines += [f"    {name} = c0({head!r})" for head, name in nullary.items()]
+    calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
+    # close() drops the memo and the functions, which refer to one another
+    released = ["calls", *defined.values(), *(f"c{arity}" for arity in arities)]
+    lines += [f"    calls = {{{calls}}}.get",
+              "    def close():",
+              f"        nonlocal {', '.join(released)}",
+              "        memo.clear()",
+              f"        {' = '.join(released)} = None",
+              "    return apply, count, close"]
+    namespace: dict[str, object] = {}
+    exec(compile("\n".join(lines), "<compiled evaluator>", "exec"), namespace)
+    return namespace["evaluation"]
+
+
+def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:
+    """Append to `tests` the conditions under which the term at expression
+    `src` matches `pat`, and record in `binds` each new variable's source."""
+    if pat[0] == PVAR_HEAD:
+        if pat[1] in binds:
+            tests.append(f"{src} == {binds[pat[1]]}")
+        else:
+            binds[pat[1]] = src
+        return
+    if len(pat) == 1:
+        tests.append(f"{src} == {pat!r}")
+        return
+    tests.append(f"len({src}) == {len(pat)} and {src}[0] == {pat[0]!r}")
+    for i, child in enumerate(pat[1:], 1):
+        _compile_pattern(child, f"{src}[{i}]", tests, binds)
+
+
+def _compile_template(tmpl: RTerm, names: dict[str, str],
+                      node: Callable[[str, list[str]], str]) -> str:
+    """The expression that builds `tmpl`: a pattern variable is its
+    expression in `names`, and a node is ``node(head, argument expressions)``."""
+    if tmpl[0] == PVAR_HEAD:
+        return names[tmpl[1]]
+    return node(tmpl[0], [_compile_template(c, names, node) for c in tmpl[1:]])

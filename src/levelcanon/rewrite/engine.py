@@ -7,18 +7,23 @@ Three redex-selection strategies are supported:
   * ``random``     — a seeded uniform choice among all redex positions.
 
 The rule set is constructor-based and orthogonal, so all strategies reach the
-same normal form.  Every strategy dispatches through the rule set's compiled
-matchers (`RuleSet.matchers`): one generated function per defined head tests
-its rules' left sides in order, and the matched rule's generated builder
-instantiates the right side.  Innermost builds through its memoized
-evaluator, which reduces each fresh node as it is made.  The positional loop
-(outermost, random, and innermost with a trace) keeps one redex index over
-the current term: each node's match and the number of redexes in its
-subterm, recorded once, when the node is built.  Outermost takes the first
-redex in preorder, random a seeded uniform draw among them in preorder, and
-traced innermost the first in postorder; each choice walks one path down by
-the counts, and the step applies the recorded match.  Step counts are exact
-rule applications under tree semantics (no sharing).
+same normal form.  Untraced innermost runs the rule set's compiled evaluator
+(`RuleSet.evaluator`): one generated function per defined symbol, called
+with the normal forms of its arguments.  It tests the symbol's rules' left
+sides in order and builds the matched right side as nested calls of the
+generated functions, so each fresh node is reduced as it is made, and
+constructor nodes are hash-consed (one generated function per number of
+arguments).  The positional loop
+(outermost, random, and innermost with a trace) dispatches through the
+compiled matchers (`RuleSet.matchers`) instead: one generated function per
+defined head returns the first matching rule with its bindings, and the
+rule's generated builder instantiates the right side.  The loop keeps one
+redex index over the current term: each node's match and the number of
+redexes in its subterm, recorded once, when the node is built.  Outermost
+takes the first redex in preorder, random a seeded uniform draw among them
+in preorder, and traced innermost the first in postorder; each choice walks
+one path down by the counts, and the step applies the recorded match.  Step
+counts are exact rule applications under tree semantics (no sharing).
 
 The innermost evaluator is memoized within each call: the normal form of
 ``f(args)`` depends only on ``f`` and the normal forms of ``args``, so each
@@ -72,10 +77,12 @@ def reduce(
         raise ValueError("budget must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    matchers = rules.matchers()  # rejects a head whose rules differ in arity
-    _check_input(term, rules.by_head)
     if strategy == "innermost" and trace is None:
-        return _reduce_innermost(term, matchers, budget)
+        evaluator = rules.evaluator()  # rejects a head whose rules differ in arity
+        _check_input(term, rules.by_head)
+        return _reduce_innermost(term, evaluator, budget)
+    matchers = rules.matchers()  # likewise
+    _check_input(term, rules.by_head)
     return _reduce_positional(term, matchers, strategy, budget, seed, trace)
 
 
@@ -96,59 +103,35 @@ def _check_input(term: RTerm, by_head) -> None:
         stack.extend(node[1:])
 
 
-def _reduce_innermost(term: RTerm, matchers, budget: int) -> ReductionReport:
-    get_matcher = matchers.get
-    steps = 0
-    # (head, *ids of normal kids) -> (normal form, tree steps it took).  Every
-    # kid is a value held here (or inside one), so its id stays valid, and
-    # equal normal forms are one object.
-    memo: dict[tuple, tuple[RTerm, int]] = {}
+def _reduce_innermost(term: RTerm, evaluator, budget: int) -> ReductionReport:
+    apply, count, close = evaluator(budget, _BudgetExceeded)
     # rewrite chains nest one Python frame per step at a given position;
     # only ever raise the limit so parallel reductions cannot interfere
     if sys.getrecursionlimit() < 100_000:
         sys.setrecursionlimit(100_000)
-
-    def rewrite_head(head: str, kids: tuple) -> RTerm:
-        nonlocal steps
-        key = (head, *map(id, kids))
-        hit = memo.get(key)
-        if hit is not None:
-            result, cost = hit
-            if steps + cost > budget:
-                steps = budget  # where re-running the call would have stopped
-                raise _BudgetExceeded
-            steps += cost
-            return result
-        start = steps
-        matcher = get_matcher(head)
-        found = matcher(kids) if matcher is not None else None
-        if found is None:
-            result = (head, *kids)
-        else:
-            if steps >= budget:
-                raise _BudgetExceeded
-            steps += 1
-            # bound subterms are already normal; the builder hands every
-            # fresh node to rewrite_head, which reduces it on the spot
-            build, bindings, _ = found
-            result = build(rewrite_head, *bindings)
-        memo[key] = (result, steps - start)
-        return result
-
-    def nf(t: RTerm) -> RTerm:
-        if len(t) == 1:
-            return rewrite_head(t[0], ())
-        return rewrite_head(t[0], tuple(nf(c) for c in t[1:]))
-
+    # the input in preorder with the last argument first; reversed, that is
+    # the post-order, left to right, in which each node is applied to the
+    # normal forms of its arguments
+    order = []
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node[1:]
+    values: list[RTerm] = []
     try:
-        result = nf(term)
-        return ReductionReport(result, steps, False)
+        for node in reversed(order):
+            split = len(values) + 1 - len(node)
+            kids = tuple(values[split:])
+            del values[split:]
+            values.append(apply(node[0], kids))
+        return ReductionReport(values[0], count(), False)
     except _BudgetExceeded:
-        return ReductionReport(term, steps, True)
+        return ReductionReport(term, count(), True)
     finally:
-        # the closures above form a reference cycle; without this the memo
-        # would live on until a full garbage collection
-        memo.clear()
+        # the generated functions refer to one another; without this the
+        # memo would live on until the collector frees the cycle
+        close()
 
 
 class _RedexIndex:

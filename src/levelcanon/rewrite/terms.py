@@ -147,8 +147,10 @@ class RewriteRule:
 
 class RuleSet(tuple):
     """Rewrite rules in emission order, plus `by_head`: the rules of each
-    left-hand-side head symbol (the defined symbols), in the same order, and
-    `matchers()`: those rules compiled, once per rule set."""
+    left-hand-side head symbol (the defined symbols), in the same order.
+    The rules compile two ways, each on first use and once per rule set:
+    `matchers()` for the positional strategies, `evaluator()` for innermost
+    reduction."""
 
     by_head: dict[str, list[RewriteRule]]
 
@@ -157,7 +159,7 @@ class RuleSet(tuple):
         self.by_head = {}
         for rule in self:
             self.by_head.setdefault(rule.lhs[0], []).append(rule)
-        self._matchers = None
+        self._matchers = self._evaluator = None
         return self
 
     def matchers(self) -> dict[str, Callable]:
@@ -174,67 +176,33 @@ class RuleSet(tuple):
         calling ``mk(head, kids)`` for every node it constructs.
         """
         if self._matchers is None:
-            self._matchers = _compile_matchers(self.by_head)
+            from .codegen import compile_matchers
+            self._matchers = compile_matchers(self.by_head)
         return self._matchers
 
+    def evaluator(self) -> Callable:
+        """The compiled innermost evaluator, built on first use and kept on
+        this rule set.
 
-def _compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callable]:
-    # Rule text reaches the generated source only as repr() literals; pattern
-    # variables become the positional names v0, v1, ... and the rules
-    # themselves are passed in by name (r<j>), never printed.
-    namespace: dict[str, object] = {}
-    builds: list[str] = []
-    matchers: list[str] = []
-    for h, (head, rules) in enumerate(by_head.items()):
-        arity = len(rules[0].lhs) - 1
-        if any(len(rule.lhs) - 1 != arity for rule in rules):
-            raise ValueError(f"the rules of {head!r} take different numbers of arguments")
-        kids = [f"k{i}" for i in range(arity)]
-        matchers.append(f"def m{h}(kids):")
-        if kids:
-            matchers.append(f"    {', '.join(kids)}, = kids")
-        for rule in rules:
-            j = len(namespace)
-            namespace[f"r{j}"] = rule
-            tests: list[str] = []
-            binds: dict[str, str] = {}
-            for pat, src in zip(rule.lhs[1:], kids):
-                _compile_pattern(pat, src, tests, binds)
-            params = dict(zip(binds, (f"v{i}" for i in range(len(binds)))))
-            builds.append(f"def b{j}(mk, {''.join(v + ', ' for v in params.values())}):")
-            builds.append(f"    return {_compile_template(rule.rhs, params)}")
-            found = f"return b{j}, ({''.join(s + ', ' for s in binds.values())}), r{j}"
-            if not tests:
-                matchers.append(f"    {found}")
-                break  # later rules of this head can never fire
-            matchers.append(f"    if {' and '.join(tests)}:")
-            matchers.append(f"        {found}")
-    exec(compile("\n".join(builds + matchers), "<compiled rules>", "exec"), namespace)
-    return {head: namespace[f"m{h}"] for h, head in enumerate(by_head)}
-
-
-def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:
-    """Append to `tests` the conditions under which the term at expression
-    `src` matches `pat`, and record in `binds` each new variable's source."""
-    if pat[0] == PVAR_HEAD:
-        if pat[1] in binds:
-            tests.append(f"{src} == {binds[pat[1]]}")
-        else:
-            binds[pat[1]] = src
-        return
-    if len(pat) == 1:
-        tests.append(f"{src} == {pat!r}")
-        return
-    tests.append(f"len({src}) == {len(pat)} and {src}[0] == {pat[0]!r}")
-    for i, child in enumerate(pat[1:], 1):
-        _compile_pattern(child, f"{src}[{i}]", tests, binds)
-
-
-def _compile_template(tmpl: RTerm, names: dict[str, str]) -> str:
-    if tmpl[0] == PVAR_HEAD:
-        return names[tmpl[1]]
-    kids = "".join(_compile_template(c, names) + ", " for c in tmpl[1:])
-    return f"mk({tmpl[0]!r}, ({kids}))"
+        ``evaluator()(budget, exceeded)`` starts one evaluation and returns
+        ``(apply, count, close)``.  ``apply(head, kids)`` is the normal form
+        of a `head` node whose arguments are normal forms made by this
+        evaluation.  A defined head's generated function tests its rules'
+        left sides in order, with `match_args`' semantics, and builds the
+        first match's right side as nested calls of the generated functions
+        of its nodes, so what it builds is normal; every other node is
+        hash-consed.  A rule application is one step, ``count()`` the steps
+        taken, and a step past `budget` raises `exceeded`.  The evaluation's
+        memo maps ``(head, *ids of normal kids)`` to ``(normal form, steps
+        it took)``; a repeated call replays its steps, and one that would
+        cross the budget raises with ``count() == budget``, where re-running
+        it would have stopped.  ``close()`` ends the evaluation and frees
+        its memo.
+        """
+        if self._evaluator is None:
+            from .codegen import compile_evaluator
+            self._evaluator = compile_evaluator(self.by_head)
+        return self._evaluator
 
 
 class SortError(ValueError):

@@ -7,12 +7,12 @@ from levelcanon import (
     level_size, level_vars,
 )
 from levelcanon import harness
-from levelcanon.normalize import normalize
+from levelcanon.normalize import eval_repr, normalize
 from levelcanon.harness import (
     DiffReport, Failure, GenConfig, differential_case, enumerate_sublevels,
     exhaustive_sublevel_suite, gen_level, run_fuzz,
 )
-from levelcanon.printer import level_repr
+from levelcanon.printer import level_repr, print_level
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -95,6 +95,35 @@ def test_failures_name_the_levels_and_the_witness(monkeypatch):
     monkeypatch.setattr(harness, "leq_repr", lambda a, b: False)
     assert differential_case(Max(x, Max(y, z))) == Failure(
         "imax(imax(x0, 0), x1)", "max(x0, max(x1, x2))", "compare", None)
+
+
+def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):
+    # a representation evaluator that is wrong only where the values sum to
+    # 2 mod 3: the Failure names the first such valuation the harness tries,
+    # and it tries no valuation after it
+    tried = []
+
+    def skewed(r, sigma):
+        tried.append(dict(sigma))
+        return eval_repr(r, sigma) + (sum(sigma.values()) % 3 == 2)
+
+    monkeypatch.setattr(harness, "eval_repr", skewed)
+    cfg = GenConfig(seed=3, max_size=12)
+    later = 0
+    for i in range(60):
+        t = gen_level(cfg, i)
+        tried.clear()
+        failure = differential_case(t)
+        if failure is None or failure.phase != "eval":
+            assert all(sum(sigma.values()) % 3 != 2 for sigma in tried[:22])
+            continue
+        assert sum(tried[-1].values()) % 3 == 2
+        assert all(sum(sigma.values()) % 3 != 2 for sigma in tried[:-1])
+        names = harness._names_for(t)
+        assert failure == Failure(print_level(t, names), None, "eval",
+                                  {names.name_of(v): n for v, n in tried[-1].items()})
+        later += len(tried) > 2
+    assert later > 10
 
 
 def test_paper_pair_inequality_detected_by_the_oracle():

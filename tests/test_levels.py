@@ -40,6 +40,17 @@ def test_eval_unbound_variable_names_the_id():
         eval_level(Max(x, y), {0: 1})
     assert err.value.vid == 1
     assert "1" in str(err.value)
+    with pytest.raises(UnboundVariableError):
+        eval_level(Max(x, y), {0: [1, 2]}, 2)
+
+
+@given(level_strategy(max_leaves=6))
+@settings(max_examples=150)
+def test_eval_on_columns_is_eval_at_each_point(t):
+    vids = tuple(sorted(level_vars(t)))
+    points = list(valuations_on(vids, 2))
+    columns = {v: [sigma[v] for sigma in points] for v in vids}
+    assert list(eval_level(t, columns, len(points))) == [eval_level(t, s) for s in points]
 
 
 def test_level_vars():

@@ -14,13 +14,13 @@ from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
-    SIGNATURE, DecodeError, ReductionReport, RewriteRule, RuleSet, app,
+    SIGNATURE, STRATEGIES, DecodeError, ReductionReport, RewriteRule, RuleSet, app,
     builtin_ruleset, check_rule_sorts, decode_repr, default_rules,
     encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
     reduce, rule_dump, sample_confluence, soundness_report, subst_template,
     term_to_str,
 )
-from levelcanon.rewrite import terms
+from levelcanon.rewrite import codegen
 from levelcanon.rewrite.engine import _RedexIndex
 from levelcanon.rewrite.rules import read_rules
 from levelcanon.rewrite.terms import match_args
@@ -187,38 +187,11 @@ def test_reduce_rejects_defined_symbols_of_the_wrong_arity():
             with pytest.raises(ValueError, match="arguments"):
                 reduce(term, RULES, strategy)
     assert reduce(app("not", app("true")), RULES).result == app("false")
-    mixed = RuleSet([RewriteRule(app("f", pvar("x")), pvar("x")),
-                     RewriteRule(app("f", pvar("x"), pvar("y")), pvar("y"))])
-    with pytest.raises(ValueError, match="different numbers of arguments"):
-        reduce(app("zeroN"), mixed)
 
 
 def _unmemoized_innermost(term, rules, budget):
     # a trace callback selects the positional loop, which memoizes nothing
     return reduce(term, rules, budget=budget, trace=lambda *a: None)
-
-
-@pytest.mark.parametrize("rules", [RULES, LITERAL], ids=["default", "paper_literal"])
-def test_memoized_innermost_matches_the_unmemoized_path(rules):
-    # Max(t, t) and IMax(t, Max(t, t)) repeat whole calls, so cache hits
-    # dominate; the budgets stop runs before, inside and after those hits
-    cfg = GenConfig(seed=31, max_size=8)
-    for i in range(20):
-        t = gen_level(cfg, i)
-        for level in (t, Max(t, t), IMax(t, Max(t, t))):
-            term = encode_level(level)
-            full = reduce(term, rules)
-            assert full == _unmemoized_innermost(term, rules, 10**6)
-            n = full.steps
-            for budget in {1, n // 3, n - 1, n, n + 1} - {0}:
-                fast = reduce(term, rules, budget=budget)
-                slow = _unmemoized_innermost(term, rules, budget)
-                assert (fast.steps, fast.budget_exhausted) == \
-                    (slow.steps, slow.budget_exhausted), (level, budget)
-                # an exhausted fast run reports its input; the positional loop
-                # reports where it stopped (neither is a normal form)
-                expected = term if slow.budget_exhausted else slow.result
-                assert fast.result == expected, (level, budget)
 
 
 # A hand-made rule set whose symbol and variable names would break generated
@@ -256,6 +229,48 @@ def _hand_term(rng, depth):
     if depth == 0 and n:
         return app(_Z)
     return app(head, *(_hand_term(rng, depth - 1) for _ in range(n)))
+
+
+def _repeating_terms(rules):
+    """(term, k) pairs: a term u with the k steps it takes alone, and terms
+    that repeat u.  Every call in a later copy of u replays a call of the
+    first, so a budget between k and 2k stops inside a replayed hit."""
+    if rules is HAND:
+        rng = random.Random(11)
+        for _ in range(40):
+            u = _hand_term(rng, 4)
+            k = reduce(u, HAND).steps
+            for term in (u, app(_PAIR, u, u), app(_DEF, u, app(_PAIR, u, u))):
+                yield term, k
+        return
+    cfg = GenConfig(seed=31, max_size=8)
+    for i in range(20):
+        t = gen_level(cfg, i)
+        k = reduce(encode_level(t), rules).steps
+        for level in (t, Max(t, t), IMax(t, Max(t, t))):
+            yield encode_level(level), k
+
+
+@pytest.mark.parametrize("rules", [RULES, LITERAL, HAND], ids=["default", "paper_literal", "hand"])
+def test_memoized_innermost_matches_the_unmemoized_path(rules):
+    # the budgets stop runs before, inside and after the repeated calls
+    inside_hits = 0
+    for term, k in _repeating_terms(rules):
+        full = reduce(term, rules)
+        assert full == _unmemoized_innermost(term, rules, 10**6)
+        n = full.steps
+        budgets = {1, n // 3, n - 1, n, n + 1, k + 1, k + k // 2, 2 * k - 1}
+        for budget in sorted(b for b in budgets if b > 0):
+            fast = reduce(term, rules, budget=budget)
+            slow = _unmemoized_innermost(term, rules, budget)
+            assert (fast.steps, fast.budget_exhausted) == \
+                (slow.steps, slow.budget_exhausted), (term, budget)
+            # an exhausted fast run reports its input; the positional loop
+            # reports where it stopped (neither is a normal form)
+            expected = term if slow.budget_exhausted else slow.result
+            assert fast.result == expected, (term, budget)
+            inside_hits += k < budget < 2 * k <= n
+    assert inside_hits > 20
 
 
 def _subterms(term):
@@ -411,33 +426,49 @@ def test_compiled_matchers_agree_with_match_args(rules):
 
 
 def test_compiled_matchers_are_built_once_per_rule_set(monkeypatch):
-    built = []
-    compile_matchers = terms._compile_matchers
-
-    def counting(by_head):
-        built.append(by_head)
-        return compile_matchers(by_head)
-
-    monkeypatch.setattr(terms, "_compile_matchers", counting)
-    rules = RuleSet(RULES)
-    assert built == []  # building a rule set compiles nothing
     term = encode_level(Max(x, Succ(y)))
-    assert reduce(term, rules) == reduce(term, RULES)
-    assert reduce(term, rules, "outermost") == reduce(term, RULES, "outermost")
-    assert built == [rules.by_head] and rules.matchers() is rules.matchers()
+    expected = {strategy: reduce(term, RULES, strategy) for strategy in STRATEGIES}
+    built = []
+    for name in ("compile_matchers", "compile_evaluator"):
+        def counting(by_head, name=name, compile_rules=getattr(codegen, name)):
+            built.append(name)
+            return compile_rules(by_head)
+        monkeypatch.setattr(codegen, name, counting)
+    inner, outer = RuleSet(RULES), RuleSet(RULES)
+    assert built == []  # building a rule set compiles nothing
+    # untraced innermost builds the evaluator, once, and no matchers
+    for _ in range(2):
+        assert reduce(term, inner) == expected["innermost"]
+    assert built == ["compile_evaluator"] and inner.evaluator() is inner.evaluator()
+    # the positional loop builds the matchers, once, and no evaluator
+    for strategy in STRATEGIES[1:]:
+        assert reduce(term, outer, strategy) == expected[strategy]
+    assert reduce(term, outer, trace=lambda *a: None) == expected["innermost"]
+    assert built == ["compile_evaluator", "compile_matchers"]
+    assert outer.matchers() is outer.matchers()
     assert RULES.matchers() is not LITERAL.matchers()
     assert RULES.matchers()["succL"] is not LITERAL.matchers()["succL"]
+    assert RULES.evaluator() is not LITERAL.evaluator()
     # the generated functions hang off the rule set alone
-    alive = weakref.ref(rules.matchers()["succL"])
-    del rules
+    alive = [weakref.ref(inner.evaluator()), weakref.ref(outer.matchers()["succL"])]
+    del inner, outer
     gc.collect()
-    assert alive() is None
+    assert [ref() for ref in alive] == [None, None]
+    # both compilers reject a head whose rules differ in arity
+    mixed = RuleSet([RewriteRule(app("f", pvar("x")), pvar("x")),
+                     RewriteRule(app("f", pvar("x"), pvar("y")), pvar("y"))])
+    for strategy in STRATEGIES:
+        with pytest.raises(ValueError, match="different numbers of arguments"):
+            reduce(app("zeroN"), mixed, strategy)
+    with pytest.raises(ValueError, match="different numbers of arguments"):
+        reduce(app("zeroN"), mixed, trace=lambda *a: None)
 
 
 def test_memoized_innermost_frees_its_memo_on_return():
     # the heaviest case of the first 1000 in the fuzz criterion's stream; the
-    # evaluator's closures form a cycle, so with the collector off only an
-    # explicit clear returns the memo's memory (about 1 MB here)
+    # evaluator's generated functions refer to one another, so with the
+    # collector off only closing the evaluation returns the memo's memory
+    # (about 1 MB here)
     term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
     was_enabled = gc.isenabled()
     gc.disable()
