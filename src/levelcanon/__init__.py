@@ -19,6 +19,19 @@ from .normalize import (
 )
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_level, print_repr, print_repr_json
-from .export import export_framework
 
 __version__ = "0.1.0"
+
+
+# `export` loads the rewrite engine, so it is imported on first use: a process
+# that only decides levels never compiles the engine's modules.
+def __getattr__(name: str):
+    if name == "export_framework":
+        from .export import export_framework
+        globals()[name] = export_framework
+        return export_framework
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "export_framework"})

@@ -8,19 +8,40 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from .export import export_framework
 from .levels import UnboundVariableError, const_depth, eval_level
 from .normalize import eq_repr, leq_repr, normalize, subst_repr
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_repr, print_repr_json
-from .rewrite.codec import encode_level
-from .rewrite.engine import STRATEGIES, reduce
-from .rewrite.rules import builtin_ruleset
-from .rewrite.terms import term_to_str
 
 UNARY_WARN_DEPTH = 64
+
+# `rewrite.engine.STRATEGIES`, spelled out so that building the argument
+# parser does not load the engine; a test pins the two equal
+STRATEGIES = ("innermost", "outermost", "random")
+
+# The names that only `rewrite` and `export` use, and the modules they come
+# from.  They are module attributes resolved on first access (`__getattr__`),
+# so a decision command's process never imports the rewrite engine; the two
+# commands call them through `_cli`, this module, so a binding patched on it
+# is the one that runs.
+_LATE = {
+    "export_framework": ".export",
+    "encode_level": ".rewrite.codec",
+    "reduce": ".rewrite.engine",
+    "builtin_ruleset": ".rewrite.rules",
+    "term_to_str": ".rewrite.terms",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LATE[name], __package__), name)
+    return value
 
 
 class UsageError(Exception):
@@ -149,18 +170,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.trace:
             def trace(step, pos, rule):
                 print(f"{step}\t{'.'.join(map(str, pos)) or 'root'}\t{rule}")
-        report = reduce(encode_level(t), builtin_ruleset(args.paper_literal_rules),
-                        args.strategy, args.max_steps, args.seed, trace)
+        report = _cli.reduce(_cli.encode_level(t), _cli.builtin_ruleset(args.paper_literal_rules),
+                             args.strategy, args.max_steps, args.seed, trace)
         if report.budget_exhausted:
             print("warning: step budget exhausted before a normal form",
                   file=sys.stderr)
-        print(term_to_str(report.result))
+        print(_cli.term_to_str(report.result))
         print(f"steps: {report.steps}")
         return 0
 
     if args.command == "export":
         t = parse_level(args.expr, names) if args.expr else None
-        sys.stdout.write(export_framework(t, args.paper_literal_rules))
+        sys.stdout.write(_cli.export_framework(t, args.paper_literal_rules))
         return 0
 
     if args.command == "fuzz":

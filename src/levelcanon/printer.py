@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .levels import Level, fold_level
 from .normalize import Repr
 from .parser import NameTable
@@ -58,6 +56,8 @@ def print_repr(r: Repr, names: NameTable) -> str:
 
 
 def print_repr_json(r: Repr, names: NameTable) -> str:
+    import json  # here, so that only `normalize --json` loads it
+
     atoms = []
     for u in r:
         entry: dict = {"kind": "A" if isinstance(u, SubA) else "B",

@@ -13,13 +13,28 @@ from typing import Callable
 from .terms import PVAR_HEAD, RTerm, RewriteRule
 
 
-def _kids(head: str, rules: list[RewriteRule]) -> list[str]:
-    """Parameter names k0, k1, ... for the arguments of `head`, whose rules
-    must all take one number of them."""
-    arity = len(rules[0].lhs) - 1
-    if any(len(rule.lhs) - 1 != arity for rule in rules):
-        raise ValueError(f"the rules of {head!r} take different numbers of arguments")
-    return [f"k{i}" for i in range(arity)]
+def _kids(by_head: dict[str, list[RewriteRule]]) -> dict[str, list[str]]:
+    """Parameter names k0, k1, ... for the arguments of each defined head.
+    The rules of a head must all take one number of them, and every right
+    side must apply the head to that many; the generated code relies on both."""
+    arity = {}
+    for head, rules in by_head.items():
+        arity[head] = len(rules[0].lhs) - 1
+        if any(len(rule.lhs) - 1 != arity[head] for rule in rules):
+            raise ValueError(f"the rules of {head!r} take different numbers of arguments")
+    for rules in by_head.values():
+        for rule in rules:
+            stack = [rule.rhs]
+            while stack:
+                node = stack.pop()
+                if node[0] == PVAR_HEAD:
+                    continue
+                if node[0] in arity and len(node) - 1 != arity[node[0]]:
+                    raise ValueError(f"the rules of {node[0]!r} take different numbers of "
+                                     f"arguments: {arity[node[0]]} on their left sides, "
+                                     f"{len(node) - 1} in {rule}")
+                stack.extend(node[1:])
+    return {head: [f"k{i}" for i in range(n)] for head, n in arity.items()}
 
 
 def _left_sides(rules: list[RewriteRule], kids: list[str]):
@@ -47,8 +62,9 @@ def compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callabl
     namespace: dict[str, object] = {}
     builds: list[str] = []
     matchers: list[str] = []
+    kids_of = _kids(by_head)
     for h, (head, rules) in enumerate(by_head.items()):
-        kids = _kids(head, rules)
+        kids = kids_of[head]
         matchers.append(f"def m{h}(kids):")
         if kids:
             matchers.append(f"    {_items(kids)}= kids")
@@ -129,8 +145,9 @@ def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
         return f"        hit = get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
 
     lines = [_EVALUATION]
+    kids_of = _kids(by_head)
     for head, rules in by_head.items():
-        kids = _kids(head, rules)
+        kids = kids_of[head]
         lines += [f"    def {defined[head]}({', '.join(kids)}):",
                   lookup(repr(head), kids),
                   "        if hit:",

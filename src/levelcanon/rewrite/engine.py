@@ -47,6 +47,9 @@ Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
 
 
+# a dataclass, though loading `dataclasses` costs a `rewrite` process about
+# 10 ms: callers copy a report with one field changed through
+# `dataclasses.replace` (perfbench's self-test does)
 @dataclass(frozen=True)
 class ReductionReport:
     result: RTerm

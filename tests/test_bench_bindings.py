@@ -90,3 +90,26 @@ def test_fuzz_cases_reach_every_harness_binding_the_tracer_requires(monkeypatch)
     for index in range(5):
         assert harness.differential_case(harness.gen_level(cfg, index)) is None
     assert all(counts.values()), counts
+
+
+def test_cli_rewrite_calls_the_bindings_the_tracer_patches(monkeypatch, capsys):
+    # a traced cli run counts `codec.encode.calls` and `reduce.*.calls` at
+    # levelcanon.cli.encode_level and levelcanon.cli.reduce, and reads
+    # correct=false if `rewrite` calls other bindings than those
+    import levelcanon.cli as cli
+
+    calls = []
+
+    def counting(attr, original):
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for attr in ("reduce", "encode_level"):
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    for strategy in ("innermost", "outermost", "random"):
+        calls.clear()
+        assert cli.run_cli(["rewrite", "imax(x,x)", "--strategy", strategy]) == 0
+        assert sorted(calls) == ["encode_level", "reduce"], strategy
+    assert "steps: " in capsys.readouterr().out

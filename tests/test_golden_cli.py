@@ -42,3 +42,28 @@ def test_cli_output_matches_its_golden_hash(argv, digest, capsys):
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# usage text, hashed while `--strategy`'s choices still came from the engine
+# module; argparse wraps help to the terminal width, pinned here to 80 columns
+HELP_GOLDEN = [
+    (["--help"], "ba497b310a367e0b3e27bda27b709479b26f9eedada1a78ca6ba1bb9b857c7d5"),
+    (["rewrite", "--help"], "40eecd035769bafd1cf3fd6c4924f5e69d31ba516131d95ef5b788446025cc02"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", HELP_GOLDEN, ids=[" ".join(a) for a, _ in HELP_GOLDEN])
+def test_cli_help_matches_its_golden_hash(argv, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_strategy_choices_are_the_engines():
+    # cli.py spells the tuple out so that parsing arguments does not load
+    # the engine
+    from levelcanon import cli
+    from levelcanon.rewrite.engine import STRATEGIES
+
+    assert cli.STRATEGIES == STRATEGIES

@@ -1,5 +1,5 @@
 """Import hygiene: every name a library module imports is used in that
-module, and the CLI imports only what all of its commands need.
+module, and a CLI process loads only what its command runs.
 
 Package ``__init__`` modules are skipped by the first check: they import
 names to re-export them.
@@ -107,17 +107,42 @@ def test_level_walkers_do_not_recurse():
     assert recursive == {}
 
 
-def test_cli_import_leaves_the_harness_unloaded():
-    # only `levelcanon fuzz` runs the differential harness, and only a
-    # reduction compiles a rule set; every other command's process should
-    # not pay for importing them
+# what each command may not add to a bare interpreter's modules: only
+# `normalize --json` prints JSON, only `rewrite` and `export` run the rewrite
+# engine (which loads `dataclasses` and, through it, `inspect`), only `export`
+# loads `levelcanon.export`, and only `fuzz` runs the differential harness
+_ENGINE = ("levelcanon.rewrite", "levelcanon.export", "dataclasses", "inspect")
+_COMMANDS = [
+    (["normalize", "max(imax(x,y),imax(y,x))"], ("json", *_ENGINE)),
+    (["normalize", "s(0)", "--json"], _ENGINE),
+    (["leq", "s(x)", "x"], ("json", *_ENGINE)),
+    (["eq", "imax(x,x)", "x"], ("json", *_ENGINE)),
+    (["subst", "max(imax(x,y), z)", "x=0", "z=2"], ("json", *_ENGINE)),
+    (["eval", "imax(s(y), s(x))", "--val", "x=0,y=1"], ("json", *_ENGINE)),
+    (["rewrite", "imax(x,x)"], ("levelcanon.export",)),
+]
+
+
+def _loaded_modules(code: str, argv: list[str]) -> set[str]:
+    """The modules loaded after `python -c code argv` runs `code`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = ("import sys, levelcanon.cli; print([name for name in sys.modules if name in "
-            "('levelcanon.harness', 'levelcanon.rewrite.codegen')])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    proc = subprocess.run([sys.executable, "-c", f"import sys; {code}; print(*sys.modules)",
+                           *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_the_harness_unloaded():
+    # each command run as the benchmark runs it, against a bare interpreter,
+    # so that what `site` preloads does not count
+    bare = _loaded_modules("pass", [])
+    for argv, unloaded in _COMMANDS:
+        added = _loaded_modules("from levelcanon.cli import run_cli; run_cli(sys.argv[1:])",
+                                argv) - bare
+        assert "levelcanon.cli" in added
+        assert [name for name in sorted(added) if name == "levelcanon.harness" or any(
+            name == u or name.startswith(u + ".") for u in unloaded)] == [], argv
 
 
 def test_public_names_are_pinned():

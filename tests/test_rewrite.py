@@ -189,6 +189,28 @@ def test_reduce_rejects_defined_symbols_of_the_wrong_arity():
     assert reduce(app("not", app("true")), RULES).result == app("false")
 
 
+@pytest.mark.parametrize("build", [
+    lambda u: app("g", u),  # `f x --> g x` while g's rules take two
+    lambda u: app("succN", app("pair", app("g", u), u)),  # nested under constructors
+], ids=["at the root", "under constructors"])
+def test_a_right_side_applying_a_defined_symbol_at_another_arity_is_rejected(build):
+    u, v = pvar("x"), pvar("y")
+    rules = RuleSet([RewriteRule(app("f", u), build(u)), RewriteRule(app("g", u, v), v)])
+    message = ("the rules of 'g' take different numbers of arguments: "
+               "2 on their left sides, 1 in f x --> ")
+    steps = []
+    for strategy in STRATEGIES:
+        with pytest.raises(ValueError, match=message):
+            reduce(app("f", app("zeroN")), rules, strategy,
+                   trace=lambda *step: steps.append(step))
+        with pytest.raises(ValueError, match=message):
+            reduce(app("f", app("zeroN")), rules, strategy)
+    assert steps == []
+    for paper_literal in (False, True):  # the built-in rule sets pass the check
+        fresh = RuleSet(builtin_ruleset(paper_literal))
+        assert fresh.matchers().keys() == fresh.by_head.keys() and fresh.evaluator()
+
+
 def _unmemoized_innermost(term, rules, budget):
     # a trace callback selects the positional loop, which memoizes nothing
     return reduce(term, rules, budget=budget, trace=lambda *a: None)
