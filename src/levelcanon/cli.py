@@ -11,7 +11,7 @@ import argparse
 import importlib
 import sys
 
-from .levels import UnboundVariableError, const_depth, eval_level
+from .levels import UnboundVariableError, VarId, const_depth, eval_level
 from .normalize import eq_repr, leq_repr, normalize, subst_repr
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_repr, print_repr_json
@@ -103,6 +103,19 @@ def _parse_binding(text: str) -> tuple[str, int]:
     return name, _int_text(int, value.lstrip("0") or "0")
 
 
+def _parse_bindings(texts, names: NameTable) -> dict[VarId, int]:
+    """The valuation that the NAME=NAT `texts` give, by variable id in their
+    order; a name bound twice is a usage error."""
+    sigma = {}
+    for text in texts:
+        name, value = _parse_binding(text)
+        vid = names.intern(name)
+        if vid in sigma:
+            raise UsageError(f"variable {name} is bound twice")
+        sigma[vid] = value
+    return sigma
+
+
 def _int_text(convert, *args):
     """`convert(*args)`, which turns integers into text or back; a number with
     more digits than the interpreter converts is a usage error."""
@@ -120,7 +133,7 @@ def run_cli(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _dispatch(args)
-    except (ParseError, UsageError, UnboundVariableError) as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -144,19 +157,20 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "subst":
         r = normalize(parse_level(args.expr, names))
-        for binding in args.bindings:
-            name, value = _parse_binding(binding)
-            r = subst_repr(r, names.intern(name), value)
+        for vid, value in _parse_bindings(args.bindings, names).items():
+            r = subst_repr(r, vid, value)
         print(_int_text(print_repr, r, names))
         return 0
 
     if args.command == "eval":
         t = parse_level(args.expr, names)
-        sigma = {}
-        for binding in args.val.split(","):
-            name, value = _parse_binding(binding.strip())
-            sigma[names.intern(name)] = value
-        print(_int_text(str, eval_level(t, sigma)))
+        sigma = _parse_bindings((binding.strip() for binding in args.val.split(",")), names)
+        try:
+            value = eval_level(t, sigma)
+        except UnboundVariableError as exc:
+            raise UsageError(f"variable {names.name_of(exc.vid)} is not bound "
+                             "in the valuation") from None
+        print(_int_text(str, value))
         return 0
 
     if args.command == "rewrite":

@@ -142,10 +142,12 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     sigmas = [dict.fromkeys(vids, 0), dict.fromkeys(vids, 1)]
     for _ in range(20):
         sigmas.append({v: rng.randint(0, 6) for v in vids})
-    # the level's values at all the valuations in one fold, a column each
+    # the values of the level and of its representation at all the
+    # valuations at once, a column each
     columns = {v: [sigma[v] for sigma in sigmas] for v in vids}
-    for sigma, value in zip(sigmas, eval_level(t, columns, len(sigmas))):
-        if eval_repr(r, sigma) != value:
+    expected = eval_level(t, columns, len(sigmas))
+    for sigma, value, got in zip(sigmas, expected, eval_repr(r, columns, len(sigmas))):
+        if got != value:
             names = _names_for(t)
             return Failure(print_level(t, names), None, "eval",
                            {names.name_of(v): n for v, n in sigma.items()}), 0

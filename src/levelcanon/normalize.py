@@ -18,7 +18,7 @@ Two operations deliberately differ from their naive pointwise statements:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
@@ -145,11 +145,22 @@ def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
     return _merge((), (u for u in images if u is not None))
 
 
-def eval_repr(r: Repr, sigma: Valuation) -> int:
-    """Max of the atom values; 0 for the empty representation."""
-    best = 0
+def eval_repr(r: Repr, sigma: Valuation, width: Optional[int] = None) -> int | list[int]:
+    """Max of the atom values; 0 for the empty representation.  Raises
+    UnboundVariableError.
+
+    With a `width`, as for `eval_level`, `sigma` maps each variable to a
+    column of `width` values, one per point, and the result is the column of
+    `r`'s values at those points: one pass over the atoms for all of them.
+    """
+    if width is None:
+        best = 0
+        for u in r:
+            val = eval_sub(u, sigma)
+            if val > best:
+                best = val
+        return best
+    column = [0] * width
     for u in r:
-        val = eval_sub(u, sigma)
-        if val > best:
-            best = val
-    return best
+        column = [a if a > b else b for a, b in zip(column, eval_sub(u, sigma, width))]
+    return column

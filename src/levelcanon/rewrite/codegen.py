@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet
 
 
 def _kids(by_head: dict[str, list[RewriteRule]]) -> dict[str, list[str]]:
@@ -86,11 +86,26 @@ def _mk_node(head: str, kids: list[str]) -> str:
 
 # One evaluation's state and the code that every symbol's function shares;
 # the generated functions are nested in `evaluation`, so each evaluation has
-# its own memo and step count.
+# its own memo and step count.  The entries of a symbol in the rule set's
+# `shared` go to `table`, which outlives the evaluation; the rest go to
+# `memo`.  Sharing `table` across evaluations is sound by these invariants:
+#   * Ids stay valid: every id in a table key belongs to a node that the same
+#     table keeps alive.  `reduce` passes a table only for a well-sorted
+#     input, and `shared` is closed under argument sorts, so every argument
+#     of a shared call or node is a node entered in the table or a result
+#     stored there.
+#   * One table per evaluation: `table` is bound once, here, and every entry
+#     of this evaluation is read from and written to that dict alone.
+#   * No duplicate nodes: table entries are inserted with `setdefault`, and
+#     the value it returns is the one used, so two evaluations on one table
+#     (two threads) never make two canonical nodes for one key.
 _EVALUATION = """\
-def evaluation(budget, exceeded):
+def evaluation(budget, exceeded, table):
     memo = {}
-    get = memo.get
+    memo_get = memo.get
+    if table is None:
+        table = memo
+    table_get, table_put = table.get, table.setdefault
     steps = 0
 
     def replay(hit):
@@ -116,45 +131,52 @@ def evaluation(budget, exceeded):
         if defined is not None:
             return defined(*kids)
         key = (head, *map(id, kids))
-        hit = get(key)
-        if hit is None:
-            hit = memo[key] = ((head, *kids), 0)
+        if head in shared:
+            hit = table_get(key) or table_put(key, ((head, *kids), 0))
+        else:
+            hit = memo_get(key)
+            if hit is None:
+                hit = memo[key] = ((head, *kids), 0)
         return hit[0]
 """
 
 
-def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
-    # One function per defined head (f<h>), one per constructor arity (c<n>,
-    # the head its first argument), and one value per nullary constructor
-    # that a right side builds (n<i>, made once per evaluation).  Symbol text
-    # reaches the source only as repr() literals, and a pattern variable is
-    # its source expression in the arguments, such as k1[2].
+def compile_evaluator(rules: RuleSet) -> Callable:
+    # One function per defined head (f<h>), one per constructor arity and
+    # store (c<n> for the memo, s<n> for the table, the head its first
+    # argument), and one value per nullary constructor that a right side
+    # builds (n<i>, made once per evaluation).  Whether a symbol's entries
+    # go to the table is fixed here, by `rules.shared`.  Symbol text reaches
+    # the source only as repr() literals, and a pattern variable is its
+    # source expression in the arguments, such as k1[2].
+    by_head, shared = rules.by_head, rules.shared
     defined = {head: f"f{h}" for h, head in enumerate(by_head)}
-    arities: set[int] = set()
+    builders: set[str] = set()
     nullary: dict[str, str] = {}
 
     def node(head: str, kids: list[str]) -> str:
         if head in defined:
             return f"{defined[head]}({', '.join(kids)})"
-        arities.add(len(kids))
+        builder = f"{'s' if head in shared else 'c'}{len(kids)}"
+        builders.add(builder)
         if not kids:
             return nullary.setdefault(head, f"n{len(nullary)}")
-        return f"c{len(kids)}({head!r}, {_items(kids)})"
+        return f"{builder}({head!r}, {_items(kids)})"
 
-    def lookup(head: str, kids: list[str]) -> str:
-        return f"        hit = get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
+    def lookup(head: str, kids: list[str], get: str) -> str:
+        return f"        hit = {get}(key := ({head}, {_items(f'id({k})' for k in kids)}))"
 
     lines = [_EVALUATION]
     kids_of = _kids(by_head)
-    for head, rules in by_head.items():
+    for head, head_rules in by_head.items():
         kids = kids_of[head]
         lines += [f"    def {defined[head]}({', '.join(kids)}):",
-                  lookup(repr(head), kids),
+                  lookup(repr(head), kids, "table_get" if head in shared else "memo_get"),
                   "        if hit:",
                   "            return replay(hit)",
                   "        start = steps"]
         branch = "if"
-        for rule, tests, binds in _left_sides(rules, kids):
+        for rule, tests, binds in _left_sides(head_rules, kids):
             lines += [f"        {branch} {' and '.join(tests) or 'True'}:",
                       "            tick()",
                       f"            result = {_compile_template(rule.rhs, binds, node)}"]
@@ -162,26 +184,34 @@ def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
         if tests:  # arguments that no rule matches make a normal form
             lines += ["        else:",
                       f"            result = ({head!r}, {_items(kids)})"]
-        lines += ["        memo[key] = result, steps - start",
-                  "        return result"]
-    for arity in arities:
-        kids = [f"k{i}" for i in range(arity)]
-        lines += [f"    def c{arity}(head, {_items(kids)}):",
-                  lookup("head", kids),
-                  "        if hit is None:",
-                  f"            hit = memo[key] = ((head, {_items(kids)}), 0)",
-                  "        return hit[0]"]
-    lines += [f"    {name} = c0({head!r})" for head, name in nullary.items()]
+        if head in shared:
+            lines += ["        return table_put(key, (result, steps - start))[0]"]
+        else:
+            lines += ["        memo[key] = result, steps - start",
+                      "        return result"]
+    for builder in sorted(builders):
+        kids = [f"k{i}" for i in range(int(builder[1:]))]
+        lines += [f"    def {builder}(head, {_items(kids)}):"]
+        if builder[0] == "s":
+            lines += [lookup("head", kids, "table_get"),
+                      f"        return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
+        else:
+            lines += [lookup("head", kids, "memo_get"),
+                      "        if hit is None:",
+                      f"            hit = memo[key] = ((head, {_items(kids)}), 0)",
+                      "        return hit[0]"]
+    lines += [f"    {name} = {'s' if head in shared else 'c'}0({head!r})"
+              for head, name in nullary.items()]
     calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
     # close() drops the memo and the functions, which refer to one another
-    released = ["calls", *defined.values(), *(f"c{arity}" for arity in arities)]
+    released = ["calls", *defined.values(), *sorted(builders)]
     lines += [f"    calls = {{{calls}}}.get",
               "    def close():",
               f"        nonlocal {', '.join(released)}",
               "        memo.clear()",
               f"        {' = '.join(released)} = None",
               "    return apply, count, close"]
-    namespace: dict[str, object] = {}
+    namespace: dict[str, object] = {"shared": shared}
     exec(compile("\n".join(lines), "<compiled evaluator>", "exec"), namespace)
     return namespace["evaluation"]
 

@@ -25,13 +25,18 @@ in preorder, and traced innermost the first in postorder; each choice walks
 one path down by the counts, and the step applies the recorded match.  Step
 counts are exact rule applications under tree semantics (no sharing).
 
-The innermost evaluator is memoized within each call: the normal form of
-``f(args)`` depends only on ``f`` and the normal forms of ``args``, so each
-distinct call is computed once and a repeat replays the recorded result and
-step cost.  Counts stay tree semantics, and a replay that would cross the
-budget stops exactly where re-running the call would have.  Outermost and
-random (and innermost with a trace) share nothing, so confluence sampling
-still follows genuinely different reduction orders.
+The innermost evaluator is memoized: the normal form of ``f(args)``
+depends only on ``f`` and the normal forms of ``args``, so each distinct
+call is computed once and a repeat replays the recorded result and step
+cost.  Counts stay tree semantics, and a replay that would cross the budget
+stops exactly where re-running the call would have.  Calls and nodes of the
+atom layer (booleans, naturals, sets of naturals and sublevel atoms) are
+memoized in the rule set's table, which outlives the reduction, when the
+rule set has a signature and the input is well sorted in it; every other
+entry lives in a memo of the one call, freed when it returns.  The table is
+bound anew, empty, after a reduction leaves it above a fixed size.
+Outermost and random (and innermost with a trace) share nothing, so
+confluence sampling still follows genuinely different reduction orders.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, well_sorted
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -83,7 +88,12 @@ def reduce(
     if strategy == "innermost" and trace is None:
         evaluator = rules.evaluator()  # rejects a head whose rules differ in arity
         _check_input(term, rules.by_head)
-        return _reduce_innermost(term, evaluator, budget)
+        # the table is read once: the evaluation keeps it to the end even if
+        # another thread's reduction replaces the rule set's table meanwhile
+        table = rules.table
+        if table is not None and not well_sorted(term, rules.signature):
+            table = None
+        return _reduce_innermost(term, rules, evaluator, table, budget)
     matchers = rules.matchers()  # likewise
     _check_input(term, rules.by_head)
     return _reduce_positional(term, matchers, strategy, budget, seed, trace)
@@ -106,8 +116,14 @@ def _check_input(term: RTerm, by_head) -> None:
         stack.extend(node[1:])
 
 
-def _reduce_innermost(term: RTerm, evaluator, budget: int) -> ReductionReport:
-    apply, count, close = evaluator(budget, _BudgetExceeded)
+# Bounded memory: a rule set whose table holds more entries than this after a
+# reduction gets a new, empty table
+_TABLE_LIMIT = 1 << 14
+
+
+def _reduce_innermost(term: RTerm, rules: RuleSet, evaluator, table: Optional[dict],
+                      budget: int) -> ReductionReport:
+    apply, count, close = evaluator(budget, _BudgetExceeded, table)
     # rewrite chains nest one Python frame per step at a given position;
     # only ever raise the limit so parallel reductions cannot interfere
     if sys.getrecursionlimit() < 100_000:
@@ -135,6 +151,10 @@ def _reduce_innermost(term: RTerm, evaluator, budget: int) -> ReductionReport:
         # the generated functions refer to one another; without this the
         # memo would live on until the collector frees the cycle
         close()
+        # replaced, never cleared: clearing would free nodes whose ids the
+        # keys of another evaluation still on this table may hold
+        if table is not None and len(table) > _TABLE_LIMIT:
+            rules.table = {}
 
 
 class _RedexIndex:

@@ -278,12 +278,15 @@ _BUILT: dict[bool, RuleSet] = {}
 
 
 def builtin_ruleset(paper_literal: bool = False) -> RuleSet:
-    """The rules of `RULE_TEXT`, read once per flag.  The left-hand-side heads
-    are the defined symbols; every other symbol is a free constructor."""
-    rules = _BUILT.get(paper_literal)
-    if rules is None:
-        rules = _BUILT[paper_literal] = RuleSet(read_rules(RULE_TEXT, paper_literal)[1])
-    return rules
+    """The rules of `RULE_TEXT`, read once per flag, with the signature it
+    declares (so its innermost reductions share a table).  The
+    left-hand-side heads are the defined symbols; every other symbol is a
+    free constructor."""
+    built = _BUILT.get(paper_literal)
+    if built is None:
+        signature, rules = read_rules(RULE_TEXT, paper_literal)
+        built = _BUILT[paper_literal] = RuleSet(rules, signature)
+    return built
 
 
 def default_rules() -> RuleSet:

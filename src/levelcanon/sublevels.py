@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
+from typing import Optional
 
 from .levels import Valuation, VarId, UnboundVariableError
 
@@ -107,7 +108,15 @@ def _sub_b(varset: VarSet, shift: int, guard: frozenset) -> SubB:
     return _new(SubB, (1, varset, shift, guard))
 
 
-def eval_sub(u: SubLevel, sigma: Valuation) -> int:
+def eval_sub(u: SubLevel, sigma: Valuation, width: Optional[int] = None) -> int | list[int]:
+    """Value of `u` under `sigma`.  Raises UnboundVariableError.
+
+    With a `width`, as for `eval_level`, `sigma` maps each variable to a
+    column of `width` values, one per point, and the result is the column of
+    `u`'s values at those points.
+    """
+    if width is not None:
+        return _eval_sub_column(u, sigma, width)
     for y in u[1]:
         if y not in sigma:
             raise UnboundVariableError(y)
@@ -118,6 +127,17 @@ def eval_sub(u: SubLevel, sigma: Valuation) -> int:
     if u[2] not in sigma:
         raise UnboundVariableError(u[2])
     return sigma[u[2]] + u[3]
+
+
+def _eval_sub_column(u: SubLevel, columns: Valuation, width: int) -> list[int]:
+    for y in u[1]:
+        if y not in columns:
+            raise UnboundVariableError(y)
+    # an A-atom's variable is in its set, so it is bound
+    values = [u[2]] * width if u[0] else [n + u[3] for n in columns[u[2]]]
+    for y in u[1]:
+        values = [v if g else 0 for v, g in zip(values, columns[y])]
+    return values
 
 
 def leq_sub(u: SubLevel, v: SubLevel) -> bool:

@@ -79,7 +79,7 @@ def test_differential_case_takes_a_level_past_the_recursion_limit():
 def test_failures_name_the_levels_and_the_witness(monkeypatch):
     # each phase's Failure, forced by a wrong answer at the name the harness binds
     t = Succ(IMax(y, x))
-    monkeypatch.setattr(harness, "eval_repr", lambda r, sigma: -1)
+    monkeypatch.setattr(harness, "eval_repr", lambda r, columns, width: [-1] * width)
     assert differential_case(t) == Failure("s(imax(x1, x0))", None, "eval", {"x0": 0, "x1": 0})
     monkeypatch.undo()
 
@@ -99,30 +99,30 @@ def test_failures_name_the_levels_and_the_witness(monkeypatch):
 
 def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):
     # a representation evaluator that is wrong only where the values sum to
-    # 2 mod 3: the Failure names the first such valuation the harness tries,
-    # and it tries no valuation after it
-    tried = []
+    # 2 mod 3: the Failure names the first such valuation among the case's
+    # 22, which it evaluates as one column each
+    points = []
 
-    def skewed(r, sigma):
-        tried.append(dict(sigma))
-        return eval_repr(r, sigma) + (sum(sigma.values()) % 3 == 2)
+    def skewed(r, columns, width):
+        points[:] = [{v: column[i] for v, column in columns.items()} for i in range(width)]
+        return [n + (sum(sigma.values()) % 3 == 2)
+                for n, sigma in zip(eval_repr(r, columns, width), points)]
 
     monkeypatch.setattr(harness, "eval_repr", skewed)
     cfg = GenConfig(seed=3, max_size=12)
     later = 0
     for i in range(60):
         t = gen_level(cfg, i)
-        tried.clear()
+        points.clear()
         failure = differential_case(t)
+        wrong = [sigma for sigma in points if sum(sigma.values()) % 3 == 2]
         if failure is None or failure.phase != "eval":
-            assert all(sum(sigma.values()) % 3 != 2 for sigma in tried[:22])
+            assert len(points) == 22 and not wrong
             continue
-        assert sum(tried[-1].values()) % 3 == 2
-        assert all(sum(sigma.values()) % 3 != 2 for sigma in tried[:-1])
         names = harness._names_for(t)
         assert failure == Failure(print_level(t, names), None, "eval",
-                                  {names.name_of(v): n for v, n in tried[-1].items()})
-        later += len(tried) > 2
+                                  {names.name_of(v): n for v, n in wrong[0].items()})
+        later += points.index(wrong[0]) > 1
     assert later > 10
 
 

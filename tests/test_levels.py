@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from conftest import level_strategy
 from levelcanon import (
     IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero,
-    const_depth, default_grid_bound, eval_level, find_counterexample_leq,
+    const_depth, default_grid_bound, eval_level, eval_repr, find_counterexample_leq,
     imax_nat, level_vars,
 )
 from levelcanon import harness
 from levelcanon.levels import GRID_BLOCK, valuations_on
+from levelcanon.normalize import normalize
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -42,15 +43,22 @@ def test_eval_unbound_variable_names_the_id():
     assert "1" in str(err.value)
     with pytest.raises(UnboundVariableError):
         eval_level(Max(x, y), {0: [1, 2]}, 2)
+    for sigma, width in (({0: 1}, None), ({0: [1, 2]}, 2)):
+        with pytest.raises(UnboundVariableError) as err:
+            eval_repr(normalize(Max(x, y)), sigma, width)
+        assert err.value.vid == 1
 
 
 @given(level_strategy(max_leaves=6))
 @settings(max_examples=150)
 def test_eval_on_columns_is_eval_at_each_point(t):
+    # of a level by one fold, of its representation by one pass over the atoms
     vids = tuple(sorted(level_vars(t)))
     points = list(valuations_on(vids, 2))
     columns = {v: [sigma[v] for sigma in points] for v in vids}
     assert list(eval_level(t, columns, len(points))) == [eval_level(t, s) for s in points]
+    r = normalize(t)
+    assert eval_repr(r, columns, len(points)) == [eval_repr(r, s) for s in points]
 
 
 def test_level_vars():

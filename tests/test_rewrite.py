@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -20,7 +22,7 @@ from levelcanon.rewrite import (
     reduce, rule_dump, sample_confluence, soundness_report, subst_template,
     term_to_str,
 )
-from levelcanon.rewrite import codegen
+from levelcanon.rewrite import codegen, engine
 from levelcanon.rewrite.engine import _RedexIndex
 from levelcanon.rewrite.rules import read_rules
 from levelcanon.rewrite.terms import match_args
@@ -273,6 +275,12 @@ def _repeating_terms(rules):
             yield encode_level(level), k
 
 
+def _budgets(n, k):
+    """Budgets that stop a run of `n` steps whose repeated part takes `k`
+    before, inside and after its repeated calls."""
+    return sorted(b for b in {1, n // 3, n - 1, n, n + 1, k + 1, k + k // 2, 2 * k - 1} if b > 0)
+
+
 @pytest.mark.parametrize("rules", [RULES, LITERAL, HAND], ids=["default", "paper_literal", "hand"])
 def test_memoized_innermost_matches_the_unmemoized_path(rules):
     # the budgets stop runs before, inside and after the repeated calls
@@ -281,8 +289,7 @@ def test_memoized_innermost_matches_the_unmemoized_path(rules):
         full = reduce(term, rules)
         assert full == _unmemoized_innermost(term, rules, 10**6)
         n = full.steps
-        budgets = {1, n // 3, n - 1, n, n + 1, k + 1, k + k // 2, 2 * k - 1}
-        for budget in sorted(b for b in budgets if b > 0):
+        for budget in _budgets(n, k):
             fast = reduce(term, rules, budget=budget)
             slow = _unmemoized_innermost(term, rules, budget)
             assert (fast.steps, fast.budget_exhausted) == \
@@ -293,6 +300,97 @@ def test_memoized_innermost_matches_the_unmemoized_path(rules):
             assert fast.result == expected, (term, budget)
             inside_hits += k < budget < 2 * k <= n
     assert inside_hits > 20
+
+
+@pytest.mark.parametrize("paper_literal", [False, True], ids=["default", "paper_literal"])
+def test_a_warm_table_gives_the_reports_of_a_cold_one(paper_literal):
+    warm = RuleSet(builtin_ruleset(paper_literal), SIGNATURE)
+    cold = RuleSet(warm, SIGNATURE)
+    cases = list(_repeating_terms(warm))
+    for term, _ in cases:
+        reduce(term, warm)
+    table, size = warm.table, len(warm.table)
+    for term, k in cases:
+        for budget in _budgets(reduce(term, warm).steps, k):
+            cold.table = {}
+            assert reduce(term, warm, budget=budget) == reduce(term, cold, budget=budget)
+    # every shared call and node of the second pass was a hit
+    assert warm.table is table and len(table) == size > 0
+
+
+def _assert_keys_are_kept_alive(rules, table):
+    """Every id in a key of `table` is the id of a node reachable from its
+    values, and every key's head is one of the symbols the rule set shares."""
+    kept = set()
+    stack = [node for node, _ in table.values()]
+    while stack:
+        node = stack.pop()
+        if id(node) not in kept:
+            kept.add(id(node))
+            stack += node[1:]
+    for head, *ids in table:
+        assert head in rules.shared and kept.issuperset(ids)
+
+
+def test_the_table_keeps_alive_every_node_its_keys_name():
+    rules = RuleSet(RULES, SIGNATURE)
+    cfg = GenConfig(seed=707, max_size=50)
+    for i in range(40):
+        reduce(encode_level(gen_level(cfg, i)), rules, budget=1 + 97 * i)
+    assert len(rules.table) > 100
+    _assert_keys_are_kept_alive(rules, rules.table)
+
+
+def test_an_ill_sorted_input_reduces_as_before_and_shares_nothing():
+    rules = RuleSet(RULES, SIGNATURE)
+    reduce(encode_level(Max(x, Succ(y))), rules)
+    size = len(rules.table)
+    # `and` of a level: no rule matches, so the term is its own normal form
+    term = app("and", app("maxS", app("nilSL")), app("true"))
+    report = reduce(term, rules)
+    assert report == ReductionReport(term, 0, False) == _unmemoized_innermost(term, rules, 10)
+    assert len(rules.table) == size
+
+
+def test_a_table_past_the_limit_is_replaced_between_reductions(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_LIMIT", 200)
+    rules, unshared = RuleSet(RULES, SIGNATURE), RuleSet(RULES)
+    cfg = GenConfig(seed=707, max_size=50)
+    replaced = 0
+    for i in range(30):
+        term = encode_level(gen_level(cfg, i))
+        for budget in (reduce(term, unshared).steps // 2 + 1, 10**6):
+            table = rules.table
+            assert reduce(term, rules, budget=budget) == reduce(term, unshared, budget=budget)
+            if rules.table is not table:  # bound anew, the old one left whole
+                replaced += 1
+                assert rules.table == {} and len(table) > 200
+            else:
+                assert len(table) <= 200
+    assert replaced > 5
+
+
+def test_two_threads_sharing_a_table_agree_with_serial_runs():
+    term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
+    serial = reduce(term, RuleSet(RULES))
+    rules = RuleSet(RULES, SIGNATURE)
+    table = rules.table
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda: reports.append(reduce(term, rules)))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [serial, serial]
+    assert serial.steps == 107_142 and not serial.budget_exhausted
+    _assert_keys_are_kept_alive(rules, table)
 
 
 def _subterms(term):

@@ -11,7 +11,7 @@ from levelcanon import (
     Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub, leq_sub, set_delete, succ_sub,
 )
 from levelcanon.harness import enumerate_sublevels
-from levelcanon.levels import valuations_on
+from levelcanon.levels import UnboundVariableError, valuations_on
 from levelcanon.normalize import normalize
 from levelcanon.sublevels import subst_sub
 
@@ -116,6 +116,16 @@ def test_eval_sub():
     assert eval_sub(SubA((0,), 0, 0), {0: 3}) == 3
     assert eval_sub(SubB((0, 1), 2), {0: 1, 1: 0}) == 0
     assert eval_sub(SubA((0, 1), 0, 1), {0: 2, 1: 3}) == 3
+
+
+def test_eval_sub_on_columns_is_eval_at_each_point():
+    points = list(valuations_on((0, 1), 2))
+    columns = {v: [sigma[v] for sigma in points] for v in (0, 1)}
+    for u in (SubA((0,), 0, 0), SubA((0, 1), 1, 2), SubB((0, 1), 2), SubB((), 1)):
+        assert eval_sub(u, columns, len(points)) == [eval_sub(u, s) for s in points]
+    with pytest.raises(UnboundVariableError) as err:
+        eval_sub(SubB((0, 2), 1), columns, len(points))
+    assert err.value.vid == 2
 
 
 def test_leq_sub_theorem_cases():

@@ -179,6 +179,22 @@ def test_cli_subst_and_eval(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_eval_names_an_unbound_variable(capsys):
+    assert run_cli(["eval", "max(x,y)", "--val", "x=1"]) == 2
+    assert capsys.readouterr() == ("", "error: variable y is not bound in the valuation\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "x", "--val", "x=1,x=2"],
+    ["eval", "max(x,y)", "--val", "x=1, y=0,x=1"],
+    ["subst", "x", "x=0", "x=1"],
+    ["subst", "max(x,y)", "y=2", "x=0", "x=0"],
+])
+def test_cli_rejects_a_variable_bound_twice(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: variable x is bound twice\n")
+
+
 def test_cli_rewrite(capsys):
     assert run_cli(["rewrite", "imax(x,x)"]) == 0
     out = capsys.readouterr().out.splitlines()
