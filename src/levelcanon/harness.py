@@ -45,7 +45,9 @@ class GenConfig:
 class Failure:
     level: str
     other: Optional[str]
-    phase: str  # "eval" | "rewrite" | "compare"
+    # "eval" | "rewrite" (a wrong normal form) | "budget" (the rewrite path
+    # ran out of steps before a normal form) | "compare"
+    phase: str
     witness: Optional[dict[str, int]]
 
     def to_json(self) -> dict:
@@ -155,7 +157,8 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     # (b) the rewrite path must land on the same representation
     ok, report = soundness_report(t)
     if not ok:
-        return Failure(print_level(t, _names_for(t)), None, "rewrite", None), report.steps
+        phase = "budget" if report.budget_exhausted else "rewrite"
+        return Failure(print_level(t, _names_for(t)), None, phase, None), report.steps
 
     # (c) comparison decision against grid search, both directions
     t2 = _pair_for(t, digest)

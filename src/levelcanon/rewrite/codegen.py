@@ -86,14 +86,12 @@ def _mk_node(head: str, kids: list[str]) -> str:
 
 # One evaluation's state and the code that every symbol's function shares;
 # the generated functions are nested in `evaluation`, so each evaluation has
-# its own memo and step count.  The entries of a symbol in the rule set's
-# `shared` go to `table`, which outlives the evaluation; the rest go to
-# `memo`.  Sharing `table` across evaluations is sound by these invariants:
+# its own step count.  Every entry goes to `table`, which outlives the
+# evaluation; sharing it across evaluations is sound by these invariants:
 #   * Ids stay valid: every id in a table key belongs to a node that the same
-#     table keeps alive.  `reduce` passes a table only for a well-sorted
-#     input, and `shared` is closed under argument sorts, so every argument
-#     of a shared call or node is a node entered in the table or a result
-#     stored there.
+#     table keeps alive.  Each argument of a call or node is a value that
+#     this evaluation made, whatever the input's sorts: a result stored in
+#     `table`, a node entered there, or a subterm of one.
 #   * One table per evaluation: `table` is bound once, here, and every entry
 #     of this evaluation is read from and written to that dict alone.
 #   * No duplicate nodes: table entries are inserted with `setdefault`, and
@@ -101,10 +99,6 @@ def _mk_node(head: str, kids: list[str]) -> str:
 #     (two threads) never make two canonical nodes for one key.
 _EVALUATION = """\
 def evaluation(budget, exceeded, table):
-    memo = {}
-    memo_get = memo.get
-    if table is None:
-        table = memo
     table_get, table_put = table.get, table.setdefault
     steps = 0
 
@@ -131,47 +125,38 @@ def evaluation(budget, exceeded, table):
         if defined is not None:
             return defined(*kids)
         key = (head, *map(id, kids))
-        if head in shared:
-            hit = table_get(key) or table_put(key, ((head, *kids), 0))
-        else:
-            hit = memo_get(key)
-            if hit is None:
-                hit = memo[key] = ((head, *kids), 0)
-        return hit[0]
+        return (table_get(key) or table_put(key, ((head, *kids), 0)))[0]
 """
 
 
 def compile_evaluator(rules: RuleSet) -> Callable:
-    # One function per defined head (f<h>), one per constructor arity and
-    # store (c<n> for the memo, s<n> for the table, the head its first
-    # argument), and one value per nullary constructor that a right side
-    # builds (n<i>, made once per evaluation).  Whether a symbol's entries
-    # go to the table is fixed here, by `rules.shared`.  Symbol text reaches
-    # the source only as repr() literals, and a pattern variable is its
-    # source expression in the arguments, such as k1[2].
-    by_head, shared = rules.by_head, rules.shared
+    # One function per defined head (f<h>), one per constructor arity (c<n>,
+    # the head its first argument), and one value per nullary constructor
+    # that a right side builds (n<i>, made once per evaluation).  Symbol text
+    # reaches the source only as repr() literals, and a pattern variable is
+    # its source expression in the arguments, such as k1[2].
+    by_head = rules.by_head
     defined = {head: f"f{h}" for h, head in enumerate(by_head)}
-    builders: set[str] = set()
+    arities: set[int] = set()
     nullary: dict[str, str] = {}
 
     def node(head: str, kids: list[str]) -> str:
         if head in defined:
             return f"{defined[head]}({', '.join(kids)})"
-        builder = f"{'s' if head in shared else 'c'}{len(kids)}"
-        builders.add(builder)
+        arities.add(len(kids))
         if not kids:
             return nullary.setdefault(head, f"n{len(nullary)}")
-        return f"{builder}({head!r}, {_items(kids)})"
+        return f"c{len(kids)}({head!r}, {_items(kids)})"
 
-    def lookup(head: str, kids: list[str], get: str) -> str:
-        return f"        hit = {get}(key := ({head}, {_items(f'id({k})' for k in kids)}))"
+    def lookup(head: str, kids: list[str]) -> str:
+        return f"        hit = table_get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
 
     lines = [_EVALUATION]
     kids_of = _kids(by_head)
     for head, head_rules in by_head.items():
         kids = kids_of[head]
         lines += [f"    def {defined[head]}({', '.join(kids)}):",
-                  lookup(repr(head), kids, "table_get" if head in shared else "memo_get"),
+                  lookup(repr(head), kids),
                   "        if hit:",
                   "            return replay(hit)",
                   "        start = steps"]
@@ -184,34 +169,23 @@ def compile_evaluator(rules: RuleSet) -> Callable:
         if tests:  # arguments that no rule matches make a normal form
             lines += ["        else:",
                       f"            result = ({head!r}, {_items(kids)})"]
-        if head in shared:
-            lines += ["        return table_put(key, (result, steps - start))[0]"]
-        else:
-            lines += ["        memo[key] = result, steps - start",
-                      "        return result"]
-    for builder in sorted(builders):
-        kids = [f"k{i}" for i in range(int(builder[1:]))]
-        lines += [f"    def {builder}(head, {_items(kids)}):"]
-        if builder[0] == "s":
-            lines += [lookup("head", kids, "table_get"),
-                      f"        return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
-        else:
-            lines += [lookup("head", kids, "memo_get"),
-                      "        if hit is None:",
-                      f"            hit = memo[key] = ((head, {_items(kids)}), 0)",
-                      "        return hit[0]"]
-    lines += [f"    {name} = {'s' if head in shared else 'c'}0({head!r})"
-              for head, name in nullary.items()]
+        lines += ["        return table_put(key, (result, steps - start))[0]"]
+    builders = [f"c{n}" for n in sorted(arities)]
+    for n in sorted(arities):
+        kids = [f"k{i}" for i in range(n)]
+        lines += [f"    def c{n}(head, {_items(kids)}):",
+                  lookup("head", kids),
+                  f"        return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
+    lines += [f"    {name} = c0({head!r})" for head, name in nullary.items()]
     calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
-    # close() drops the memo and the functions, which refer to one another
-    released = ["calls", *defined.values(), *sorted(builders)]
+    # close() drops the functions, which refer to one another
+    released = ["calls", *defined.values(), *builders]
     lines += [f"    calls = {{{calls}}}.get",
               "    def close():",
               f"        nonlocal {', '.join(released)}",
-              "        memo.clear()",
               f"        {' = '.join(released)} = None",
               "    return apply, count, close"]
-    namespace: dict[str, object] = {"shared": shared}
+    namespace: dict[str, object] = {}
     exec(compile("\n".join(lines), "<compiled evaluator>", "exec"), namespace)
     return namespace["evaluation"]
 

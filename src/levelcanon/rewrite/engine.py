@@ -29,12 +29,10 @@ The innermost evaluator is memoized: the normal form of ``f(args)``
 depends only on ``f`` and the normal forms of ``args``, so each distinct
 call is computed once and a repeat replays the recorded result and step
 cost.  Counts stay tree semantics, and a replay that would cross the budget
-stops exactly where re-running the call would have.  Calls and nodes of the
-atom layer (booleans, naturals, sets of naturals and sublevel atoms) are
-memoized in the rule set's table, which outlives the reduction, when the
-rule set has a signature and the input is well sorted in it; every other
-entry lives in a memo of the one call, freed when it returns.  The table is
-bound anew, empty, after a reduction leaves it above a fixed size.
+stops exactly where re-running the call would have.  Every call and node
+is memoized in the rule set's table, which every innermost reduction with
+that rule set shares, whatever its input; the table is bound anew, empty,
+after a reduction leaves it above a fixed size.
 Outermost and random (and innermost with a trace) share nothing, so
 confluence sampling still follows genuinely different reduction orders.
 """
@@ -46,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, well_sorted
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -88,12 +86,7 @@ def reduce(
     if strategy == "innermost" and trace is None:
         evaluator = rules.evaluator()  # rejects a head whose rules differ in arity
         _check_input(term, rules.by_head)
-        # the table is read once: the evaluation keeps it to the end even if
-        # another thread's reduction replaces the rule set's table meanwhile
-        table = rules.table
-        if table is not None and not well_sorted(term, rules.signature):
-            table = None
-        return _reduce_innermost(term, rules, evaluator, table, budget)
+        return _reduce_innermost(term, rules, evaluator, budget)
     matchers = rules.matchers()  # likewise
     _check_input(term, rules.by_head)
     return _reduce_positional(term, matchers, strategy, budget, seed, trace)
@@ -121,8 +114,10 @@ def _check_input(term: RTerm, by_head) -> None:
 _TABLE_LIMIT = 1 << 14
 
 
-def _reduce_innermost(term: RTerm, rules: RuleSet, evaluator, table: Optional[dict],
-                      budget: int) -> ReductionReport:
+def _reduce_innermost(term: RTerm, rules: RuleSet, evaluator, budget: int) -> ReductionReport:
+    # the table is read once: the evaluation keeps it to the end even if
+    # another thread's reduction replaces the rule set's table meanwhile
+    table = rules.table
     apply, count, close = evaluator(budget, _BudgetExceeded, table)
     # rewrite chains nest one Python frame per step at a given position;
     # only ever raise the limit so parallel reductions cannot interfere
@@ -148,12 +143,12 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, evaluator, table: Optional[di
     except _BudgetExceeded:
         return ReductionReport(term, count(), True)
     finally:
-        # the generated functions refer to one another; without this the
-        # memo would live on until the collector frees the cycle
+        # the generated functions refer to one another; without this they
+        # would live on until the collector frees the cycle
         close()
         # replaced, never cleared: clearing would free nodes whose ids the
         # keys of another evaluation still on this table may hold
-        if table is not None and len(table) > _TABLE_LIMIT:
+        if len(table) > _TABLE_LIMIT:
             rules.table = {}
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .terms import RewriteRule, RTerm, RuleSet, Symbol, pvar
+from .terms import RewriteRule, RTerm, RuleSet, Symbol, check_rule_sorts, pvar
 
 RULE_TEXT = """\
 # booleans
@@ -236,13 +236,17 @@ def _logical_lines(text: str, paper_literal: bool) -> list[str]:
 def read_rules(text: str, paper_literal: bool = False,
                ) -> tuple[dict[str, Symbol], list[RewriteRule]]:
     """The symbols that `text` declares, by name in declaration order, and its
-    rules in text order (with the published forms if `paper_literal`)."""
+    rules in text order (with the published forms if `paper_literal`).
+    Raises `SortError` for a rule whose sides do not elaborate, at one sort,
+    in the symbols declared above it."""
     signature: dict[str, Symbol] = {}
     rules: list[RewriteRule] = []
     for line in _logical_lines(text, paper_literal):
         lhs, arrow, rhs = line.partition(" --> ")
         if arrow:
-            rules.append(RewriteRule(_read_term(lhs, signature), _read_term(rhs, signature)))
+            rule = RewriteRule(_read_term(lhs, signature), _read_term(rhs, signature))
+            check_rule_sorts(rule, signature)
+            rules.append(rule)
         else:
             name, colon, sorts = line.partition(" : ")
             if not colon:
@@ -278,14 +282,12 @@ _BUILT: dict[bool, RuleSet] = {}
 
 
 def builtin_ruleset(paper_literal: bool = False) -> RuleSet:
-    """The rules of `RULE_TEXT`, read once per flag, with the signature it
-    declares (so its innermost reductions share a table).  The
+    """The rules of `RULE_TEXT`, read (and sort-checked) once per flag.  The
     left-hand-side heads are the defined symbols; every other symbol is a
     free constructor."""
     built = _BUILT.get(paper_literal)
     if built is None:
-        signature, rules = read_rules(RULE_TEXT, paper_literal)
-        built = _BUILT[paper_literal] = RuleSet(rules, signature)
+        built = _BUILT[paper_literal] = RuleSet(read_rules(RULE_TEXT, paper_literal)[1])
     return built
 
 

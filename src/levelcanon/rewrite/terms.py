@@ -150,36 +150,20 @@ class RuleSet(tuple):
     left-hand-side head symbol (the defined symbols), in the same order.
     The rules compile two ways, each on first use and once per rule set:
     `matchers()` for the positional strategies, `evaluator()` for innermost
-    reduction.
-
-    A rule set made with a `signature` (its symbols by name) checks the
-    rules' sorts against it at each compile and owns `table`: the store
-    that its innermost reductions of well-sorted terms share (see
-    `evaluator`).  `shared` names the symbols whose calls and nodes go
-    there, those whose argument and result sorts all lie in the atom layer
-    (`bool`, `nat`, `natset`, `sublevel`); it is empty without a signature,
-    and the rule set then shares nothing."""
+    reduction.  `table` is the store that the rule set's innermost
+    reductions share (see `evaluator`)."""
 
     by_head: dict[str, list[RewriteRule]]
-    signature: Optional[dict[str, Symbol]]
-    shared: frozenset[str]
-    table: Optional[dict]
+    table: dict
 
-    def __new__(cls, rules, signature: Optional[dict[str, Symbol]] = None):
+    def __new__(cls, rules):
         self = super().__new__(cls, rules)
         self.by_head = {}
         for rule in self:
             self.by_head.setdefault(rule.lhs[0], []).append(rule)
-        self.signature = signature
-        self.shared = frozenset() if signature is None else _atom_layer(signature)
-        self.table = None if signature is None else {}
+        self.table = {}
         self._matchers = self._evaluator = None
         return self
-
-    def _check_sorts(self) -> None:
-        if self.signature is not None:
-            for rule in self:
-                check_rule_sorts(rule, self.signature)
 
     def matchers(self) -> dict[str, Callable]:
         """Each defined head's compiled matcher, built on first use and kept
@@ -195,7 +179,6 @@ class RuleSet(tuple):
         calling ``mk(head, kids)`` for every node it constructs.
         """
         if self._matchers is None:
-            self._check_sorts()
             from .codegen import compile_matchers
             self._matchers = compile_matchers(self.by_head)
         return self._matchers
@@ -214,41 +197,20 @@ class RuleSet(tuple):
         node is hash-consed.  A rule application is one step, ``count()``
         the steps taken, and a step past `budget` raises `exceeded`.
 
-        Calls and nodes are memoized: a call's entry maps ``(head, *ids of
-        normal kids)`` to ``(normal form, steps it took)``, a node's to
-        ``(node, 0)``.  A repeated call replays its steps, and one that
-        would cross the budget raises with ``count() == budget``, where
-        re-running it would have stopped.  The entries of the symbols in
-        `shared`, fixed when the evaluator compiles, go to `table`; every
-        other entry goes to the evaluation's own memo, which ``close()``
-        frees when the evaluation ends.  With `table` None every entry goes
-        to the memo.  `reduce` passes this rule set's `table` only for a
-        well-sorted input, whose every value of an atom-layer sort is then a
-        node that `table` holds.
+        Calls and nodes are memoized in `table`: a call's entry maps
+        ``(head, *ids of normal kids)`` to ``(normal form, steps it took)``,
+        a node's to ``(node, 0)``.  A repeated call replays its steps, and
+        one that would cross the budget raises with ``count() == budget``,
+        where re-running it would have stopped.  Every value the evaluation
+        makes is held by `table`, so the table may outlive the evaluation
+        and serve the next; `reduce` passes this rule set's.  ``close()``
+        releases the generated functions, which refer to one another, when
+        the evaluation ends.
         """
         if self._evaluator is None:
-            self._check_sorts()
             from .codegen import compile_evaluator
             self._evaluator = compile_evaluator(self)
         return self._evaluator
-
-
-# the sorts whose calls and nodes a rule set's table may hold
-_ATOM_LAYER = (BOOL, NAT, NATSET, SUBLEVEL)
-
-
-def _atom_layer(signature: dict[str, Symbol]) -> frozenset[str]:
-    """The symbols of `signature` whose result sort, and every argument
-    sort, lies in the atom layer.  A sort leaves the layer when some symbol
-    of that sort takes an argument outside it: a value of the sort could
-    then hold a node that only one evaluation keeps alive."""
-    sorts = set(_ATOM_LAYER)
-    while True:
-        leaving = {sym.result for sym in signature.values()
-                   if sym.result in sorts and not sorts.issuperset(sym.args)}
-        if not leaving:
-            return frozenset(name for name, sym in signature.items() if sym.result in sorts)
-        sorts -= leaving
 
 
 class SortError(ValueError):
@@ -289,24 +251,6 @@ def infer_sort(
     if expected is not None and sym.result != expected:
         raise SortError(f"{sym.name} has sort {sym.result}, expected {expected}")
     return sym.result
-
-
-def well_sorted(t: RTerm, signature: dict[str, Symbol]) -> bool:
-    """Whether the ground term `t` elaborates at some sort: every node's head
-    is a symbol of `signature`, applied to as many arguments of the sorts it
-    takes.  It walks with an explicit stack, so a term of any depth passes."""
-    root = signature.get(t[0])
-    if root is None:
-        return False
-    nodes, wanted = [t], [root.result]
-    while nodes:
-        node = nodes.pop()
-        sym = signature.get(node[0])
-        if sym is None or sym.result != wanted.pop() or len(sym.args) + 1 != len(node):
-            return False
-        nodes += node[1:]
-        wanted += sym.args
-    return True
 
 
 def check_rule_sorts(rule: RewriteRule, signature: dict[str, Symbol]) -> None:

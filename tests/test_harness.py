@@ -13,6 +13,7 @@ from levelcanon.harness import (
     exhaustive_sublevel_suite, gen_level, run_fuzz,
 )
 from levelcanon.printer import level_repr, print_level
+from levelcanon.rewrite import soundness_report
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -95,6 +96,17 @@ def test_failures_name_the_levels_and_the_witness(monkeypatch):
     monkeypatch.setattr(harness, "leq_repr", lambda a, b: False)
     assert differential_case(Max(x, Max(y, z))) == Failure(
         "imax(imax(x0, 0), x1)", "max(x0, max(x1, x2))", "compare", None)
+
+
+def test_an_exhausted_budget_is_its_own_phase():
+    # a 40-node level that the rewrite path gets right in 1,201,299 steps,
+    # past the harness's budget of 10^6: a failure, but not a wrong answer
+    t = gen_level(GenConfig(seed=3, max_size=100, num_vars=5), 5677)
+    assert level_size(t) == 40
+    assert harness._differential_case(t) == (
+        Failure(print_level(t, harness._names_for(t)), None, "budget", None), 10**6)
+    ok, report = soundness_report(t, budget=2 * 10**6)
+    assert ok and report.steps == 1_201_299
 
 
 def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):

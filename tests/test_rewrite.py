@@ -16,7 +16,7 @@ from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
-    SIGNATURE, STRATEGIES, DecodeError, ReductionReport, RewriteRule, RuleSet, app,
+    SIGNATURE, STRATEGIES, DecodeError, ReductionReport, RewriteRule, RuleSet, SortError, app,
     builtin_ruleset, check_rule_sorts, decode_repr, default_rules,
     encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
     reduce, rule_dump, sample_confluence, soundness_report, subst_template,
@@ -98,6 +98,16 @@ def test_the_published_forms_replace_only_the_rules_of_their_heads():
 def test_read_rules_rejects_a_line_that_is_neither_declaration_nor_rule():
     with pytest.raises(ValueError, match="neither a declaration nor a rule"):
         read_rules(export_framework(x))  # the query line
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("and zeroN b --> b", "zeroN has sort nat, expected bool"),
+    ("not true true --> true", "not expects 1 arguments, got 2"),
+], ids=["sort", "arity"])
+def test_read_rules_rejects_an_ill_sorted_rule(rule, message):
+    declarations = "true : bool\nzeroN : nat\nnot : bool -> bool\nand : bool -> bool -> bool\n"
+    with pytest.raises(SortError, match=message):
+        read_rules(declarations + rule)
 
 
 def test_signature_covers_required_symbols():
@@ -302,11 +312,10 @@ def test_memoized_innermost_matches_the_unmemoized_path(rules):
     assert inside_hits > 20
 
 
-@pytest.mark.parametrize("paper_literal", [False, True], ids=["default", "paper_literal"])
-def test_a_warm_table_gives_the_reports_of_a_cold_one(paper_literal):
-    warm = RuleSet(builtin_ruleset(paper_literal), SIGNATURE)
-    cold = RuleSet(warm, SIGNATURE)
-    cases = list(_repeating_terms(warm))
+@pytest.mark.parametrize("rules", [RULES, LITERAL, HAND], ids=["default", "paper_literal", "hand"])
+def test_a_warm_table_gives_the_reports_of_a_cold_one(rules):
+    warm, cold = RuleSet(rules), RuleSet(rules)
+    cases = list(_repeating_terms(rules))
     for term, _ in cases:
         reduce(term, warm)
     table, size = warm.table, len(warm.table)
@@ -314,13 +323,13 @@ def test_a_warm_table_gives_the_reports_of_a_cold_one(paper_literal):
         for budget in _budgets(reduce(term, warm).steps, k):
             cold.table = {}
             assert reduce(term, warm, budget=budget) == reduce(term, cold, budget=budget)
-    # every shared call and node of the second pass was a hit
+    # every call and node of the second pass was a hit
     assert warm.table is table and len(table) == size > 0
 
 
-def _assert_keys_are_kept_alive(rules, table):
+def _assert_keys_are_kept_alive(table):
     """Every id in a key of `table` is the id of a node reachable from its
-    values, and every key's head is one of the symbols the rule set shares."""
+    values."""
     kept = set()
     stack = [node for node, _ in table.values()]
     while stack:
@@ -328,40 +337,40 @@ def _assert_keys_are_kept_alive(rules, table):
         if id(node) not in kept:
             kept.add(id(node))
             stack += node[1:]
-    for head, *ids in table:
-        assert head in rules.shared and kept.issuperset(ids)
+    for _, *ids in table:
+        assert kept.issuperset(ids)
 
 
 def test_the_table_keeps_alive_every_node_its_keys_name():
-    rules = RuleSet(RULES, SIGNATURE)
+    rules = RuleSet(RULES)
     cfg = GenConfig(seed=707, max_size=50)
     for i in range(40):
         reduce(encode_level(gen_level(cfg, i)), rules, budget=1 + 97 * i)
     assert len(rules.table) > 100
-    _assert_keys_are_kept_alive(rules, rules.table)
+    _assert_keys_are_kept_alive(rules.table)
 
 
-def test_an_ill_sorted_input_reduces_as_before_and_shares_nothing():
-    rules = RuleSet(RULES, SIGNATURE)
+def test_an_ill_sorted_input_reduces_as_before_and_keeps_the_table_alive():
+    rules = RuleSet(RULES)
     reduce(encode_level(Max(x, Succ(y))), rules)
-    size = len(rules.table)
     # `and` of a level: no rule matches, so the term is its own normal form
     term = app("and", app("maxS", app("nilSL")), app("true"))
     report = reduce(term, rules)
     assert report == ReductionReport(term, 0, False) == _unmemoized_innermost(term, rules, 10)
-    assert len(rules.table) == size
+    _assert_keys_are_kept_alive(rules.table)
 
 
 def test_a_table_past_the_limit_is_replaced_between_reductions(monkeypatch):
     monkeypatch.setattr(engine, "_TABLE_LIMIT", 200)
-    rules, unshared = RuleSet(RULES, SIGNATURE), RuleSet(RULES)
+    rules, cold = RuleSet(RULES), RuleSet(RULES)
     cfg = GenConfig(seed=707, max_size=50)
     replaced = 0
     for i in range(30):
         term = encode_level(gen_level(cfg, i))
-        for budget in (reduce(term, unshared).steps // 2 + 1, 10**6):
+        for budget in (reduce(term, cold).steps // 2 + 1, 10**6):
             table = rules.table
-            assert reduce(term, rules, budget=budget) == reduce(term, unshared, budget=budget)
+            cold.table = {}
+            assert reduce(term, rules, budget=budget) == reduce(term, cold, budget=budget)
             if rules.table is not table:  # bound anew, the old one left whole
                 replaced += 1
                 assert rules.table == {} and len(table) > 200
@@ -373,7 +382,7 @@ def test_a_table_past_the_limit_is_replaced_between_reductions(monkeypatch):
 def test_two_threads_sharing_a_table_agree_with_serial_runs():
     term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
     serial = reduce(term, RuleSet(RULES))
-    rules = RuleSet(RULES, SIGNATURE)
+    rules = RuleSet(RULES)
     table = rules.table
     reports = []
     interval = sys.getswitchinterval()
@@ -390,7 +399,7 @@ def test_two_threads_sharing_a_table_agree_with_serial_runs():
         sys.setswitchinterval(interval)
     assert reports == [serial, serial]
     assert serial.steps == 107_142 and not serial.budget_exhausted
-    _assert_keys_are_kept_alive(rules, table)
+    _assert_keys_are_kept_alive(table)
 
 
 def _subterms(term):
