@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet
+from .terms import PVAR_HEAD, RTerm, RewriteRule
 
 
 def _kids(by_head: dict[str, list[RewriteRule]]) -> dict[str, list[str]]:
@@ -84,58 +84,79 @@ def _mk_node(head: str, kids: list[str]) -> str:
     return f"mk({head!r}, ({_items(kids)}))"
 
 
-# One evaluation's state and the code that every symbol's function shares;
-# the generated functions are nested in `evaluation`, so each evaluation has
-# its own step count.  Every entry goes to `table`, which outlives the
-# evaluation; sharing it across evaluations is sound by these invariants:
+# The innermost evaluator is one generated module per rule set.  A
+# reduction's state is the module's globals (step count, budget, the table's
+# `get` and `setdefault`), bound by `evaluate` at the start of the reduction
+# under the module's lock, so the reductions on one rule set take turns.
+# Every entry goes to `table`, which outlives the reduction; sharing it
+# across reductions is sound by these invariants:
 #   * Ids stay valid: every id in a table key belongs to a node that the same
 #     table keeps alive.  Each argument of a call or node is a value that
-#     this evaluation made, whatever the input's sorts: a result stored in
+#     this reduction made, whatever the input's sorts: a result stored in
 #     `table`, a node entered there, or a subterm of one.
-#   * One table per evaluation: `table` is bound once, here, and every entry
-#     of this evaluation is read from and written to that dict alone.
+#   * One table per reduction: `evaluate` binds it before any call, and every
+#     entry of the reduction, the nullary values included, is read from and
+#     written to that dict alone.
 #   * No duplicate nodes: table entries are inserted with `setdefault`, and
-#     the value it returns is the one used, so two evaluations on one table
-#     (two threads) never make two canonical nodes for one key.
+#     the value it returns is the one used, so two reductions on one table
+#     (two rule sets given one dict) never make two canonical nodes for one key.
 _EVALUATION = """\
-def evaluation(budget, exceeded, table):
-    table_get, table_put = table.get, table.setdefault
-    steps = 0
-
-    def replay(hit):
-        nonlocal steps
-        result, cost = hit
-        if steps + cost > budget:
-            steps = budget
-            raise exceeded
-        steps += cost
-        return result
-
-    def tick():
-        nonlocal steps
-        if steps >= budget:
-            raise exceeded
-        steps += 1
-
-    def count():
-        return steps
-
-    def apply(head, kids):
-        defined = calls(head)
-        if defined is not None:
-            return defined(*kids)
-        key = (head, *map(id, kids))
-        return (table_get(key) or table_put(key, ((head, *kids), 0)))[0]
+import _thread
+lock = _thread.allocate_lock()
+class Exhausted(Exception):
+    pass
+def evaluate(order, limit, table):
+    global {state}
+    with lock:
+        budget, steps = limit, 0
+        table_get, table_put = table.get, table.setdefault
+{nullary}
+        values = []
+        try:
+            for node in reversed(order):
+                split = len(values) + 1 - len(node)
+                kids = values[split:]
+                del values[split:]
+                head = node[0]
+                defined = calls(head)
+                if defined is not None:
+                    values.append(defined(*kids))
+                else:
+                    key = (head, *map(id, kids))
+                    values.append((table_get(key) or table_put(key, ((head, *kids), 0)))[0])
+            result = values[0]
+        except Exhausted:
+            result = None
+        table_get = table_put = None  # a table the rule set replaces is freed
+        return result, steps
+def replay(hit):
+    global steps
+    result, cost = hit
+    if steps + cost > budget:
+        steps = budget
+        raise Exhausted
+    steps += cost
+    return result
+def tick():
+    global steps
+    if steps >= budget:
+        raise Exhausted
+    steps += 1
 """
 
 
-def compile_evaluator(rules: RuleSet) -> Callable:
+def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
+    namespace: dict[str, object] = {}
+    exec(compile(evaluator_source(by_head), "<compiled evaluator>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
     # One function per defined head (f<h>), one per constructor arity (c<n>,
     # the head its first argument), and one value per nullary constructor
-    # that a right side builds (n<i>, made once per evaluation).  Symbol text
+    # that a right side builds (n<i>, bound per reduction).  Symbol text
     # reaches the source only as repr() literals, and a pattern variable is
     # its source expression in the arguments, such as k1[2].
-    by_head = rules.by_head
     defined = {head: f"f{h}" for h, head in enumerate(by_head)}
     arities: set[int] = set()
     nullary: dict[str, str] = {}
@@ -149,45 +170,37 @@ def compile_evaluator(rules: RuleSet) -> Callable:
         return f"c{len(kids)}({head!r}, {_items(kids)})"
 
     def lookup(head: str, kids: list[str]) -> str:
-        return f"        hit = table_get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
+        return f"    hit = table_get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
 
-    lines = [_EVALUATION]
+    lines = []
     kids_of = _kids(by_head)
     for head, head_rules in by_head.items():
         kids = kids_of[head]
-        lines += [f"    def {defined[head]}({', '.join(kids)}):",
+        lines += [f"def {defined[head]}({', '.join(kids)}):",
                   lookup(repr(head), kids),
-                  "        if hit:",
-                  "            return replay(hit)",
-                  "        start = steps"]
+                  "    if hit:",
+                  "        return replay(hit)",
+                  "    start = steps"]
         branch = "if"
         for rule, tests, binds in _left_sides(head_rules, kids):
-            lines += [f"        {branch} {' and '.join(tests) or 'True'}:",
-                      "            tick()",
-                      f"            result = {_compile_template(rule.rhs, binds, node)}"]
+            lines += [f"    {branch} {' and '.join(tests) or 'True'}:",
+                      "        tick()",
+                      f"        result = {_compile_template(rule.rhs, binds, node)}"]
             branch = "elif"
         if tests:  # arguments that no rule matches make a normal form
-            lines += ["        else:",
-                      f"            result = ({head!r}, {_items(kids)})"]
-        lines += ["        return table_put(key, (result, steps - start))[0]"]
-    builders = [f"c{n}" for n in sorted(arities)]
+            lines += ["    else:",
+                      f"        result = ({head!r}, {_items(kids)})"]
+        lines += ["    return table_put(key, (result, steps - start))[0]"]
     for n in sorted(arities):
         kids = [f"k{i}" for i in range(n)]
-        lines += [f"    def c{n}(head, {_items(kids)}):",
+        lines += [f"def c{n}(head, {_items(kids)}):",
                   lookup("head", kids),
-                  f"        return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
-    lines += [f"    {name} = c0({head!r})" for head, name in nullary.items()]
+                  f"    return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
     calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
-    # close() drops the functions, which refer to one another
-    released = ["calls", *defined.values(), *builders]
-    lines += [f"    calls = {{{calls}}}.get",
-              "    def close():",
-              f"        nonlocal {', '.join(released)}",
-              f"        {' = '.join(released)} = None",
-              "    return apply, count, close"]
-    namespace: dict[str, object] = {}
-    exec(compile("\n".join(lines), "<compiled evaluator>", "exec"), namespace)
-    return namespace["evaluation"]
+    lines += [f"calls = {{{calls}}}.get"]
+    state = ", ".join(["budget", "steps", "table_get", "table_put", *nullary.values()])
+    bind = "\n".join(f"        {name} = c0({head!r})" for head, name in nullary.items())
+    return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n"
 
 
 def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:

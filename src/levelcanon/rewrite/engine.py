@@ -7,13 +7,16 @@ Three redex-selection strategies are supported:
   * ``random``     — a seeded uniform choice among all redex positions.
 
 The rule set is constructor-based and orthogonal, so all strategies reach the
-same normal form.  Untraced innermost runs the rule set's compiled evaluator
-(`RuleSet.evaluator`): one generated function per defined symbol, called
-with the normal forms of its arguments.  It tests the symbol's rules' left
-sides in order and builds the matched right side as nested calls of the
-generated functions, so each fresh node is reduced as it is made, and
-constructor nodes are hash-consed (one generated function per number of
-arguments).  The positional loop
+same normal form.  Untraced innermost is one call of the rule set's
+compiled evaluator (`RuleSet.evaluator`), generated once per rule set: one
+function per defined symbol, called with the normal forms of its arguments.
+It tests the symbol's rules' left sides in order and builds the matched
+right side as nested calls of the generated functions, so each fresh node
+is reduced as it is made, and constructor nodes are hash-consed (one
+generated function per number of arguments).  The call takes the input's
+nodes in the order that checking the input visited them and returns the
+normal form, or None when the budget ran out, with the step count.
+Reductions on one rule set take turns on its evaluator.  The positional loop
 (outermost, random, and innermost with a trace) dispatches through the
 compiled matchers (`RuleSet.matchers`) instead: one generated function per
 defined head returns the first matching rule with its bindings, and the
@@ -60,10 +63,6 @@ class ReductionReport:
     budget_exhausted: bool
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def reduce(
     term: RTerm,
     rules: RuleSet,
@@ -84,21 +83,25 @@ def reduce(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "innermost" and trace is None:
-        evaluator = rules.evaluator()  # rejects a head whose rules differ in arity
-        _check_input(term, rules.by_head)
-        return _reduce_innermost(term, rules, evaluator, budget)
+        evaluate = rules.evaluator()  # rejects a head whose rules differ in arity
+        order = _check_input(term, rules.by_head)
+        return _reduce_innermost(term, rules, evaluate, order, budget)
     matchers = rules.matchers()  # likewise
     _check_input(term, rules.by_head)
     return _reduce_positional(term, matchers, strategy, budget, seed, trace)
 
 
-def _check_input(term: RTerm, by_head) -> None:
+def _check_input(term: RTerm, by_head) -> list[RTerm]:
     """Reject pattern variables, and defined-symbol nodes whose arity differs
     from their rules' (a rule would drop or miss arguments); the rules of a
-    head all take one number of arguments."""
+    head all take one number of arguments.  Returns the nodes in the order
+    visited: preorder with the last argument first, so reversed, the
+    post-order, left to right."""
+    order = []
     stack = [term]
     while stack:
         node = stack.pop()
+        order.append(node)
         head = node[0]
         if head == PVAR_HEAD:
             raise ValueError("reduce requires a ground term")
@@ -107,6 +110,7 @@ def _check_input(term: RTerm, by_head) -> None:
             raise ValueError(f"{head} takes {len(rules[0].lhs) - 1} arguments, "
                              f"got {len(node) - 1}")
         stack.extend(node[1:])
+    return order
 
 
 # Bounded memory: a rule set whose table holds more entries than this after a
@@ -114,42 +118,21 @@ def _check_input(term: RTerm, by_head) -> None:
 _TABLE_LIMIT = 1 << 14
 
 
-def _reduce_innermost(term: RTerm, rules: RuleSet, evaluator, budget: int) -> ReductionReport:
-    # the table is read once: the evaluation keeps it to the end even if
+def _reduce_innermost(term: RTerm, rules: RuleSet, evaluate, order: list[RTerm],
+                      budget: int) -> ReductionReport:
+    # the table is read once: the reduction keeps it to the end even if
     # another thread's reduction replaces the rule set's table meanwhile
     table = rules.table
-    apply, count, close = evaluator(budget, _BudgetExceeded, table)
     # rewrite chains nest one Python frame per step at a given position;
     # only ever raise the limit so parallel reductions cannot interfere
     if sys.getrecursionlimit() < 100_000:
         sys.setrecursionlimit(100_000)
-    # the input in preorder with the last argument first; reversed, that is
-    # the post-order, left to right, in which each node is applied to the
-    # normal forms of its arguments
-    order = []
-    todo = [term]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        todo += node[1:]
-    values: list[RTerm] = []
-    try:
-        for node in reversed(order):
-            split = len(values) + 1 - len(node)
-            kids = tuple(values[split:])
-            del values[split:]
-            values.append(apply(node[0], kids))
-        return ReductionReport(values[0], count(), False)
-    except _BudgetExceeded:
-        return ReductionReport(term, count(), True)
-    finally:
-        # the generated functions refer to one another; without this they
-        # would live on until the collector frees the cycle
-        close()
-        # replaced, never cleared: clearing would free nodes whose ids the
-        # keys of another evaluation still on this table may hold
-        if len(table) > _TABLE_LIMIT:
-            rules.table = {}
+    result, steps = evaluate(order, budget, table)
+    # replaced, never cleared: clearing would free nodes whose ids the keys
+    # of another reduction still on this table may hold
+    if len(table) > _TABLE_LIMIT:
+        rules.table = {}
+    return ReductionReport(term if result is None else result, steps, result is None)
 
 
 class _RedexIndex:

@@ -187,29 +187,30 @@ class RuleSet(tuple):
         """The compiled innermost evaluator, built on first use and kept on
         this rule set.
 
-        ``evaluator()(budget, exceeded, table)`` starts one evaluation and
-        returns ``(apply, count, close)``.  ``apply(head, kids)`` is the
-        normal form of a `head` node whose arguments are normal forms made
-        by this evaluation.  A defined head's generated function tests its
-        rules' left sides in order, with `match_args`' semantics, and builds
-        the first match's right side as nested calls of the generated
-        functions of its nodes, so what it builds is normal; every other
-        node is hash-consed.  A rule application is one step, ``count()``
-        the steps taken, and a step past `budget` raises `exceeded`.
+        ``evaluator()(order, budget, table)`` runs one reduction and returns
+        ``(normal form, steps)``, or ``(None, steps)`` with ``steps ==
+        budget`` when the budget ran out.  `order` is the input's nodes in
+        preorder with the last argument first; the evaluator applies them
+        in reverse, each to the normal forms of its arguments.  A defined
+        head's generated function tests its rules' left sides in order,
+        with `match_args`' semantics, and builds the first match's right
+        side as nested calls of the generated functions of its nodes, so
+        what it builds is normal; every other node is hash-consed.  A rule
+        application is one step.
 
         Calls and nodes are memoized in `table`: a call's entry maps
         ``(head, *ids of normal kids)`` to ``(normal form, steps it took)``,
         a node's to ``(node, 0)``.  A repeated call replays its steps, and
-        one that would cross the budget raises with ``count() == budget``,
-        where re-running it would have stopped.  Every value the evaluation
-        makes is held by `table`, so the table may outlive the evaluation
-        and serve the next; `reduce` passes this rule set's.  ``close()``
-        releases the generated functions, which refer to one another, when
-        the evaluation ends.
+        one that would cross the budget stops at `budget`, where re-running
+        it would have.  Every value the reduction makes is held by `table`,
+        so the table may outlive the reduction and serve the next; `reduce`
+        passes this rule set's.  The generated functions are made once; a
+        reduction's state lives in their module, under a lock, so the
+        reductions on one rule set take turns.
         """
         if self._evaluator is None:
             from .codegen import compile_evaluator
-            self._evaluator = compile_evaluator(self)
+            self._evaluator = compile_evaluator(self.by_head)
         return self._evaluator
 
 

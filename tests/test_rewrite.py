@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import random
 import sys
@@ -379,6 +380,19 @@ def test_a_table_past_the_limit_is_replaced_between_reductions(monkeypatch):
     assert replaced > 5
 
 
+def test_a_replaced_table_is_freed(monkeypatch):
+    class Table(dict):  # a dict that takes a weak reference
+        pass
+
+    monkeypatch.setattr(engine, "_TABLE_LIMIT", 200)
+    rules = RuleSet(RULES)
+    rules.table = Table()
+    table = weakref.ref(rules.table)
+    reduce(encode_level(gen_level(GenConfig(seed=707, max_size=50), 0)), rules)
+    assert rules.table == {}  # replaced, and nothing else holds the old one
+    assert table() is None
+
+
 def test_two_threads_sharing_a_table_agree_with_serial_runs():
     term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
     serial = reduce(term, RuleSet(RULES))
@@ -400,6 +414,40 @@ def test_two_threads_sharing_a_table_agree_with_serial_runs():
     assert reports == [serial, serial]
     assert serial.steps == 107_142 and not serial.budget_exhausted
     _assert_keys_are_kept_alive(table)
+
+
+def test_two_rule_sets_reducing_at_once_agree_with_serial_runs():
+    # each rule set's evaluator is its own generated module, whose globals
+    # hold the step count, the budget and the table of the reduction under
+    # way; two of them running interleaved must not see each other's, and
+    # two threads on one rule set take turns
+    term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
+    budgets = [(10**6, reduce(term, RuleSet(rules)).steps // 2) for rules in (RULES, LITERAL)]
+    serial = [[reduce(term, RuleSet(rules), budget=budget) for budget in pair]
+              for rules, pair in zip((RULES, LITERAL), budgets)]
+    fresh = [RuleSet(rules) for rules in (RULES, LITERAL)]
+    for rules in fresh:
+        rules.evaluator()  # compiled before the race
+    reports = [[] for _ in range(4)]  # threads 0 and 2 on one rule set, 1 and 3 on the other
+
+    def run(j):
+        for budget in budgets[j % 2]:
+            reports[j].append(reduce(term, fresh[j % 2], budget=budget))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == serial * 2
+    assert all(full.steps > 1000 and not full.budget_exhausted for full, _ in serial)
+    assert all(half.budget_exhausted for _, half in serial)
 
 
 def _subterms(term):
@@ -594,10 +642,9 @@ def test_compiled_matchers_are_built_once_per_rule_set(monkeypatch):
 
 
 def test_memoized_innermost_frees_its_memo_on_return():
-    # the heaviest case of the first 1000 in the fuzz criterion's stream; the
-    # evaluator's generated functions refer to one another, so with the
-    # collector off only closing the evaluation returns the memo's memory
-    # (about 1 MB here)
+    # the heaviest case of the first 1000 in the fuzz criterion's stream;
+    # with the collector off, nothing the reduction makes may outlive it
+    # unless the rule set's table holds it (its memo is about 1 MB here)
     term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
     was_enabled = gc.isenabled()
     gc.disable()
@@ -618,6 +665,34 @@ def test_memoized_innermost_frees_its_memo_on_return():
         if was_enabled:
             gc.enable()
     assert after - before < 64 * 1024
+
+
+def test_a_reduction_makes_no_functions_of_its_own():
+    # the evaluator is generated once per rule set, as top-level functions
+    # of one module; a reduction binds its state there and returns, with
+    # nothing to release (functions made per reduction cost 10.7 KB here)
+    rules = RuleSet(RULES)
+    evaluate = rules.evaluator()
+    for _ in range(3):
+        reduce(app("zeroL"), rules)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert reduce(app("zeroL"), rules) == ReductionReport(app("maxS", app("nilSL")), 1, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert peak - before < 2 * 1024
+    assert rules.evaluator() is evaluate
+    tree = ast.parse(codegen.evaluator_source(rules.by_head))
+    nested = [f"{type(node).__name__} at line {node.lineno}" for top in tree.body
+              for node in ast.walk(top) if node is not top
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []
 
 
 def test_redex_index_memory_follows_the_term():
