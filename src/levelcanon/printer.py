@@ -8,12 +8,12 @@ from .parser import NameTable
 from .sublevels import SubA, SubLevel
 
 
-def _join(rope) -> str:
+def join_rope(rope) -> str:
     """The text of a rope: a string, or a tuple of ropes.
 
-    The printing folds build ropes and join them once at the end: pasting
-    strings at every node would copy them once per level.  One explicit stack
-    flattens a rope of any depth.
+    The printing folds (of levels here, of terms in `rewrite.terms`) build
+    ropes and join them once at the end: pasting strings at every node would
+    copy them once per level.  One explicit stack flattens a rope of any depth.
     """
     parts = []
     stack = [rope]
@@ -28,18 +28,19 @@ def _join(rope) -> str:
 
 def print_level(t: Level, names: NameTable) -> str:
     """Canonical text in the input grammar; parsing it back yields `t`."""
-    return _join(fold_level(t, "0", names.name_of, lambda core, n: ("s(" * n, core, ")" * n),
-                            lambda a, b: ("max(", a, ", ", b, ")"),
-                            lambda a, b: ("imax(", a, ", ", b, ")")))
+    return join_rope(fold_level(t, "0", names.name_of,
+                                lambda core, n: ("s(" * n, core, ")" * n),
+                                lambda a, b: ("max(", a, ", ", b, ")"),
+                                lambda a, b: ("imax(", a, ", ", b, ")")))
 
 
 def level_repr(t: Level) -> str:
     """The constructor calls that build `t`, as `Max(left=Var(vid=0), right=Zero())`;
     `repr` of a level is this text."""
-    return _join(fold_level(t, "Zero()", lambda vid: f"Var(vid={vid!r})",
-                            lambda core, n: ("Succ(child=" * n, core, ")" * n),
-                            lambda a, b: ("Max(left=", a, ", right=", b, ")"),
-                            lambda a, b: ("IMax(left=", a, ", right=", b, ")")))
+    return join_rope(fold_level(t, "Zero()", lambda vid: f"Var(vid={vid!r})",
+                                lambda core, n: ("Succ(child=" * n, core, ")" * n),
+                                lambda a, b: ("Max(left=", a, ", right=", b, ")"),
+                                lambda a, b: ("IMax(left=", a, ", right=", b, ")")))
 
 
 def print_atom(u: SubLevel, names: NameTable) -> str:

@@ -1,8 +1,7 @@
 """First-order rewrite interpreter for the level algebra."""
 
 from .terms import (
-    BOOL, LEVEL, NAT, NATSET, SLSET, SUBLEVEL,
-    RTerm, RewriteRule, RuleSet, SortError, Symbol, app, check_rule_sorts,
+    RTerm, RewriteRule, RuleSet, SortError, Symbol, app, check_rule_sorts, fold_term,
     infer_sort, is_pvar, match, pvar, subst_template, term_to_str, term_vars,
 )
 from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump

@@ -34,6 +34,7 @@ def encode_nat(n: int) -> RTerm:
     return t
 
 
+# the decoders are loops, not folds: each walks one spine, up to a node off the image
 def decode_nat(t: RTerm) -> int:
     n = 0
     while t[0] == "succN":

@@ -10,31 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule
-
-
-def _kids(by_head: dict[str, list[RewriteRule]]) -> dict[str, list[str]]:
-    """Parameter names k0, k1, ... for the arguments of each defined head.
-    The rules of a head must all take one number of them, and every right
-    side must apply the head to that many; the generated code relies on both."""
-    arity = {}
-    for head, rules in by_head.items():
-        arity[head] = len(rules[0].lhs) - 1
-        if any(len(rule.lhs) - 1 != arity[head] for rule in rules):
-            raise ValueError(f"the rules of {head!r} take different numbers of arguments")
-    for rules in by_head.values():
-        for rule in rules:
-            stack = [rule.rhs]
-            while stack:
-                node = stack.pop()
-                if node[0] == PVAR_HEAD:
-                    continue
-                if node[0] in arity and len(node) - 1 != arity[node[0]]:
-                    raise ValueError(f"the rules of {node[0]!r} take different numbers of "
-                                     f"arguments: {arity[node[0]]} on their left sides, "
-                                     f"{len(node) - 1} in {rule}")
-                stack.extend(node[1:])
-    return {head: [f"k{i}" for i in range(n)] for head, n in arity.items()}
+from .terms import PVAR_HEAD, RTerm, RewriteRule, fold_term
 
 
 def _left_sides(rules: list[RewriteRule], kids: list[str]):
@@ -62,9 +38,8 @@ def compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callabl
     namespace: dict[str, object] = {}
     builds: list[str] = []
     matchers: list[str] = []
-    kids_of = _kids(by_head)
     for h, (head, rules) in enumerate(by_head.items()):
-        kids = kids_of[head]
+        kids = [f"k{i}" for i in range(len(rules[0].lhs) - 1)]
         matchers.append(f"def m{h}(kids):")
         if kids:
             matchers.append(f"    {_items(kids)}= kids")
@@ -73,7 +48,7 @@ def compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callabl
             namespace[f"r{j}"] = rule
             params = dict(zip(binds, (f"v{i}" for i in range(len(binds)))))
             builds.append(f"def b{j}(mk, {_items(params.values())}):")
-            builds.append(f"    return {_compile_template(rule.rhs, params, _mk_node)}")
+            builds.append(f"    return {fold_term(rule.rhs, params.__getitem__, _mk_node)}")
             matchers.append(f"    if {' and '.join(tests) or 'True'}:")
             matchers.append(f"        return b{j}, ({_items(binds.values())}), r{j}")
     exec(compile("\n".join(builds + matchers), "<compiled rules>", "exec"), namespace)
@@ -173,9 +148,8 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
         return f"    hit = table_get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
 
     lines = []
-    kids_of = _kids(by_head)
     for head, head_rules in by_head.items():
-        kids = kids_of[head]
+        kids = [f"k{i}" for i in range(len(head_rules[0].lhs) - 1)]
         lines += [f"def {defined[head]}({', '.join(kids)}):",
                   lookup(repr(head), kids),
                   "    if hit:",
@@ -185,7 +159,7 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
         for rule, tests, binds in _left_sides(head_rules, kids):
             lines += [f"    {branch} {' and '.join(tests) or 'True'}:",
                       "        tick()",
-                      f"        result = {_compile_template(rule.rhs, binds, node)}"]
+                      f"        result = {fold_term(rule.rhs, binds.__getitem__, node)}"]
             branch = "elif"
         if tests:  # arguments that no rule matches make a normal form
             lines += ["    else:",
@@ -206,6 +180,7 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
 def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:
     """Append to `tests` the conditions under which the term at expression
     `src` matches `pat`, and record in `binds` each new variable's source."""
+    # top-down, so not a fold: a node's source expression extends its parent's
     if pat[0] == PVAR_HEAD:
         if pat[1] in binds:
             tests.append(f"{src} == {binds[pat[1]]}")
@@ -219,11 +194,3 @@ def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, st
     for i, child in enumerate(pat[1:], 1):
         _compile_pattern(child, f"{src}[{i}]", tests, binds)
 
-
-def _compile_template(tmpl: RTerm, names: dict[str, str],
-                      node: Callable[[str, list[str]], str]) -> str:
-    """The expression that builds `tmpl`: a pattern variable is its
-    expression in `names`, and a node is ``node(head, argument expressions)``."""
-    if tmpl[0] == PVAR_HEAD:
-        return names[tmpl[1]]
-    return node(tmpl[0], [_compile_template(c, names, node) for c in tmpl[1:]])

@@ -82,21 +82,18 @@ def reduce(
         raise ValueError("budget must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    order = _check_input(term, rules.arity)
     if strategy == "innermost" and trace is None:
-        evaluate = rules.evaluator()  # rejects a head whose rules differ in arity
-        order = _check_input(term, rules.by_head)
-        return _reduce_innermost(term, rules, evaluate, order, budget)
-    matchers = rules.matchers()  # likewise
-    _check_input(term, rules.by_head)
-    return _reduce_positional(term, matchers, strategy, budget, seed, trace)
+        return _reduce_innermost(term, rules, rules.evaluator(), order, budget)
+    return _reduce_positional(term, rules.matchers(), strategy, budget, seed, trace)
 
 
-def _check_input(term: RTerm, by_head) -> list[RTerm]:
+def _check_input(term: RTerm, arity: dict[str, int]) -> list[RTerm]:
     """Reject pattern variables, and defined-symbol nodes whose arity differs
-    from their rules' (a rule would drop or miss arguments); the rules of a
-    head all take one number of arguments.  Returns the nodes in the order
-    visited: preorder with the last argument first, so reversed, the
-    post-order, left to right."""
+    from their rules' (a rule would drop or miss arguments).  Returns the
+    nodes in the order visited: preorder with the last argument first, so
+    reversed, the post-order, left to right."""
+    # not `fold_term`: it runs per reduction, and its visit order is the evaluator's input
     order = []
     stack = [term]
     while stack:
@@ -105,10 +102,9 @@ def _check_input(term: RTerm, by_head) -> list[RTerm]:
         head = node[0]
         if head == PVAR_HEAD:
             raise ValueError("reduce requires a ground term")
-        rules = by_head.get(head)
-        if rules is not None and len(rules[0].lhs) != len(node):
-            raise ValueError(f"{head} takes {len(rules[0].lhs) - 1} arguments, "
-                             f"got {len(node) - 1}")
+        n = arity.get(head)
+        if n is not None and n != len(node) - 1:
+            raise ValueError(f"{head} takes {n} arguments, got {len(node) - 1}")
         stack.extend(node[1:])
     return order
 
@@ -168,6 +164,7 @@ class _RedexIndex:
     def sweep(self, term: RTerm) -> None:
         """Keep the entries of the nodes reachable from `term`, entering any
         that has none, and drop the rest."""
+        # not `fold_term`: it visits a shared node once, by id, and keeps its entry
         old, entries = self.entries, {}
         self.entries = entries
         stack = [term]

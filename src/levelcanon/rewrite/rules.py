@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .terms import RewriteRule, RTerm, RuleSet, Symbol, check_rule_sorts, pvar
+from .terms import RewriteRule, RTerm, RuleSet, Symbol, check_rule_sorts, is_pvar, pvar
 
 RULE_TEXT = """\
 # booleans
@@ -244,7 +244,8 @@ def read_rules(text: str, paper_literal: bool = False,
     for line in _logical_lines(text, paper_literal):
         lhs, arrow, rhs = line.partition(" --> ")
         if arrow:
-            rule = RewriteRule(_read_term(lhs, signature), _read_term(rhs, signature))
+            rule = RewriteRule(_read_term(lhs, signature, line),
+                               _read_term(rhs, signature, line))
             check_rule_sorts(rule, signature)
             rules.append(rule)
         else:
@@ -256,21 +257,32 @@ def read_rules(text: str, paper_literal: bool = False,
     return signature, rules
 
 
-def _read_term(text: str, signature: dict[str, Symbol]) -> RTerm:
-    # the side is read as one parenthesized group: one open list per
-    # unclosed parenthesis, and a closed list is a head (a nullary
-    # application or a variable) followed by its arguments
+def _read_term(text: str, signature: dict[str, Symbol], line: str) -> RTerm:
+    # not a fold, since it reads text: one open group per unclosed parenthesis,
+    # the side itself the outermost group, and a closed group a head (a
+    # nullary application or a variable) followed by its arguments
     stack: list[list[RTerm]] = [[]]
-    for tok in _TOKEN.findall(f"({text})"):
+    for tok in _TOKEN.findall(text):
         if tok == "(":
             stack.append([])
         elif tok == ")":
-            head, *args = stack.pop()
-            stack[-1].append(head + tuple(args))
+            if len(stack) == 1:
+                raise ValueError(f"unbalanced ')' in rule {line!r}")
+            group = stack.pop()
+            stack[-1].append(_apply(group, line))
         else:
             stack[-1].append((tok,) if tok in signature else pvar(tok))
-    (term,), = stack
-    return term
+    if len(stack) > 1:
+        raise ValueError(f"unbalanced '(' in rule {line!r}")
+    return _apply(stack[0], line)
+
+
+def _apply(group: list[RTerm], line: str) -> RTerm:
+    if not group:
+        raise ValueError(f"empty group '()' in rule {line!r}")
+    if len(group) > 1 and is_pvar(group[0]):
+        raise ValueError(f"variable {group[0][1]!r} applied to arguments in rule {line!r}")
+    return group[0] + tuple(group[1:])
 
 
 # the declaration lines, which `export` prints as they stand

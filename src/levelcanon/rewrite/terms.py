@@ -9,12 +9,12 @@ checked, not encoded in the terms themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
+from ..printer import join_rope
+
+T = TypeVar("T")
 Sort = str
-BOOL, NAT, NATSET, SUBLEVEL, SLSET, LEVEL = (
-    "bool", "nat", "natset", "sublevel", "sublevelset", "level",
-)
 
 RTerm = tuple
 PVAR_HEAD = "$"
@@ -43,39 +43,52 @@ def app(head: str, *children: RTerm) -> RTerm:
     return (head, *children)
 
 
-def term_vars(t: RTerm) -> frozenset[str]:
-    if is_pvar(t):
-        return frozenset((t[1],))
-    out: set[str] = set()
-    stack = list(t[1:])
-    while stack:
-        node = stack.pop()
-        if is_pvar(node):
-            out.add(node[1])
+def fold_term(t: RTerm, var: Callable[[str], T], node: Callable[[str, list[T]], T]) -> T:
+    """The value of `t` computed bottom-up: `var(name)` for a pattern variable
+    and `node(head, [argument values])` for an application.
+
+    It keeps its own stack, so a term of any depth folds without recursion,
+    and it calls back in post-order, left to right.
+    """
+    # preorder with the last argument first; reversed, that is the post-order
+    order = []
+    todo = [t]
+    while todo:
+        term = todo.pop()
+        order.append(term)
+        if term[0] != PVAR_HEAD:
+            todo.extend(term[1:])
+    values = []
+    for term in reversed(order):
+        if term[0] == PVAR_HEAD:
+            values.append(var(term[1]))
         else:
-            stack.extend(node[1:])
-    return frozenset(out)
+            split = len(values) + 1 - len(term)
+            kids = values[split:]
+            del values[split:]
+            values.append(node(term[0], kids))
+    return values[0]
+
+
+def term_vars(t: RTerm) -> frozenset[str]:
+    found: set[str] = set()
+    fold_term(t, found.add, lambda head, kids: None)
+    return frozenset(found)
+
+
+def _print_node(head: str, kids: list) -> object:
+    # a rope: a string for a variable or a constant, a tuple for an application
+    if not kids:
+        return head
+    rope = [head]
+    for kid in kids:
+        rope += (" (", kid, ")") if type(kid) is tuple else (" ", kid)
+    return tuple(rope)
 
 
 def term_to_str(t: RTerm) -> str:
-    """Prefix juxtaposition syntax; compound arguments are parenthesized.
-
-    Printed with an explicit stack of terms and literal strings, so deep
-    terms (long numerals) cannot exhaust the Python stack.
-    """
-    parts: list[str] = []
-    todo: list = [t]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif is_pvar(node):
-            parts.append(node[1])
-        else:
-            parts.append(node[0])
-            for c in reversed(node[1:]):
-                todo += (")", c, " (") if len(c) > 1 and not is_pvar(c) else (c, " ")
-    return "".join(parts)
+    """Prefix juxtaposition syntax; compound arguments are parenthesized."""
+    return join_rope(fold_term(t, str, _print_node))
 
 
 def match_args(pats: tuple, kids: tuple, env: dict[str, RTerm]) -> bool:
@@ -84,6 +97,7 @@ def match_args(pats: tuple, kids: tuple, env: dict[str, RTerm]) -> bool:
 
     A repeated pattern variable only matches syntactically equal arguments.
     """
+    # not a fold: a paired walk over pattern and term, up to the first mismatch
     for pat, kid in zip(pats, kids):
         stack = [(pat, kid)]
         while stack:
@@ -109,11 +123,7 @@ def match(pattern: RTerm, term: RTerm) -> Optional[dict[str, RTerm]]:
 
 
 def subst_template(template: RTerm, env: dict[str, RTerm]) -> RTerm:
-    if template[0] == PVAR_HEAD:
-        return env[template[1]]
-    if len(template) == 1:
-        return template
-    return (template[0], *(subst_template(c, env) for c in template[1:]))
+    return fold_term(template, env.__getitem__, lambda head, kids: (head, *kids))
 
 
 @dataclass(frozen=True)
@@ -129,17 +139,9 @@ class RewriteRule:
             raise ValueError(f"right-hand side introduces variables {sorted(extra)}")
 
     def is_left_linear(self) -> bool:
-        seen: set[str] = set()
-        stack = [self.lhs]
-        while stack:
-            node = stack.pop()
-            if is_pvar(node):
-                if node[1] in seen:
-                    return False
-                seen.add(node[1])
-            else:
-                stack.extend(node[1:])
-        return True
+        names: list[str] = []
+        fold_term(self.lhs, names.append, lambda head, kids: None)
+        return len(names) == len(set(names))
 
     def __str__(self) -> str:
         return f"{term_to_str(self.lhs)} --> {term_to_str(self.rhs)}"
@@ -147,20 +149,38 @@ class RewriteRule:
 
 class RuleSet(tuple):
     """Rewrite rules in emission order, plus `by_head`: the rules of each
-    left-hand-side head symbol (the defined symbols), in the same order.
+    left-hand-side head symbol (the defined symbols), in the same order, and
+    `arity`: the number of arguments each defined symbol takes.
     The rules compile two ways, each on first use and once per rule set:
     `matchers()` for the positional strategies, `evaluator()` for innermost
     reduction.  `table` is the store that the rule set's innermost
-    reductions share (see `evaluator`)."""
+    reductions share (see `evaluator`).
+
+    Building a rule set checks it: the rules of a head must all take one
+    number of arguments, and every right side must apply the head to that
+    many; the compiled code relies on both.  ValueError otherwise."""
 
     by_head: dict[str, list[RewriteRule]]
+    arity: dict[str, int]
     table: dict
 
     def __new__(cls, rules):
         self = super().__new__(cls, rules)
-        self.by_head = {}
+        self.by_head, self.arity = {}, {}
         for rule in self:
-            self.by_head.setdefault(rule.lhs[0], []).append(rule)
+            head, n = rule.lhs[0], len(rule.lhs) - 1
+            self.by_head.setdefault(head, []).append(rule)
+            if self.arity.setdefault(head, n) != n:
+                raise ValueError(f"the rules of {head!r} take different numbers of arguments")
+
+        def check(head: str, kids: list) -> None:
+            n = self.arity.get(head, len(kids))
+            if n != len(kids):
+                raise ValueError(f"the rules of {head!r} take different numbers of "
+                                 f"arguments: {n} on their left sides, {len(kids)} in {rule}")
+
+        for rule in self:
+            fold_term(rule.rhs, lambda name: None, check)
         self.table = {}
         self._matchers = self._evaluator = None
         return self
@@ -247,6 +267,7 @@ def infer_sort(
         raise SortError(f"unknown symbol {t[0]!r}")
     if len(t) - 1 != sym.arity:
         raise SortError(f"{sym.name} expects {sym.arity} arguments, got {len(t) - 1}")
+    # top-down, so not a fold: a variable's sort is its parent's argument sort
     for child, arg_sort in zip(t[1:], sym.args):
         infer_sort(child, signature, var_sorts, arg_sort)
     if expected is not None and sym.result != expected:

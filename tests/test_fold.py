@@ -1,5 +1,7 @@
 """Every walk over a level is `fold_level`: its contract, one error for a
 node that is not a level, and levels far deeper than the recursion limit.
+Every walk over a rewrite term that builds a value bottom-up is
+`fold_term`: its contract, and terms far deeper than the recursion limit.
 
 Deep levels are built iteratively, and their expected sizes, variables,
 constant depths, values, texts and encodings are tracked while they are built,
@@ -8,14 +10,20 @@ without the functions under test.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import levelcanon
 from levelcanon import (
     IMax, Max, NameTable, Succ, Var, ZERO, const_depth, eval_level, eval_repr,
     find_counterexample_leq, fold_level, level_size, level_vars, print_level,
 )
 from levelcanon.normalize import normalize
-from levelcanon.rewrite import encode_level
+from levelcanon.rewrite import app, encode_level, fold_term, pvar
 from levelcanon.rewrite.terms import term_to_str
 
 x, y, z = Var(0), Var(1), Var(2)
@@ -53,6 +61,58 @@ def test_fold_level_calls_back_in_post_order_with_whole_successor_runs():
     assert calls == [("var", 0), ("succ", 1), ("imax",), ("var", 1), ("succ", 3), ("max",),
                      ("succ", 2)]
     assert fold_level(ZERO, "0", var, succ, max_, imax) == "0"
+
+
+def test_fold_term_calls_back_in_post_order_left_to_right():
+    calls = []
+
+    def var(name):
+        calls.append(("var", name))
+        return ("var", name)
+
+    def node(head, kids):
+        calls.append((head, len(kids)))
+        return (head, kids)
+
+    t = app("f", app("g", pvar("x"), app("c")), pvar("y"), app("h", app("c")))
+    assert fold_term(t, var, node) == (
+        "f", [("g", [("var", "x"), ("c", [])]), ("var", "y"), ("h", [("c", [])])])
+    assert calls == [("var", "x"), ("c", 0), ("g", 2), ("var", "y"), ("c", 0), ("h", 1),
+                     ("f", 3)]
+    calls.clear()
+    assert fold_term(app("c"), var, node) == ("c", [])  # a nullary head: no argument values
+    assert fold_term(pvar("x"), var, node) == ("var", "x")  # a variable at the root
+    assert calls == [("c", 0), ("var", "x")]
+
+
+# run in a child interpreter at the default recursion limit, since a
+# reduction in this process raises the limit for good
+_DEEP_TERM_WALKS = """
+import sys
+from levelcanon.rewrite import subst_template, term_to_str, term_vars
+assert sys.getrecursionlimit() == 1000
+n = 100_000
+t = ("plus", ("$", "x"), ("$", "y"))
+for _ in range(n):
+    t = ("succN", t)
+assert term_vars(t) == {"x", "y"}
+assert term_to_str(t) == "succN (" * (n - 1) + "succN (plus x y" + ")" * n
+zero, one = ("zeroN",), ("succN", ("zeroN",))
+got = subst_template(t, {"x": zero, "y": one})
+for _ in range(n):
+    assert len(got) == 2 and got[0] == "succN"
+    got = got[1]
+assert got[0] == "plus" and got[1] is zero and got[2] is one
+"""
+
+
+def test_term_walks_take_a_term_a_hundred_thousand_deep():
+    env = dict(os.environ)
+    src = str(Path(levelcanon.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_TERM_WALKS], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 WALKS = {
