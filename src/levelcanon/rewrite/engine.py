@@ -20,9 +20,11 @@ Reductions on one rule set take turns on its evaluator.  The positional loop
 (outermost, random, and innermost with a trace) dispatches through the
 compiled matchers (`RuleSet.matchers`) instead: one generated function per
 defined head returns the first matching rule with its bindings, and the
-rule's generated builder instantiates the right side.  The loop keeps one
-redex index over the current term: each node's match and the number of
-redexes in its subterm, recorded once, when the node is built.  Outermost
+rule's generated builder instantiates the right side.  The loop builds
+every node of its term, the input's included, as an annotated tuple that
+carries the node's match and the number of redexes in its subterm, set once,
+when the node is built, so the annotations live with the term; the result is
+turned back into plain tuples.  Outermost
 takes the first redex in preorder, random a seeded uniform draw among them
 in preorder, and traced innermost the first in postorder; each choice walks
 one path down by the counts, and the step applies the recorded match.  Step
@@ -45,9 +47,9 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, fold_term
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -131,84 +133,53 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, evaluate, order: list[RTerm],
     return ReductionReport(term if result is None else result, steps, result is None)
 
 
-class _RedexIndex:
-    """Where the redexes of the current term are, for the positional loop.
+class _Node(tuple):
+    """A node the positional loop built, annotated once, when built:
+    `found`, the first rule match at the node (``(build, bindings, rule)``)
+    or None, and `redexes`, the number of redexes in its subterm."""
 
-    An entry per node, keyed by ``id(node)``: ``(match or None, redexes in
-    the node's subterm, node)``, the node being the keepalive for its id.
-    The input term is entered once, by `sweep`; after that each node is
-    entered, and matched, as it is built: `mk` is the rule builders'
-    constructor, and `replace` rebuilds the spine above a rewritten redex.
-    Entries of nodes that left the term stay until the entries outnumber
-    twice those kept at the last sweep, which then keeps only the nodes
-    reachable from the term, so memory follows the term, not the steps.
-    """
+    found: Optional[tuple]
+    redexes: int
 
-    def __init__(self, matchers, term: RTerm):
-        self.matchers = matchers
-        self.entries: dict[int, tuple[Optional[tuple], int, RTerm]] = {}
-        self.sweep(term)
 
-    def enter(self, node: RTerm, kids: tuple) -> RTerm:
-        """Match `node`, whose arguments `kids` are entered, and record it."""
-        entries = self.entries
-        matcher = self.matchers.get(node[0])
-        found = matcher(kids) if matcher is not None else None
-        below = sum(entries[id(kid)][1] for kid in kids)
-        entries[id(node)] = (found, (found is not None) + below, node)
+def _node_maker(matchers) -> Callable[[str, Sequence[_Node]], _Node]:
+    """`mk(head, kids)`, the positional loop's constructor: the input's
+    conversion, the rule builders and the spine rebuild make every node of
+    the term with it."""
+    def mk(head: str, kids: Sequence[_Node]) -> _Node:
+        node = _Node((head, *kids))
+        matcher = matchers.get(head)
+        node.found = found = matcher(kids) if matcher is not None else None
+        node.redexes = (found is not None) + sum(kid.redexes for kid in kids)
         return node
+    return mk
 
-    def mk(self, head: str, kids: tuple) -> RTerm:
-        return self.enter((head, *kids), kids)
 
-    def sweep(self, term: RTerm) -> None:
-        """Keep the entries of the nodes reachable from `term`, entering any
-        that has none, and drop the rest."""
-        # not `fold_term`: it visits a shared node once, by id, and keeps its entry
-        old, entries = self.entries, {}
-        self.entries = entries
-        stack = [term]
-        while stack:
-            node = stack[-1]
-            pending = [kid for kid in node[1:] if id(kid) not in entries]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            if id(node) not in entries:
-                entry = old.get(id(node))
-                if entry is None:
-                    self.enter(node, node[1:])
-                else:
-                    entries[id(node)] = entry
-        self.limit = 2 * len(entries) + 1024
+def _nth(term: _Node, k: int, postorder: bool) -> tuple[list, _Node]:
+    """The k-th redex (from 0) of `term` in preorder or postorder, and the
+    spine ``[(node, child index), ...]`` down to it; this walks one path,
+    descending by the children's counts."""
+    spine = []
+    while True:
+        if not postorder and term.found is not None:
+            if k == 0:
+                return spine, term
+            k -= 1
+        for i, kid in enumerate(term[1:]):
+            if k < kid.redexes:
+                spine.append((term, i))
+                term = kid
+                break
+            k -= kid.redexes
+        else:
+            return spine, term  # postorder: the kids hold k redexes
 
-    def nth(self, term: RTerm, k: int, postorder: bool) -> tuple[list, RTerm]:
-        """The k-th redex (from 0) of `term` in preorder or postorder, and
-        the spine ``[(node, child index), ...]`` down to it; this walks one
-        path, descending by the children's counts."""
-        entries = self.entries
-        spine = []
-        while True:
-            if not postorder and entries[id(term)][0] is not None:
-                if k == 0:
-                    return spine, term
-                k -= 1
-            for i, kid in enumerate(term[1:]):
-                n = entries[id(kid)][1]
-                if k < n:
-                    spine.append((term, i))
-                    term = kid
-                    break
-                k -= n
-            else:
-                return spine, term  # postorder: the kids hold k redexes
 
-    def replace(self, spine: list, new: RTerm) -> RTerm:
-        """Rebuild `spine` with `new` at its foot, entering each rebuilt node."""
-        for node, i in reversed(spine):
-            new = self.mk(node[0], node[1:i + 1] + (new,) + node[i + 2:])
-        return new
+def _rebuild(spine: list, new: _Node, mk) -> _Node:
+    """`spine` rebuilt through `mk` with `new` at its foot."""
+    for node, i in reversed(spine):
+        new = mk(node[0], node[1:i + 1] + (new,) + node[i + 2:])
+    return new
 
 
 def _reduce_positional(
@@ -219,24 +190,19 @@ def _reduce_positional(
     seed: int,
     trace,
 ) -> ReductionReport:
-    index = _RedexIndex(matchers, term)
+    mk = _node_maker(matchers)
     rng = random.Random(seed)
     steps = 0
-    current = term
-    while True:
-        n = index.entries[id(current)][1]
-        if n == 0:
-            return ReductionReport(current, steps, False)
+    current = fold_term(term, None, mk)
+    while current.redexes and steps < budget:
         # outermost takes the first redex in preorder, traced innermost the
         # first in postorder, random a uniform draw among them in preorder
-        k = rng.choice(range(n)) if strategy == "random" else 0
-        if steps >= budget:
-            return ReductionReport(current, steps, True)
-        spine, redex = index.nth(current, k, postorder=strategy == "innermost")
-        build, bindings, rule = index.entries[id(redex)][0]
+        k = rng.choice(range(current.redexes)) if strategy == "random" else 0
+        spine, redex = _nth(current, k, postorder=strategy == "innermost")
+        build, bindings, rule = redex.found
         if trace is not None:
             trace(steps, tuple(i for _, i in spine), rule)
-        current = index.replace(spine, build(index.mk, *bindings))
+        current = _rebuild(spine, build(mk, *bindings), mk)
         steps += 1
-        if len(index.entries) > index.limit:
-            index.sweep(current)
+    result = fold_term(current, None, lambda head, kids: (head, *kids))  # plain tuples
+    return ReductionReport(result, steps, current.redexes > 0)

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import ast
 import gc
+import os
+import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import level_strategy
+import levelcanon
 from levelcanon import IMax, Max, Succ, Var, ZERO, subst_repr
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
@@ -25,9 +30,8 @@ from levelcanon.rewrite import (
     term_to_str,
 )
 from levelcanon.rewrite import codegen, engine
-from levelcanon.rewrite.engine import _RedexIndex
 from levelcanon.rewrite.rules import read_rules
-from levelcanon.rewrite.terms import match_args
+from levelcanon.rewrite.terms import fold_term, match_args
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
 RULES = default_rules()
@@ -521,12 +525,14 @@ def _first_step(term, rules, strategy, seed=0):
     return first[0] if first else None
 
 
-def _check_index(index, term, rules):
+def _check_annotations(term, rules):
+    """Check the annotations of `term`, built by the positional loop's `mk`,
+    against the reference order; returns its number of redexes."""
     matchers = rules.matchers()
     pre, post = _redex_paths(term, rules), _redex_paths(term, rules, postorder=True)
-    assert index.entries[id(term)][1] == len(pre)
+    assert term.redexes == len(pre)
     for order, postorder in ((pre, False), (post, True)):
-        paths = [tuple(i for _, i in index.nth(term, k, postorder)[0]) for k in range(len(order))]
+        paths = [tuple(i for _, i in engine._nth(term, k, postorder)[0]) for k in range(len(order))]
         assert paths == order
     # outermost takes the first redex in preorder, traced innermost the first
     # in postorder, and random draws an index into the preorder list
@@ -536,7 +542,7 @@ def _check_index(index, term, rules):
         (pre[random.Random(7).choice(range(len(pre)))] if pre else None)
     # every stored match is the one the compiled matcher finds there
     for node in _subterms(term):
-        stored = index.entries[id(node)][0]
+        stored = node.found
         matcher = matchers.get(node[0])
         found = matcher(node[1:]) if matcher is not None else None
         assert (stored is None) == (found is None), node
@@ -554,20 +560,18 @@ def test_position_scans_follow_the_reference_order(rules):
                   for i in range(12) for budget in (1, 4, 16, 64)]
     seen = 0
     for j, term in enumerate(terms):
-        index = _RedexIndex(rules.matchers(), term)
-        n = _check_index(index, term, rules)
+        mk = engine._node_maker(rules.matchers())
+        annotated = fold_term(term, None, mk)
+        n = _check_annotations(annotated, rules)
         seen += n
         if not n:
             continue
-        # one step through the index: the fresh right side and the rebuilt
-        # spine are entered as they are built, beside the stale entries
-        spine, redex = index.nth(term, j % n, postorder=False)
-        build, bindings, _ = index.entries[id(redex)][0]
-        stepped = index.replace(spine, build(index.mk, *bindings))
-        _check_index(index, stepped, rules)
-        index.sweep(stepped)
-        assert set(index.entries) == {id(node) for node in _subterms(stepped)}
-        _check_index(index, stepped, rules)
+        # one step through `mk`: the fresh right side and the rebuilt spine
+        # are annotated as they are built
+        spine, redex = engine._nth(annotated, j % n, postorder=False)
+        build, bindings, _ = redex.found
+        stepped = engine._rebuild(spine, build(mk, *bindings), mk)
+        _check_annotations(stepped, rules)
     assert seen > 100
 
 
@@ -706,10 +710,11 @@ def test_a_reduction_makes_no_functions_of_its_own():
 
 def test_redex_index_memory_follows_the_term():
     # random steps on the fuzz criterion's heaviest early case; an index that
-    # kept every node it ever entered peaked near 13 MB here, one that drops
-    # the nodes that left the term stays near 0.6 MB
+    # kept every node it ever entered peaked near 13 MB here, one keyed by
+    # node id that dropped the nodes that left the term near 0.55 MB, and
+    # annotated nodes, which die with the term, peak near 0.3 MB
     term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
-    reduce(app("zeroL"), RULES)  # compile the rules outside the measurement
+    RULES.matchers()  # compile the rules outside the measurement
     tracemalloc.start()
     try:
         report = reduce(term, RULES, "random", budget=5_000, seed=1)
@@ -717,7 +722,49 @@ def test_redex_index_memory_follows_the_term():
     finally:
         tracemalloc.stop()
     assert report.steps == 5_000 and report.budget_exhausted
-    assert peak < 2 * 1024 * 1024
+    assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("strategy", ["outermost", "random", "innermost"])
+def test_positional_results_are_plain_terms(strategy):
+    # the loop's annotated nodes stay inside it: callers get plain tuples
+    trace = (lambda step, pos, rule: None) if strategy == "innermost" else None
+    cfg = GenConfig(seed=13, max_size=8)
+    for i in range(10):
+        term = encode_level(gen_level(cfg, i))
+        for budget in (3, 10**6):
+            report = reduce(term, RULES, strategy, budget, seed=i, trace=trace)
+            assert all(type(node) is tuple for node in _subterms(report.result))
+            assert pickle.loads(pickle.dumps(report)) == report
+        assert not report.budget_exhausted
+        assert report.result == reduce(term, RULES).result
+
+
+# run in a child interpreter, since an untraced innermost reduction in this
+# process raises the limit for good
+_POSITIONAL_RUNS = """
+import sys
+from levelcanon.harness import GenConfig, gen_level
+from levelcanon.rewrite import default_rules, encode_level, reduce
+fresh = sys.getrecursionlimit()
+rules = default_rules()
+cfg = GenConfig(seed=707, max_size=50)
+for i, budget in ((0, 10**6), (2, 10**6), (546, 2_000)):
+    term = encode_level(gen_level(cfg, i))
+    reduce(term, rules, "outermost", budget)
+    reduce(term, rules, "random", budget, seed=i)
+    reduce(term, rules, "innermost", budget, trace=lambda step, pos, rule: None)
+assert sys.getrecursionlimit() == fresh, sys.getrecursionlimit()
+"""
+
+
+def test_positional_strategies_leave_the_recursion_limit_alone():
+    env = dict(os.environ)
+    src = str(Path(levelcanon.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _POSITIONAL_RUNS], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_check_soundness_examples():
