@@ -7,7 +7,6 @@ from .terms import (
 from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump
 from .engine import STRATEGIES, ReductionReport, Strategy, reduce
 from .codec import (
-    DecodeError, confluence_runs, decode_nat, decode_repr,
-    encode_level, encode_nat, encode_repr, encode_sub, encode_varset,
+    confluence_runs, encode_level, encode_nat, encode_repr, encode_sub, encode_varset,
     sample_confluence, soundness_report,
 )

@@ -1,4 +1,4 @@
-"""Translation between levels/representations and engine terms.
+"""Translation of levels and representations into engine terms.
 
 Variable ids become unary numerals (the deep encoding), representations
 become ``maxS`` of a cons-list of atoms sorted by the storage order.  The
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..levels import Level, fold_level
 from ..normalize import Repr, normalize
-from ..sublevels import SubA, SubB, SubLevel, VarSet
+from ..sublevels import SubA, SubLevel, VarSet
 from .engine import ReductionReport, reduce
 from .rules import default_rules
 from .terms import RTerm, app
@@ -21,10 +21,6 @@ _NIL_N = app("nilN")
 _NIL_SL = app("nilSL")
 
 
-class DecodeError(ValueError):
-    """The term is not the image of a valid representation."""
-
-
 def encode_nat(n: int) -> RTerm:
     if n < 0:
         raise ValueError("negative natural")
@@ -32,17 +28,6 @@ def encode_nat(n: int) -> RTerm:
     for _ in range(n):
         t = app("succN", t)
     return t
-
-
-# the decoders are loops, not folds: each walks one spine, up to a node off the image
-def decode_nat(t: RTerm) -> int:
-    n = 0
-    while t[0] == "succN":
-        n += 1
-        t = t[1]
-    if t != _ZERO_N:
-        raise DecodeError(f"not a numeral: {t!r}")
-    return n
 
 
 def encode_varset(varset: VarSet) -> RTerm:
@@ -77,44 +62,6 @@ def _succ_l_times(term: RTerm, n: int) -> RTerm:
     for _ in range(n):
         term = app("succL", term)
     return term
-
-
-def _decode_varset(t: RTerm) -> VarSet:
-    out = []
-    while t[0] == "consN":
-        out.append(decode_nat(t[1]))
-        t = t[2]
-    if t != _NIL_N:
-        raise DecodeError(f"not a variable-set term: {t!r}")
-    return tuple(out)
-
-
-def _decode_sub(t: RTerm) -> SubLevel:
-    try:
-        if t[0] == "A":
-            return SubA(_decode_varset(t[1]), decode_nat(t[2]), decode_nat(t[3]))
-        if t[0] == "B":
-            return SubB(_decode_varset(t[1]), decode_nat(t[2]))
-    except ValueError as exc:
-        raise DecodeError(str(exc)) from exc
-    raise DecodeError(f"not a sublevel atom: {t!r}")
-
-
-def decode_repr(term: RTerm) -> Repr:
-    """Inverse of encode_repr on its image; DecodeError off the image."""
-    if term[0] != "maxS":
-        raise DecodeError(f"not a maxS image: {term!r}")
-    atoms = []
-    t = term[1]
-    while t[0] == "consSL":
-        atoms.append(_decode_sub(t[1]))
-        t = t[2]
-    if t != _NIL_SL:
-        raise DecodeError(f"not a sublevel-set term: {t!r}")
-    try:
-        return Repr(tuple(atoms))
-    except ValueError as exc:
-        raise DecodeError(str(exc)) from exc
 
 
 def soundness_report(t: Level, budget: int = 1_000_000) -> tuple[bool, ReductionReport]:

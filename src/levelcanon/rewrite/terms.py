@@ -248,31 +248,40 @@ def infer_sort(
 
     Pattern variable sorts are recorded in `var_sorts` on first sight and
     must agree on later occurrences; an unseen variable without an expected
-    sort is an error.
+    sort is an error.  One `fold_term`, whose value is a subterm's head
+    symbol or variable name, so the node that holds a variable fixes its sort.
     """
-    if is_pvar(t):
-        if var_sorts is None:
-            raise SortError(f"pattern variable {t[1]} in a ground-only context")
-        known = var_sorts.get(t[1])
-        if known is None:
-            if expected is None:
-                raise SortError(f"cannot infer a sort for variable {t[1]}")
-            var_sorts[t[1]] = expected
-            return expected
-        if expected is not None and known != expected:
-            raise SortError(f"variable {t[1]} used at both {known} and {expected}")
-        return known
-    sym = signature.get(t[0])
-    if sym is None:
-        raise SortError(f"unknown symbol {t[0]!r}")
-    if len(t) - 1 != sym.arity:
-        raise SortError(f"{sym.name} expects {sym.arity} arguments, got {len(t) - 1}")
-    # top-down, so not a fold: a variable's sort is its parent's argument sort
-    for child, arg_sort in zip(t[1:], sym.args):
-        infer_sort(child, signature, var_sorts, arg_sort)
-    if expected is not None and sym.result != expected:
-        raise SortError(f"{sym.name} has sort {sym.result}, expected {expected}")
-    return sym.result
+    def node(head: str, kids: list) -> Symbol:
+        sym = signature.get(head)
+        if sym is None:
+            raise SortError(f"unknown symbol {head!r}")
+        if len(kids) != sym.arity:
+            raise SortError(f"{sym.name} expects {sym.arity} arguments, got {len(kids)}")
+        for kid, arg_sort in zip(kids, sym.args):
+            _sort_at(kid, arg_sort, var_sorts)
+        return sym
+
+    return _sort_at(fold_term(t, str, node), expected, var_sorts)
+
+
+def _sort_at(value, expected: Optional[Sort], var_sorts: Optional[dict[str, Sort]]) -> Sort:
+    """The sort of a subterm, given as its head symbol or its variable name,
+    at a position of sort `expected` (None at a root without one)."""
+    if isinstance(value, Symbol):
+        if expected is not None and value.result != expected:
+            raise SortError(f"{value.name} has sort {value.result}, expected {expected}")
+        return value.result
+    if var_sorts is None:
+        raise SortError(f"pattern variable {value} in a ground-only context")
+    known = var_sorts.get(value)
+    if known is None:
+        if expected is None:
+            raise SortError(f"cannot infer a sort for variable {value}")
+        var_sorts[value] = expected
+        return expected
+    if expected is not None and known != expected:
+        raise SortError(f"variable {value} used at both {known} and {expected}")
+    return known
 
 
 def check_rule_sorts(rule: RewriteRule, signature: dict[str, Symbol]) -> None:

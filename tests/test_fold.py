@@ -89,13 +89,22 @@ def test_fold_term_calls_back_in_post_order_left_to_right():
 # reduction in this process raises the limit for good
 _DEEP_TERM_WALKS = """
 import sys
-from levelcanon.rewrite import subst_template, term_to_str, term_vars
+from levelcanon import Succ, Var
+from levelcanon.rewrite import (
+    SIGNATURE, encode_level, infer_sort, subst_template, term_to_str, term_vars,
+)
 assert sys.getrecursionlimit() == 1000
 n = 100_000
 t = ("plus", ("$", "x"), ("$", "y"))
 for _ in range(n):
     t = ("succN", t)
 assert term_vars(t) == {"x", "y"}
+var_sorts = {}
+assert infer_sort(t, SIGNATURE, var_sorts) == "nat" and var_sorts == {"x": "nat", "y": "nat"}
+level = Var(0)
+for _ in range(n):
+    level = Succ(level)
+assert infer_sort(encode_level(level), SIGNATURE) == "level"
 assert term_to_str(t) == "succN (" * (n - 1) + "succN (plus x y" + ")" * n
 zero, one = ("zeroN",), ("succN", ("zeroN",))
 got = subst_template(t, {"x": zero, "y": one})

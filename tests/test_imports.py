@@ -16,9 +16,7 @@ levels or rewrite terms calls itself by name.  Those walks go through
 ``levels.fold_level`` and ``rewrite.terms.fold_term``, which keep their own
 stacks, and the parser keeps a stack of the open nodes, so a level or term of
 any depth is safe to pass in; a recursive walk would raise RecursionError on
-one a few thousand deep.  The one exception is ``rewrite.terms.infer_sort``:
-it is top-down, since a variable's sort comes from its parent's declared
-argument sort, and it walks only the sides of rules, which are shallow.
+one a few thousand deep.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ def test_level_walkers_do_not_recurse():
         path = SRC / name
         for call in _self_calls(ast.parse(path.read_text(), str(path))):
             recursive.setdefault(name, set()).add(call.split()[0])
-    assert recursive == {"rewrite/terms.py": {"infer_sort"}}  # see the docstring
+    assert recursive == {}
 
 
 # what each command may not add to a bare interpreter's modules: only

@@ -18,13 +18,13 @@ from hypothesis import given, settings
 
 from conftest import level_strategy
 import levelcanon
-from levelcanon import IMax, Max, Succ, Var, ZERO, subst_repr
+from levelcanon import IMax, Max, Repr, ReprInvariantError, SubA, SubB, Succ, Var, ZERO, subst_repr
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
-    SIGNATURE, STRATEGIES, DecodeError, ReductionReport, RewriteRule, RuleSet, SortError, app,
-    builtin_ruleset, check_rule_sorts, decode_repr, default_rules,
+    SIGNATURE, STRATEGIES, ReductionReport, RewriteRule, RuleSet, SortError, app,
+    builtin_ruleset, check_rule_sorts, default_rules,
     encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
     reduce, rule_dump, sample_confluence, soundness_report, subst_template,
     term_to_str,
@@ -170,25 +170,6 @@ def test_encode_repr_injective_on_sample():
             assert seen[term] == r
         seen[term] = r
     assert len(seen) == len({encode_repr(r) for r in seen.values()})
-
-
-def test_decode_roundtrip_and_shape_errors():
-    cfg = GenConfig(seed=9, max_size=14)
-    for i in range(300):
-        r = normalize(gen_level(cfg, i))
-        assert decode_repr(encode_repr(r)) == r
-    with pytest.raises(DecodeError):
-        decode_repr(app("succL", app("zeroL")))
-    with pytest.raises(DecodeError):
-        # comparable atoms: not the image of any valid representation
-        bad = app("maxS", app("consSL", encode_sub_a(0, 0), app(
-            "consSL", encode_sub_a(0, 1), app("nilSL"))))
-        decode_repr(bad)
-
-
-def encode_sub_a(vid: int, shift: int):
-    return app("A", app("consN", encode_nat(vid), app("nilN")),
-               encode_nat(vid), encode_nat(shift))
 
 
 def test_reduce_basics():
@@ -837,36 +818,55 @@ def test_intermediate_terms_stay_well_sorted():
         assert term == reduce(encode_level(t), RULES).result
 
 
+def published(*heads: str) -> RuleSet:
+    """The default rules with the published forms of `heads` in place of their
+    own, so that each published form shows its fault apart from the others."""
+    return RuleSet([r for r in RULES if r.lhs[0] not in heads]
+                   + [r for r in LITERAL if r.lhs[0] in heads])
+
+
 def test_literal_variable_rule_argument_order():
-    lit = reduce(encode_level(y), LITERAL).result
+    lit = reduce(encode_level(y), published("varL")).result
     # set {1}, then the displayed (0, id) argument order
     assert lit == app("maxS", app("consSL", app(
         "A", app("consN", encode_nat(1), app("nilN")), encode_nat(0), encode_nat(1)),
         app("nilSL")))
+    assert reduce(encode_level(y), LITERAL).result == lit
     assert reduce(encode_level(y), RULES).result == encode_repr(normalize(y))
 
 
 def test_literal_successor_loses_the_constant_floor():
-    lit = reduce(encode_level(Succ(x)), LITERAL).result
-    assert lit != encode_repr(normalize(Succ(x)))
-    assert decode_repr(lit).atoms == normalize(Succ(x)).atoms[:1]
+    rules = published("succL")
+    assert len(rules) == 86
+    shifted = SubA((1,), 1, 1)  # A{y}(y)+1; the floor is B{}+1
+    assert normalize(Succ(y)) == Repr((shifted, SubB((), 1)))
+    assert reduce(encode_level(Succ(y)), rules).result == encode_repr(Repr((shifted,)))
 
 
 def test_literal_insertion_keeps_a_dominated_atom():
+    rules = published("maxHelper", "maxHelperGo")
+    assert len(rules) == 82
     t = Max(Max(IMax(x, a), IMax(x, b)), x)
-    lit = reduce(encode_level(t), LITERAL).result
-    assert lit != encode_repr(normalize(t))
-    with pytest.raises(DecodeError):
-        decode_repr(lit)  # the literal result is not even an antichain
+    top, dominated = SubA((0,), 0, 0), SubA((0, 3), 0, 0)  # A{x}(x)+0 >= A{x,b}(x)+0
+    normal = (top, SubA((2,), 2, 0), SubA((3,), 3, 0))
+    assert normalize(t) == Repr(normal)
+    atoms = (top, dominated, *normal[1:])
+    # encode_repr takes any sorted atoms: these are no antichain, so no Repr
+    assert reduce(encode_level(t), rules).result == encode_repr(atoms)
+    with pytest.raises(ReprInvariantError,
+                       match=re.escape(f"comparable atoms {top!r} and {dominated!r}")):
+        Repr(atoms)
 
 
 def test_literal_substitution_drops_the_guard_set():
-    r = normalize(IMax(y, x))  # contains A({x,y}, y, 0)
+    r = normalize(IMax(y, x))
+    assert r == Repr((SubA((0,), 0, 0), SubA((0, 1), 1, 0)))
     term = app("evalL", encode_repr(r), encode_nat(1), encode_nat(3))  # y := 3
     default_result = reduce(term, RULES).result
-    literal_result = reduce(term, LITERAL).result
     assert default_result == encode_repr(subst_repr(r, 1, 3))
-    assert literal_result != default_result
+    assert default_result == encode_repr(Repr((SubA((0,), 0, 0), SubB((0,), 3))))
+    assert reduce(term, published("evalS")).result == \
+        encode_repr(Repr((SubA((0,), 0, 0), SubB((), 3))))  # B{}+3 for B{x}+3
 
 
 def test_rule_dump_format():

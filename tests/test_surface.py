@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -344,6 +345,26 @@ def test_cli_rewrite_deep_numeral_out_of_budget():
     assert proc.returncode == 0
     assert proc.stdout == f"maxL ({_TEN_THOUSAND}) (varL zeroN)\nsteps: 10\n"
     assert "step budget exhausted" in proc.stderr
+
+
+# the innermost rewrites of long numerals, pinned before the evaluator changes:
+# sha256 of stdout and the step count, taken with `python -m levelcanon rewrite`
+DEEP_GOLDEN = [
+    ("10000", 209_984, "6f04c154424983454808829a60b858a462caf38ae7a82f887d187189af61180e"),
+    ("max(10000,9999)", 439_958,
+     "f146a01e8d734f28e947562bb5b3713baeaac40a53f2cc6eb33d060b307dbf18"),
+    ("imax(10000,s(x))", 230_185,
+     "aaf055bc45223f44c60584585ffe6b002e5245cc2294e01c6212be153dc775a6"),
+]
+
+
+@pytest.mark.parametrize("level, steps, digest", DEEP_GOLDEN, ids=[g[0] for g in DEEP_GOLDEN])
+def test_cli_rewrite_deep_numeral_matches_its_golden_hash(level, steps, digest):
+    proc = _run_levelcanon("rewrite", level)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: constant depth exceeds 64; unary numerals will blow up\n"
+    assert proc.stdout.splitlines()[1] == f"steps: {steps}"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def _shallower(out: str, layers: int) -> str:
