@@ -7,7 +7,7 @@ mapping between source names and ids.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 from operator import add
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -246,13 +246,25 @@ def default_grid_bound(t1: Level, t2: Level) -> int:
 
 
 def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, int]]:
-    """All valuations of `vids` with values in {0..bound}."""
-    for values in product(range(bound + 1), repeat=len(vids)):
-        yield dict(zip(vids, values))
+    """All valuations of `vids` with values in {0..bound}; ValueError if bound < 0."""
+    if bound < 0:
+        raise ValueError(f"grid bound {bound} is negative")
+    return (dict(zip(vids, point)) for point in product(range(bound + 1), repeat=len(vids)))
 
 
-# the grid oracle's block of valuations, evaluated together
-GRID_BLOCK = 64
+# the most grid points the oracle evaluates in one fold of a level
+GRID_LANES = 4096
+
+
+def _repunit(count: int, step: int) -> int:
+    """`count` lanes of `step` bits, each holding 1."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
+
+
+def _ramp(count: int, step: int) -> int:
+    """`count` lanes of `step` bits holding 0, 1, ..., count - 1 from the
+    lowest: the sum of i * x**i for x = 2**step, in closed form."""
+    return (((count - 1) << step * count) - _repunit(count, step) + 1) // ((1 << step) - 1)
 
 
 def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
@@ -261,16 +273,59 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     A returned valuation is always a genuine counterexample to t1 <= t2;
     returning None only means the grid holds no witness, not that t1 <= t2.
     The grid and its order are those of `valuations_on`, and the first
-    witness in that order is the one returned.
+    witness in that order is the one returned.  Raises ValueError on a
+    negative bound.
+
+    A block of at most GRID_LANES points is one int per variable, point p
+    the lane of `width` bits at bit width * p, and each level folds once per
+    block.  A block fixes the leading variables and runs the trailing ones,
+    which keeps `valuations_on`'s order.  Lanes cannot interfere: variables
+    lie in {0..bound}, max and imax pick a side's value, and successors add
+    at most the larger constant depth d of the two levels, so every value is
+    at most bound + d < 2 ** (width - 1).  The top bit of each lane, its
+    guard, is then 0, and `(a | G) - b` borrows only within each lane: the
+    guard stays set exactly where a >= b.
     """
-    vids = tuple(sorted(level_vars(t1) | level_vars(t2)))
-    points = product(range(bound + 1), repeat=len(vids))
-    # each level folds once per block of points, its values a column with
-    # one entry per point; most witnesses lie in the first block
-    while block := list(islice(points, GRID_BLOCK)):
-        columns = dict(zip(vids, zip(*block)))
-        lhs, rhs = (eval_level(t, columns, len(block)) for t in (t1, t2))
-        for point, a, b in zip(block, lhs, rhs):
-            if a > b:
-                return dict(zip(vids, point))
+    if bound < 0:
+        raise ValueError(f"grid bound {bound} is negative")
+    side = bound + 1
+    found: set[VarId] = set()
+    # one fold per level finds both its variables and its constant depth
+    depth = lambda t: fold_level(t, 0, lambda vid: found.add(vid) or 0, add, max, max)
+    width = (bound + max(depth(t1), depth(t2))).bit_length() + 1
+    shift = width - 1
+    vids = tuple(sorted(found))
+    trailing, lanes = 0, 1
+    while trailing < len(vids) and lanes * side <= GRID_LANES:
+        trailing, lanes = trailing + 1, lanes * side
+    ones = _repunit(lanes, width)
+    guards = ones << shift
+    # a trailing variable is constant over runs of `stride` lanes, its
+    # values counting up through {0..bound} and starting over
+    columns, stride = {}, 1
+    for vid in reversed(vids[len(vids) - trailing:]):
+        period = stride * side
+        columns[vid] = (_ramp(side, width * stride) * _repunit(stride, width)
+                        * _repunit(lanes // period, width * period))
+        stride = period
+
+    # a set guard less its shifted copy sets the value bits of its lane
+    def max_(a: int, b: int) -> int:
+        ge = ((a | guards) - b) & guards
+        return b ^ ((a ^ b) & (ge - (ge >> shift)))
+
+    def imax(a: int, b: int) -> int:
+        nonzero = ((b | guards) - ones) & guards
+        return max_(a, b) & (nonzero - (nonzero >> shift))
+    succ = lambda a, n: a + n * ones
+    leading = vids[:len(vids) - trailing]
+    for block, head in enumerate(product(range(side), repeat=len(leading))):
+        columns.update(zip(leading, (value * ones for value in head)))
+        lhs, rhs = (fold_level(t, 0, columns.__getitem__, succ, max_, imax) for t in (t1, t2))
+        # guards left set where lhs - rhs - 1 >= 0; the lowest is the first
+        above = ((lhs | guards) - rhs - ones) & guards
+        if above:
+            index = block * lanes + ((above & -above).bit_length() - 1) // width
+            places = reversed(range(len(vids)))
+            return dict(zip(vids, (index // side ** k % side for k in places)))
     return None

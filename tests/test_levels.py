@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from levelcanon import (
     imax_nat, level_vars,
 )
 from levelcanon import harness
-from levelcanon.levels import GRID_BLOCK, valuations_on
+from levelcanon.levels import GRID_LANES, valuations_on
 from levelcanon.normalize import normalize
 
 x, y, z = Var(0), Var(1), Var(2)
@@ -149,25 +150,126 @@ def test_oracle_on_grids_of_one_block_and_more():
     # no variables: a one-point grid
     assert find_counterexample_leq(Succ(ZERO), ZERO, 5) == {}
     assert find_counterexample_leq(ZERO, IMax(Succ(ZERO), ZERO), 5) is None
-    # three variables at bound 3: exactly one block
-    assert len(list(valuations_on((0, 1, 2), 3))) == GRID_BLOCK
+    # six variables at bound 3: exactly one block
+    assert len(list(valuations_on(tuple(range(6)), 3))) == GRID_LANES
     for lhs, rhs in ((Max(x, y), Max(y, z)), (IMax(x, z), Succ(y)), (Succ(Max(x, y)), z)):
         _assert_same_witness(lhs, rhs, 3)
         _assert_same_witness(rhs, lhs, 3)
-    # the only witnesses lie in the second block: point 100 of 125
+    # the only witnesses lie near the end of the grid: point 100 of 125
     three = Succ(Succ(Succ(ZERO)))
     assert find_counterexample_leq(x, Max(three, IMax(y, z)), 4) == {0: 4, 1: 0, 2: 0}
-    # five variables: 243 points, four blocks
+    # five variables: 243 points
     u, v = Var(3), Var(4)
     pairs = ((Max(v, IMax(x, u)), Max(Succ(y), z)), (IMax(u, v), Max(x, Max(y, z))),
              (Max(x, Max(y, Max(z, Max(u, v)))), Succ(Max(Max(x, y), Max(z, Max(u, v))))))
     for lhs, rhs in pairs:
         _assert_same_witness(lhs, rhs, 2)
         _assert_same_witness(rhs, lhs, 2)
-    # the first witness is point 162, in the third block
+    # the first witness is point 162
     rhs = Max(Succ(ZERO), IMax(y, Max(z, Max(u, v))))
     assert find_counterexample_leq(x, rhs, 2) == {0: 2, 1: 0, 2: 0, 3: 0, 4: 0}
     _assert_same_witness(x, rhs, 2)
+
+
+def _up(t, n: int):
+    """`t` under a run of n successors."""
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def _max_of(*levels):
+    t = levels[-1]
+    for left in reversed(levels[:-1]):
+        t = Max(left, t)
+    return t
+
+
+@pytest.mark.parametrize("count, bound, blocks", [(5, 6, 7), (6, 4, 5)])
+def test_oracle_across_blocks(count, bound, blocks):
+    # 7^5 = 16,807 points in blocks of 2,401, and 5^6 = 15,625 in blocks of
+    # 3,125: a block fixes the first variable and runs the others
+    vs = [Var(i) for i in range(count)]
+    first, second, fourth, last = vs[0], vs[1], vs[3], vs[-1]
+    assert (bound + 1) ** (count - 1) <= GRID_LANES < (bound + 1) ** count
+    rest = [0] * (count - 2)
+    cases = [
+        # first block: the first witness gives the last variable 2
+        (Max(last, IMax(first, fourth)), Max(Succ(second), _max_of(*vs[2:-1])),
+         dict(enumerate([0] * (count - 1) + [2]))),
+        # a middle block: the first variable is 3, and the witness lies
+        # inside the block, with more witnesses after it
+        (IMax(first, second), Max(_up(ZERO, 2), _max_of(*vs[1:])), dict(enumerate([3, 1] + rest))),
+        # the last block: the first variable is at the bound
+        (IMax(first, fourth), Max(_up(ZERO, bound - 1), _max_of(*vs[1:])),
+         dict(enumerate([bound, 0, 0, 1] + [0] * (count - 4)))),
+        # no witness
+        (Max(first, IMax(second, _max_of(*vs[2:]))), _max_of(*vs), None),
+    ]
+    for block, (lhs, rhs, witness) in zip((0, 3, blocks - 1), cases):
+        assert find_counterexample_leq(lhs, rhs, bound) == witness
+        assert witness is None or witness[0] == block
+        _assert_same_witness(lhs, rhs, bound)
+    # the other way round each pair has witnesses, in the first block
+    for lhs, rhs, _ in cases:
+        _assert_same_witness(rhs, lhs, bound)
+
+
+def test_oracle_blocks_fix_the_leading_variables_in_order():
+    # 3^9 = 19,683 points in blocks of 2,187: a block fixes the first two
+    # variables, and the first witness, x1 = 2 and x2 = 1, is in block (0, 2)
+    vs = [Var(i) for i in range(9)]
+    lhs, rhs = IMax(vs[1], vs[2]), Max(Succ(vs[0]), _max_of(*vs[2:]))
+    assert find_counterexample_leq(lhs, rhs, 2) == dict(enumerate([0, 2, 1] + [0] * 6))
+    _assert_same_witness(lhs, rhs, 2)
+    _assert_same_witness(rhs, lhs, 2)
+
+
+@pytest.mark.parametrize("bound, depth", [(2, 125), (2, 126), (0, 127), (0, 128),
+                                          (2, 253), (2, 254), (0, 255), (0, 256)])
+def test_oracle_on_lanes_either_side_of_a_width(bound, depth):
+    # bound + depth is 127 or 128, 255 or 256: the largest value a fold can
+    # reach fills a lane's value bits, or needs one more
+    pairs = ((_up(x, depth), _up(y, depth)), (Max(_up(x, depth), y), IMax(_up(y, depth), x)),
+             (_up(IMax(x, y), depth), Max(_up(y, depth), _up(z, depth - 1))),
+             (IMax(_up(x, depth), z), _up(ZERO, depth)))
+    for lhs, rhs in pairs:
+        _assert_same_witness(lhs, rhs, bound)
+        _assert_same_witness(rhs, lhs, bound)
+    assert find_counterexample_leq(_up(x, depth), _up(ZERO, depth), bound) == (
+        None if bound == 0 else {0: 1})
+
+
+def test_oracle_at_bound_zero():
+    # one point, every variable 0; with no successors, lanes of one bit
+    for lhs, rhs in ((Max(x, y), IMax(y, x)), (IMax(Succ(x), y), ZERO), (Succ(x), y),
+                     (ZERO, IMax(x, Succ(y))), (Max(x, IMax(Succ(y), z)), Succ(ZERO))):
+        _assert_same_witness(lhs, rhs, 0)
+        _assert_same_witness(rhs, lhs, 0)
+    assert find_counterexample_leq(Max(x, y), IMax(y, x), 0) is None
+    assert find_counterexample_leq(Succ(x), y, 0) == {0: 0, 1: 0}
+
+
+@pytest.mark.parametrize("lhs, witness", [
+    (Succ(_max_of(*(Var(i) for i in range(8)))), {i: 0 for i in range(8)}),
+    (Var(4), {i: int(i == 4) for i in range(8)}),
+])
+def test_oracle_blocks_stay_bounded(lhs, witness):
+    # 10^8 points in blocks of 1,000: the witness is point 0, or the first
+    # point of the second block, point 1,000
+    rhs = _max_of(*(Var(i) for i in range(8) if i != 4))
+    start = time.perf_counter()
+    assert find_counterexample_leq(lhs, rhs, 9) == witness
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_negative_bound_is_refused():
+    for lhs, rhs in ((Succ(ZERO), ZERO), (x, y)):
+        with pytest.raises(ValueError):
+            find_counterexample_leq(lhs, rhs, -1)
+    for vids in ((), (0, 1)):
+        with pytest.raises(ValueError):
+            valuations_on(vids, -1)
 
 
 @given(level_strategy())
