@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .levels import (
@@ -51,8 +51,7 @@ class Failure:
     witness: Optional[dict[str, int]]
 
     def to_json(self) -> dict:
-        return {"level": self.level, "other": self.other,
-                "phase": self.phase, "witness": self.witness}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,7 @@ class DiffReport:
         return not self.failures
 
     def to_json(self) -> str:
-        payload = {
-            "cases_run": self.cases_run,
-            "failures": [f.to_json() for f in self.failures],
-            "step_stats": self.step_stats,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def _rng_for(cfg: GenConfig, index: int) -> random.Random:
@@ -111,26 +105,14 @@ def harness_names(num_vars: int) -> NameTable:
     return names
 
 
-def _names_for(*ts: Level) -> NameTable:
-    top = -1
-    for t in ts:
-        vs = level_vars(t)
-        if vs:
-            top = max(top, max(vs))
-    return harness_names(top + 1)
-
-
 def _digest(t: Level) -> int:
     """The case's seed for its partner level and its valuations."""
     return zlib.crc32(level_repr(t).encode())
 
 
-def _pair_for(t: Level, digest: int) -> Level:
-    """Deterministic partner level, sharing t's variable pool."""
-    vs = level_vars(t)
-    num_vars = max(3, max(vs) + 1) if vs else 3
-    cfg = GenConfig(seed=digest, max_size=max(4, min(20, level_size(t))),
-                    num_vars=num_vars)
+def _pair_for(t: Level, digest: int, pool: int) -> Level:
+    """Deterministic partner level over the variable ids 0..pool-1."""
+    cfg = GenConfig(seed=digest, max_size=max(4, min(20, level_size(t))), num_vars=pool)
     return gen_level(cfg, 0)
 
 
@@ -139,29 +121,28 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     r = normalize(t)
     digest = _digest(t)
     rng = random.Random(digest ^ 0x5EED)
+    pool = max(3, vids[-1] + 1) if vids else 3
+    names = harness_names(pool)
 
-    # (a) representation evaluation against the level semantics
-    sigmas = [dict.fromkeys(vids, 0), dict.fromkeys(vids, 1)]
-    for _ in range(20):
-        sigmas.append({v: rng.randint(0, 6) for v in vids})
-    # the values of the level and of its representation at all the
-    # valuations at once, a column each
-    columns = {v: [sigma[v] for sigma in sigmas] for v in vids}
-    expected = eval_level(t, columns, len(sigmas))
-    for sigma, value, got in zip(sigmas, expected, eval_repr(r, columns, len(sigmas))):
+    # (a) representation evaluation against the level semantics at 22
+    # valuations, all at once: valuation k is entry k of every variable's
+    # column (all 0, all 1, then 20 drawn valuation by valuation, ids ascending)
+    draws = [rng.randint(0, 6) for _ in range(20 * len(vids))]
+    columns = {v: [0, 1, *draws[i::len(vids)]] for i, v in enumerate(vids)}
+    expected = eval_level(t, columns, 22)
+    for k, (value, got) in enumerate(zip(expected, eval_repr(r, columns, 22))):
         if got != value:
-            names = _names_for(t)
             return Failure(print_level(t, names), None, "eval",
-                           {names.name_of(v): n for v, n in sigma.items()}), 0
+                           {names.name_of(v): columns[v][k] for v in vids}), 0
 
     # (b) the rewrite path must land on the same representation
     ok, report = soundness_report(t)
     if not ok:
         phase = "budget" if report.budget_exhausted else "rewrite"
-        return Failure(print_level(t, _names_for(t)), None, phase, None), report.steps
+        return Failure(print_level(t, names), None, phase, None), report.steps
 
     # (c) comparison decision against grid search, both directions
-    t2 = _pair_for(t, digest)
+    t2 = _pair_for(t, digest, pool)
     r2 = normalize(t2)
     grid = default_grid_bound(t, t2)
     for lhs, rhs, n_lhs, n_rhs in ((t, t2, r, r2), (t2, t, r2, r)):
@@ -171,7 +152,6 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
         # strict inequality without one, since the grid covers every
         # witness construction
         if claimed == (witness is not None):
-            names = _names_for(t, t2)
             shown = None if witness is None else {
                 names.name_of(v): n for v, n in witness.items()}
             return Failure(print_level(lhs, names), print_level(rhs, names), "compare",
@@ -185,6 +165,8 @@ def differential_case(t: Level) -> Optional[Failure]:
 
 
 def run_fuzz(cfg: GenConfig, cases: int) -> DiffReport:
+    if cases < 0:
+        raise ValueError("cases must be a natural")
     failures: list[Failure] = []
     steps: list[int] = []
     for index in range(cases):

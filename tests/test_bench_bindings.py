@@ -66,7 +66,9 @@ def test_normalize_makes_the_leq_sub_calls_the_benchmark_counts(monkeypatch):
 
 def test_fuzz_cases_reach_every_harness_binding_the_tracer_requires(monkeypatch):
     # a traced fuzz run reads correct=false when a call count in its
-    # `reached` list stays 0; these are the ones counted at harness names
+    # `reached` list stays 0; these are the ones counted at harness and codec
+    # names. A name that still resolves but is no longer called would pass
+    # test_tracer_bindings_resolve and still zero its count here.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     predictions = json.loads((PERFBENCH / "predictions.json").read_text())
@@ -75,17 +77,25 @@ def test_fuzz_cases_reach_every_harness_binding_the_tracer_requires(monkeypatch)
 
     counts = {}
 
-    def counting(attr, original):
+    def counting(key, span, original):
         def wrapper(*args, **kwargs):
-            counts[attr] += 1
+            # "reduce" spans are split by strategy, as the tracer splits them
+            name = f"reduce.{tracing._strategy(args, kwargs)}" if span == "reduce" else span
+            counts[key] += f"{name}.calls" in reached
             return original(*args, **kwargs)
         return wrapper
 
     for module, attr, span in tracing.SPAN_BINDINGS:
-        if module == "levelcanon.harness" and f"{span}.calls" in reached:
-            counts[attr] = 0
-            monkeypatch.setattr(harness, attr, counting(attr, getattr(harness, attr)))
-    assert {"eval_level", "find_counterexample_leq"} <= set(counts)
+        if module in ("levelcanon.harness", "levelcanon.rewrite.codec") and any(
+                calls.startswith(f"{span}.") for calls in reached):
+            key = f"{module}.{attr}"
+            counts[key] = 0
+            target = importlib.import_module(module)
+            monkeypatch.setattr(target, attr, counting(key, span, getattr(target, attr)))
+    assert {"levelcanon.harness.eval_level", "levelcanon.harness.find_counterexample_leq",
+            "levelcanon.rewrite.codec.normalize", "levelcanon.rewrite.codec.encode_level",
+            "levelcanon.rewrite.codec.encode_repr", "levelcanon.rewrite.codec.reduce",
+            } <= set(counts)
     cfg = harness.GenConfig(seed=707, max_size=50)  # the fuzz workload's stream
     for index in range(5):
         assert harness.differential_case(harness.gen_level(cfg, index)) is None

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from levelcanon import (
     IMax, Max, Succ, Var, ZERO, eq_repr, eval_level, find_counterexample_leq,
     level_size, level_vars,
@@ -98,13 +100,23 @@ def test_failures_name_the_levels_and_the_witness(monkeypatch):
         "imax(imax(x0, 0), x1)", "max(x0, max(x1, x2))", "compare", None)
 
 
+def test_a_compare_failure_names_variables_past_the_default_pool(monkeypatch):
+    # the only variable is x4, so the partner is drawn over x0..x4 (here x3, which
+    # a pool of 3 could not give) and every id prints as x<id>
+    monkeypatch.setattr(harness, "leq_repr", lambda a, b: True)
+    assert differential_case(Var(4)) == Failure("x4", "x3", "compare", {"x3": 0, "x4": 1})
+    monkeypatch.setattr(harness, "leq_repr", lambda a, b: False)
+    assert differential_case(Max(Var(4), Succ(ZERO))) == Failure(
+        "imax(s(x3), 0)", "max(x4, s(0))", "compare", None)
+
+
 def test_an_exhausted_budget_is_its_own_phase():
     # a 40-node level that the rewrite path gets right in 1,201,299 steps,
     # past the harness's budget of 10^6: a failure, but not a wrong answer
     t = gen_level(GenConfig(seed=3, max_size=100, num_vars=5), 5677)
-    assert level_size(t) == 40
+    assert level_size(t) == 40 and level_vars(t) == {0, 1, 2, 3, 4}
     assert harness._differential_case(t) == (
-        Failure(print_level(t, harness._names_for(t)), None, "budget", None), 10**6)
+        Failure(print_level(t, harness.harness_names(5)), None, "budget", None), 10**6)
     ok, report = soundness_report(t, budget=2 * 10**6)
     assert ok and report.steps == 1_201_299
 
@@ -131,7 +143,7 @@ def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):
         if failure is None or failure.phase != "eval":
             assert len(points) == 22 and not wrong
             continue
-        names = harness._names_for(t)
+        names = harness.harness_names(3)  # the pool of every level on this stream
         assert failure == Failure(print_level(t, names), None, "eval",
                                   {names.name_of(v): n for v, n in wrong[0].items()})
         later += points.index(wrong[0]) > 1
@@ -166,6 +178,18 @@ def test_diff_report_serialization():
     assert payload["failures"][0]["phase"] == "eval"
     assert not report.ok
     assert DiffReport(1, ()).ok
+    # the fields in declaration order, no spaces: the text `fuzz` prints
+    assert report.to_json() == (
+        '{"cases_run":3,"failures":[{"level":"s(x)","other":null,"phase":"eval",'
+        '"witness":{"x":0}}],"step_stats":{"max":7}}')
+    assert report.failures[0].to_json() == {
+        "level": "s(x)", "other": None, "phase": "eval", "witness": {"x": 0}}
+
+
+def test_run_fuzz_rejects_a_negative_case_count():
+    with pytest.raises(ValueError, match="cases must be a natural"):
+        run_fuzz(GenConfig(), -3)
+    assert run_fuzz(GenConfig(), 0) == DiffReport(0, (), {})
 
 
 def test_run_fuzz_small():

@@ -138,7 +138,7 @@ def test_oracle_returns_the_first_witness_on_the_fuzz_stream():
     found = 0
     for index in range(300):
         t = harness.gen_level(cfg, index)
-        t2 = harness._pair_for(t, harness._digest(t))
+        t2 = harness._pair_for(t, harness._digest(t), 3)  # every variable is below 3
         bound = default_grid_bound(t, t2)
         for lhs, rhs in ((t, t2), (t2, t)):
             _assert_same_witness(lhs, rhs, bound)

@@ -1,11 +1,12 @@
 """Bounded-exhaustive check that level equivalence is equality of
 representations, in the small-scope style of Runciman, Naylor & Lindblad
 ("SmallCheck and Lazy SmallCheck", Haskell Symposium 2008): every level of
-at most 7 nodes on the leaves 0, x and y, not a sample of them.
+at most 7 nodes on the leaves 0, x and y, and every level of at most 6 nodes
+on the leaves 0, x, y and z, not a sample of them.
 
-A level's value vector lists its values at the points of the grid {0..9}^2.
-No level in scope stacks more than 6 successors, so by `default_grid_bound`
-(constant depth + 3) the grid decides <= between any two of them: equal
+A level's value vector lists its values at the points of a grid {0..b}^k.
+By `default_grid_bound` (constant depth + 3) the grid decides <= between any
+two levels of a scope when b is its deepest successor stack plus 3: equal
 vectors mean equivalent levels, and pointwise <= means <=.
 """
 
@@ -21,15 +22,10 @@ from levelcanon import (
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import soundness_report
 
-SIZE = 7
-BOUND = 9
-GRID = list(product(range(BOUND + 1), repeat=2))  # (x, y), in row-major order
-COLUMNS = {vid: [point[vid] for point in GRID] for vid in (0, 1)}
 
-
-def levels_up_to(size: int) -> list:
-    """Every level of at most `size` nodes on the leaves 0, x and y."""
-    by_size = {1: [ZERO, Var(0), Var(1)]}
+def levels_up_to(size: int, num_vars: int) -> list:
+    """Every level of at most `size` nodes on the leaves 0 and Var(0..num_vars-1)."""
+    by_size = {1: [ZERO, *map(Var, range(num_vars))]}
     for n in range(2, size + 1):
         by_size[n] = [Succ(t) for t in by_size[n - 1]]
         for left in range(1, n - 1):
@@ -38,38 +34,74 @@ def levels_up_to(size: int) -> list:
     return [t for n in sorted(by_size) for t in by_size[n]]
 
 
-def _with(point: tuple, vid: int, n: int) -> int:
-    """The grid index of `point` with variable `vid` set to `n`."""
-    x, y = (n, point[1]) if vid == 0 else (point[0], n)
-    return x * (BOUND + 1) + y
+def grid(num_vars: int, bound: int) -> tuple[list, dict]:
+    """The points of {0..bound}^num_vars in row-major order, and a column per variable."""
+    points = list(product(range(bound + 1), repeat=num_vars))
+    return points, {vid: [point[vid] for point in points] for vid in range(num_vars)}
+
+
+def classes_of(levels: list, columns: dict, width: int) -> dict:
+    """The levels' value vectors, each with its one representation; fails
+    if the levels of one vector have more than one representation."""
+    found = {}
+    for t in levels:
+        found.setdefault(tuple(eval_level(t, columns, width)), set()).add(normalize(t))
+    assert [sorted(rs) for rs in found.values() if len(rs) > 1] == []
+    return {vec: rs.pop() for vec, rs in found.items()}
+
+
+def wrong_order(classes: dict) -> list:
+    """The ordered pairs of classes where leq_repr is not pointwise <=."""
+    return [(classes[v], classes[w]) for v, w in product(classes, repeat=2)
+            if leq_repr(classes[v], classes[w]) != all(map(le, v, w))]
+
+
+def wrong_subst(classes: dict, points: list, columns: dict) -> list:
+    """The (r, vid, n), n <= 2, where subst_repr(r, vid, n) lacks r's values with vid set to n."""
+    index = {point: i for i, point in enumerate(points)}
+    # moved[vid, n][i]: the index of point i with vid set to n
+    moved = {(vid, n): [index[(*point[:vid], n, *point[vid + 1:])] for point in points]
+             for vid, n in product(columns, range(3))}
+    return [(r, vid, n) for (vec, r), (vid, n) in product(classes.items(), moved)
+            if eval_repr(subst_repr(r, vid, n), columns, len(points))
+            != [vec[i] for i in moved[vid, n]]]
 
 
 def test_equivalence_is_equality_on_every_small_level():
-    levels = levels_up_to(SIZE)
+    levels = levels_up_to(7, 2)
+    points, columns = grid(2, 9)
     assert len(levels) == 8427
-    assert max(map(level_size, levels)) == SIZE
-    assert max(map(const_depth, levels)) + 3 == BOUND
+    assert max(map(level_size, levels)) == 7
+    assert max(map(const_depth, levels)) + 3 == 9
 
     # classes: the levels of one value vector share one representation, and
     # levels of different vectors have different ones
-    found = {}
-    for t in levels:
-        found.setdefault(tuple(eval_level(t, COLUMNS, len(GRID))), set()).add(normalize(t))
-    assert len(found) == 212
-    assert [sorted(rs) for rs in found.values() if len(rs) > 1] == []
-    classes = {vec: rs.pop() for vec, rs in found.items()}
-    assert len(set(classes.values())) == 212
+    classes = classes_of(levels, columns, len(points))
+    assert len(classes) == len(set(classes.values())) == 212
 
     # order: leq_repr is pointwise <= on every ordered pair of classes
-    wrong = [(classes[v], classes[w]) for v, w in product(classes, repeat=2)
-             if leq_repr(classes[v], classes[w]) != all(map(le, v, w))]
-    assert wrong == []
+    assert wrong_order(classes) == []
 
     # substitution: subst_repr(r, vid, n) has r's values with vid set to n
-    wrong = [(r, vid, n) for (vec, r), vid, n in product(classes.items(), (0, 1), range(3))
-             if eval_repr(subst_repr(r, vid, n), COLUMNS, len(GRID))
-             != [vec[_with(point, vid, n)] for point in GRID]]
-    assert wrong == []
+    assert wrong_subst(classes, points, columns) == []
 
     # rewrite path: every level reduces to the encoding of its representation
+    assert [t for t in levels if not soundness_report(t)[0]] == []
+
+
+def test_equivalence_is_equality_on_every_small_level_in_three_variables():
+    levels = levels_up_to(6, 3)
+    points, columns = grid(3, 8)
+    assert len(levels) == 3736
+    assert max(map(level_size, levels)) == 6
+    assert max(map(const_depth, levels)) + 3 == 8
+
+    classes = classes_of(levels, columns, len(points))
+    assert len(classes) == len(set(classes.values())) == 320
+
+    # all 320^2 = 102,400 ordered pairs
+    assert wrong_order(classes) == []
+
+    assert wrong_subst(classes, points, columns) == []
+
     assert [t for t in levels if not soundness_report(t)[0]] == []
