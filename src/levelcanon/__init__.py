@@ -14,24 +14,10 @@ from .sublevels import (
     SubA, SubB, SubLevel, VarSet, eval_sub, imax_sub, leq_sub, set_delete, succ_sub,
 )
 from .normalize import (
-    Repr, ReprInvariantError, eq_repr, eval_repr, imax_repr, insert_sub,
-    leq_repr, max_repr, repr_var, repr_zero, subst_repr, succ_repr,
+    Repr, ReprInvariantError, eq_repr, eval_repr, imax_repr, leq_repr, max_repr,
+    repr_var, subst_repr, succ_repr,
 )
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_level, print_repr, print_repr_json
 
 __version__ = "0.1.0"
-
-
-# `export` loads the rewrite engine, so it is imported on first use: a process
-# that only decides levels never compiles the engine's modules.
-def __getattr__(name: str):
-    if name == "export_framework":
-        from .export import export_framework
-        globals()[name] = export_framework
-        return export_framework
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), "export_framework"})

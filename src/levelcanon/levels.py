@@ -19,10 +19,12 @@ T = TypeVar("T")
 class _Node:
     """A level node: immutable, its fields named by `__match_args__`.
 
-    Hash, equality and repr take a level of any depth.  The hash is computed
-    once, at construction, from the children's stored hashes (a child that
-    is not a node has none and goes through `hash`); equality walks both
-    levels with its own stack; repr is `printer.level_repr`'s text.
+    Hash, equality, repr, pickling and copying take a level of any depth.
+    The hash is computed once, at construction, from the children's stored
+    hashes (a child that is not a node has none and goes through `hash`);
+    equality walks both levels with its own stack; repr is
+    `printer.level_repr`'s text.  A level reduces to its nodes in post-order
+    (`__reduce__`), from which `_unfold` rebuilds it with a stack.
     """
 
     __slots__ = ("_hash",)
@@ -58,6 +60,16 @@ class _Node:
     def __repr__(self) -> str:
         from .printer import level_repr
         return level_repr(self)
+
+    def __reduce__(self) -> tuple:
+        # one fold records the nodes: (Var, vid), (Succ, n, child) for a run
+        # of n successors, (Max or IMax, left, right); a side is 0 for a zero
+        # and None for a node recorded before, the value every record returns
+        ops: list[tuple] = []
+        fold_level(self, 0, lambda vid: ops.append((Var, vid)),
+                   lambda child, n: ops.append((Succ, n, child)),
+                   lambda a, b: ops.append((Max, a, b)), lambda a, b: ops.append((IMax, a, b)))
+        return _unfold, (tuple(ops),)
 
 
 class Zero(_Node):
@@ -123,12 +135,35 @@ Level = Zero | Succ | Max | IMax | Var
 ZERO = Zero()
 
 
+def _unfold(ops: tuple[tuple, ...]) -> Level:
+    """The level whose post-order records `_Node.__reduce__` made: each
+    record's sides that are None are the last levels built, taken off the
+    stack right side first.  No records is 0."""
+    built: list[Level] = []
+    side = lambda value: built.pop() if value is None else ZERO
+    for kind, *args in ops:
+        if kind is Var:
+            built.append(Var(args[0]))
+        elif kind is Succ:
+            t = side(args[1])
+            for _ in range(args[0]):
+                t = Succ(t)
+            built.append(t)
+        else:
+            right = side(args[1])
+            built.append(kind(side(args[0]), right))
+    return built.pop() if built else ZERO
+
+
 class UnboundVariableError(LookupError):
     """A level was evaluated under a valuation missing one of its variables."""
 
     def __init__(self, vid: VarId):
         super().__init__(f"variable id {vid} is not bound in the valuation")
         self.vid = vid
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.vid,)
 
 
 def imax_nat(i: int, j: int) -> int:

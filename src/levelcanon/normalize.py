@@ -62,11 +62,6 @@ _ZERO_REPR = Repr(())
 _NO_GUARD = frozenset()
 
 
-def repr_zero() -> Repr:
-    """The empty representation: the max of nothing, i.e. level 0."""
-    return _ZERO_REPR
-
-
 def repr_var(x: VarId) -> Repr:
     """The representation {A({x}, x, 0)}; its atom needs only x >= 0 checked."""
     if x < 0:
@@ -90,11 +85,6 @@ def _merge(atoms: Iterable[SubLevel], candidates: Iterable[SubLevel]) -> Repr:
             kept.append(u)
     kept.sort()
     return _new(Repr, kept)
-
-
-def insert_sub(r: Repr, u: SubLevel) -> Repr:
-    """Minimal representation of max(r, u)."""
-    return _merge(r, (u,))
 
 
 def max_repr(r1: Repr, r2: Repr) -> Repr:

@@ -44,9 +44,6 @@ class NameTable:
             self._names.append(name)
         return vid
 
-    def id_of(self, name: str) -> VarId:
-        return self._ids[name]
-
     def name_of(self, vid: VarId) -> str:
         return self._names[vid]
 
@@ -60,9 +57,13 @@ class ParseError(Exception):
         if expected:
             detail += f" (expected {', '.join(sorted(expected))})"
         super().__init__(detail)
+        self.message = message
         self.line = line
         self.col = col
         self.expected = expected
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.message, self.line, self.col, self.expected)
 
 
 # the first character no lexeme can hold

@@ -8,5 +8,5 @@ from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump
 from .engine import STRATEGIES, ReductionReport, Strategy, reduce
 from .codec import (
     confluence_runs, encode_level, encode_nat, encode_repr, encode_sub, encode_varset,
-    sample_confluence, soundness_report,
+    soundness_report,
 )

@@ -15,7 +15,7 @@ from levelcanon import (
 from levelcanon.normalize import normalize
 from levelcanon.cli import run_cli
 from levelcanon.harness import GenConfig, gen_level, exhaustive_sublevel_suite, run_fuzz
-from levelcanon.rewrite import sample_confluence
+from levelcanon.rewrite import confluence_runs
 
 x, y = Var(0), Var(1)
 
@@ -30,6 +30,12 @@ def _report(num: int, ok: bool, label: str) -> bool:
 def _random_sigma(rng: random.Random, vids, top: int) -> dict[int, int]:
     # zero-heavy draw: the impredicative cases all live at zero
     return {v: rng.choice((0, 0, 1, 1, 2, top - 1, top)) for v in vids}
+
+
+def _random_columns(rng: random.Random, vids, top: int, width: int) -> dict[int, list[int]]:
+    # `width` draws of `_random_sigma`, in its order, as one column per variable
+    draws = [rng.choice((0, 0, 1, 1, 2, top - 1, top)) for _ in range(width * len(vids))]
+    return {v: draws[i::len(vids)] for i, v in enumerate(vids)}
 
 
 def test_criterion_1_paper_equivalences():
@@ -73,12 +79,13 @@ def test_criterion_3_semantic_law_suite():
             w = gen_level(cfg, case * 31 + 2)
             for lhs, rhs in build(u, v, w):
                 vids = tuple(sorted(level_vars(lhs) | level_vars(rhs)))
-                for _ in range(50):
-                    sigma = _random_sigma(rng, vids, 5)
-                    if eval_level(lhs, sigma) != eval_level(rhs, sigma):
-                        ok = False
-                        print(f"  law {name} fails at {sigma} on {lhs} vs {rhs}")
-                        break
+                columns = _random_columns(rng, vids, 5, 50)
+                left, right = eval_level(lhs, columns, 50), eval_level(rhs, columns, 50)
+                if left != right:
+                    ok = False
+                    k = next(k for k in range(50) if left[k] != right[k])
+                    sigma = {vid: columns[vid][k] for vid in vids}
+                    print(f"  law {name} fails at {sigma} on {lhs} vs {rhs}")
                 if not ok:
                     break
             if not ok:
@@ -231,8 +238,10 @@ def test_criterion_7_rewrite_path_soundness():
 
 def test_criterion_8_confluence_sampling():
     cfg = GenConfig(seed=808, max_size=12)
-    ok = all(sample_confluence(gen_level(cfg, i), strategies=5, seed=i, budget=BUDGET)
-             for i in range(200))
+    # each level's innermost, outermost and three random runs reach one
+    # normal form within the budget
+    ok = all(not any(r.budget_exhausted for r in runs) and len({r.result for r in runs}) == 1
+             for runs in (confluence_runs(gen_level(cfg, i), 5, i, BUDGET) for i in range(200)))
     assert _report(8, ok, "200 levels x 5 strategies reach identical normal forms")
 
 

@@ -15,7 +15,7 @@ from levelcanon.harness import (
     exhaustive_sublevel_suite, gen_level, run_fuzz,
 )
 from levelcanon.printer import level_repr, print_level
-from levelcanon.rewrite import soundness_report
+from levelcanon.rewrite import default_rules, encode_level, encode_repr, reduce
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -117,8 +117,9 @@ def test_an_exhausted_budget_is_its_own_phase():
     assert level_size(t) == 40 and level_vars(t) == {0, 1, 2, 3, 4}
     assert harness._differential_case(t) == (
         Failure(print_level(t, harness.harness_names(5)), None, "budget", None), 10**6)
-    ok, report = soundness_report(t, budget=2 * 10**6)
-    assert ok and report.steps == 1_201_299
+    report = reduce(encode_level(t), default_rules(), budget=2 * 10**6)
+    assert not report.budget_exhausted and report.steps == 1_201_299
+    assert report.result == encode_repr(normalize(t))
 
 
 def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):

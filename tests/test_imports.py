@@ -8,8 +8,9 @@ A package must not bind a submodule's name to anything but that submodule:
 ``import levelcanon.normalize as m`` and dotted ``monkeypatch`` paths look the
 name up on the package.
 
-The public names of the package and of `levelcanon.sublevels` are pinned
-against literal lists, so that adding or removing one shows up as a diff.
+The public names of the package, of `levelcanon.rewrite` and of
+`levelcanon.sublevels` are pinned against literal lists, so that adding or
+removing one shows up as a diff.
 
 Beside them, a recursion check: no function in the modules that walk or read
 levels or rewrite terms calls itself by name.  Those walks go through
@@ -149,19 +150,27 @@ def test_cli_import_leaves_the_harness_unloaded():
 def test_public_names_are_pinned():
     # submodules are left out: which of them are package attributes depends
     # on what the process has imported so far
-    names = sorted(name for name in dir(levelcanon) if not name.startswith("_")
-                   and not isinstance(getattr(levelcanon, name), types.ModuleType))
-    assert names == [
+    def public(module):
+        return sorted(name for name in dir(module) if not name.startswith("_")
+                      and not isinstance(getattr(module, name), types.ModuleType))
+    assert public(levelcanon) == [
         "IMax", "Level", "Max", "NameTable", "ParseError", "Repr", "ReprInvariantError",
         "SubA", "SubB", "SubLevel", "Succ", "UnboundVariableError", "Valuation", "Var",
         "VarId", "VarSet", "ZERO", "Zero", "const_depth", "default_grid_bound", "eq_repr",
-        "eval_level", "eval_repr", "eval_sub", "export_framework", "find_counterexample_leq",
-        "fold_level", "imax_nat", "imax_repr", "imax_sub", "insert_sub", "leq_repr",
-        "leq_sub", "level_size", "level_vars", "max_repr", "parse_level", "print_level",
-        "print_repr", "print_repr_json", "repr_var", "repr_zero", "set_delete",
-        "subst_repr", "succ_repr", "succ_sub",
+        "eval_level", "eval_repr", "eval_sub", "find_counterexample_leq", "fold_level",
+        "imax_nat", "imax_repr", "imax_sub", "leq_repr", "leq_sub", "level_size",
+        "level_vars", "max_repr", "parse_level", "print_level", "print_repr",
+        "print_repr_json", "repr_var", "set_delete", "subst_repr", "succ_repr", "succ_sub",
     ]
     assert levelcanon.sublevels.__all__ == [
         "VarSet", "SubA", "SubB", "SubLevel",
         "set_delete", "eval_sub", "leq_sub", "succ_sub", "subst_sub", "imax_sub",
+    ]
+    assert public(importlib.import_module("levelcanon.rewrite")) == [
+        "RTerm", "ReductionReport", "RewriteRule", "RuleSet", "SIGNATURE", "STRATEGIES",
+        "SortError", "Strategy", "Symbol", "app", "builtin_ruleset", "check_rule_sorts",
+        "confluence_runs", "default_rules", "encode_level", "encode_nat", "encode_repr",
+        "encode_sub", "encode_varset", "fold_term", "infer_sort", "is_pvar", "match",
+        "pvar", "reduce", "rule_dump", "soundness_report", "subst_template",
+        "term_to_str", "term_vars",
     ]

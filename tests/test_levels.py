@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import level_strategy
+from conftest import deep_level_strategy, level_strategy
 from levelcanon import (
     IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero,
     const_depth, default_grid_bound, eval_level, eval_repr, find_counterexample_leq,
@@ -100,6 +102,39 @@ def test_hash_eq_and_repr_take_chains_ten_thousand_deep():
     for _ in range(10_000):
         t = Succ(t)
     assert repr(t) == "Succ(child=" * 10_000 + "Var(vid=0)" + ")" * 10_000
+
+
+def _copies(value):
+    pickled = [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return pickled + [copy.copy(value), copy.deepcopy(value)]
+
+
+def _assert_copies_equal(t):
+    for c in _copies(t):
+        assert type(c) is type(t) and c == t and hash(c) == hash(t)
+
+
+def test_levels_pickle_and_copy_at_any_depth():
+    numeral = ZERO  # the deepest numeral the parser reads
+    for _ in range(10_000):
+        numeral = Succ(numeral)
+    for t in (ZERO, x, Succ(Succ(ZERO)), Max(ZERO, IMax(Succ(x), ZERO)),
+              IMax(Max(x, y), Succ(Max(ZERO, z))), numeral, Max(numeral, ZERO),
+              _chain(x, 10_000)):
+        _assert_copies_equal(t)
+
+
+@given(deep_level_strategy())
+@settings(max_examples=5, deadline=None)
+def test_deep_mixed_chains_pickle_and_copy(t):
+    _assert_copies_equal(t)
+
+
+def test_unbound_variable_error_pickles_and_copies():
+    e = UnboundVariableError(3)
+    for c in _copies(e):
+        assert type(c) is UnboundVariableError and c.vid == 3 and c.args == e.args
 
 
 def test_find_counterexample_paper_pair():

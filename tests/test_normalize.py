@@ -12,8 +12,7 @@ from conftest import deep_level_strategy, level_strategy
 from levelcanon import (
     IMax, Max, Repr, SubA, SubB, Succ, Var, ZERO,
     const_depth, eq_repr, eval_level, eval_repr, find_counterexample_leq, imax_repr,
-    insert_sub, leq_repr, leq_sub, level_vars, max_repr, repr_var,
-    repr_zero, subst_repr, succ_repr,
+    leq_repr, leq_sub, level_vars, max_repr, repr_var, subst_repr, succ_repr,
 )
 from levelcanon.normalize import ReprInvariantError, normalize
 from levelcanon.levels import valuations_on
@@ -53,7 +52,7 @@ def test_repr_surface():
     r = normalize(Max(Succ(x), IMax(y, x)))
     assert repr(r) == ("Repr(atoms=(SubA(varset=(0,), var=0, shift=1), "
                        "SubA(varset=(0, 1), var=1, shift=0), SubB(varset=(), shift=1)))")
-    assert repr(repr_zero()) == "Repr(atoms=())"
+    assert repr(Repr()) == "Repr(atoms=())"
     assert type(r.atoms) is tuple and r.atoms == tuple(r) and len(r) == len(r.atoms) == 3
     assert r == r.atoms and hash(r) == hash(r.atoms) and Repr(r.atoms) == r
     for name in ("atoms", "extra", "__dict__"):
@@ -83,10 +82,10 @@ def test_repr_unpickling_is_checked():
 
 
 def test_repr_zero():
-    assert repr_zero().atoms == ()
-    assert eval_repr(repr_zero(), {}) == 0
+    assert Repr().atoms == ()
+    assert eval_repr(Repr(), {}) == 0
     for t in (x, Succ(ZERO), IMax(x, y)):
-        assert leq_repr(repr_zero(), normalize(t))
+        assert leq_repr(Repr(), normalize(t))
 
 
 def test_repr_var():
@@ -107,7 +106,7 @@ def test_repr_var_rejects_a_negative_id():
 def test_succ_repr_adds_the_constant_floor():
     # pointwise shifting alone is wrong at zero valuations: s(x) evaluates
     # to 1 at x = 0 while the shifted atom A({x},x,1) evaluates to 0
-    assert succ_repr(repr_zero(), 1).atoms == (SubB((), 1),)
+    assert succ_repr(Repr(), 1).atoms == (SubB((), 1),)
     assert succ_repr(repr_var(0), 1).atoms == (SubA((0,), 0, 1), SubB((), 1))
     assert eval_repr(succ_repr(repr_var(0), 1), {0: 0}) == 1
     r = Repr((SubA((0,), 0, 0), SubB((1,), 1)))
@@ -167,9 +166,9 @@ def test_shifts_are_bounded_by_constant_depth(t):
 
 def test_insert_sub():
     u = SubA((0,), 0, 0)
-    assert insert_sub(repr_zero(), u).atoms == (u,)
-    assert insert_sub(Repr((SubA((0,), 0, 1),)), u).atoms == (SubA((0,), 0, 1),)
-    combined = insert_sub(Repr((u,)), SubB((), 1))
+    assert max_repr(Repr(), Repr((u,))).atoms == (u,)
+    assert max_repr(Repr((SubA((0,), 0, 1),)), Repr((u,))).atoms == (SubA((0,), 0, 1),)
+    combined = max_repr(Repr((u,)), Repr((SubB((), 1),)))
     assert combined.atoms == (u, SubB((), 1))
     # the pair is genuinely incomparable: each atom wins somewhere
     assert eval_repr(combined, {0: 0}) == 1
@@ -181,22 +180,22 @@ def test_insert_drops_every_dominated_atom():
     # insertion would leave a comparable pair behind
     r = normalize(Max(IMax(x, a), IMax(x, b)))
     assert len(r.atoms) == 4
-    out = insert_sub(r, SubA((0,), 0, 0))
+    out = max_repr(r, Repr((SubA((0,), 0, 0),)))
     assert out.atoms == (SubA((0,), 0, 0), SubA((2,), 2, 0), SubA((3,), 3, 0))
     _assert_equiv(out, Max(Max(IMax(x, a), IMax(x, b)), x), bound=2)
 
 
 def test_max_repr():
     r = normalize(Max(x, Succ(y)))
-    assert max_repr(repr_zero(), r) == r
+    assert max_repr(Repr(), r) == r
     assert max_repr(r, r) == r
     assert max_repr(repr_var(0), succ_repr(repr_var(0), 1)) == succ_repr(repr_var(0), 1)
 
 
 def test_imax_repr():
     r = normalize(Max(x, Succ(y)))
-    assert imax_repr(repr_zero(), r) == r
-    assert imax_repr(r, repr_zero()) == repr_zero()
+    assert imax_repr(Repr(), r) == r
+    assert imax_repr(r, Repr()) == Repr()
     ixy = imax_repr(repr_var(0), repr_var(1))
     assert ixy.atoms == (SubA((0, 1), 0, 0), SubA((1,), 1, 0))
     _assert_equiv(ixy, IMax(x, y))
@@ -231,7 +230,7 @@ def test_eq_repr_is_mutual_leq(t1, t2):
 
 
 def test_subst_repr():
-    assert subst_repr(Repr((SubB((0,), 1),)), 0, 0) == repr_zero()
+    assert subst_repr(Repr((SubB((0,), 1),)), 0, 0) == Repr()
     assert subst_repr(Repr((SubA((0, 1), 0, 2),)), 0, 3).atoms == (SubB((1,), 5),)
     untouched = Repr((SubA((0,), 0, 0),))
     assert subst_repr(untouched, 1, 5) == untouched
@@ -312,9 +311,9 @@ def test_max_fold_order_independent(t1, t2):
     atoms = list(r1.atoms + r2.atoms)
     for _ in range(3):
         rng.shuffle(atoms)
-        folded = repr_zero()
+        folded = Repr()
         for u in atoms:
-            folded = insert_sub(folded, u)
+            folded = max_repr(folded, Repr((u,)))
         assert folded == max_repr(r1, r2)
 
 

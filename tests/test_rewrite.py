@@ -24,10 +24,9 @@ from levelcanon.harness import GenConfig, gen_level
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
     SIGNATURE, STRATEGIES, ReductionReport, RewriteRule, RuleSet, SortError, app,
-    builtin_ruleset, check_rule_sorts, default_rules,
+    builtin_ruleset, check_rule_sorts, confluence_runs, default_rules,
     encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
-    reduce, rule_dump, sample_confluence, soundness_report, subst_template,
-    term_to_str,
+    reduce, rule_dump, soundness_report, subst_template, term_to_str,
 )
 from levelcanon.rewrite import codegen, engine
 from levelcanon.rewrite.rules import read_rules
@@ -144,6 +143,34 @@ def test_signature_covers_required_symbols():
         "ruleSL", "evalS", "evalL", "maxS",
     }
     assert required <= set(SIGNATURE)
+
+
+def _heads(term) -> set[str]:
+    found = set()
+    fold_term(term, lambda name: None, lambda head, kids: found.add(head))
+    return found
+
+
+@pytest.mark.parametrize("paper_literal, defined", [(False, 36), (True, 35)],
+                         ids=["default", "paper_literal"])
+def test_every_defined_head_but_maxN_is_reachable(paper_literal, defined):
+    # from the heads an encoded level and a substitution (evalL) start with,
+    # following right sides reaches every defined head but maxN: only maxN's
+    # own rule calls it, so its 3 rules never fire on any encoding
+    rules = builtin_ruleset(paper_literal)
+    heads = set(rules.by_head)
+    start = (_heads(encode_level(IMax(Max(Succ(ZERO), x), y))) | {"evalL"}) & heads
+    assert start == {"zeroL", "varL", "succL", "maxL", "ruleL", "evalL"}
+    reached, todo = set(), list(start)
+    while todo:
+        head = todo.pop()
+        if head not in reached:
+            reached.add(head)
+            todo += (h for rule in rules.by_head[head] for h in _heads(rule.rhs) & heads)
+    assert len(heads) == defined and heads - reached == {"maxN"}
+    assert {head for head in heads
+            if any("maxN" in _heads(rule.rhs) for rule in rules.by_head[head])} == {"maxN"}
+    assert len(rules.by_head["maxN"]) == 3
 
 
 def test_encode_shapes():
@@ -753,8 +780,8 @@ def test_check_soundness_examples():
     assert soundness_report(Max(IMax(x, y), IMax(y, x)))[0]
     assert soundness_report(ZERO)[0]
     assert soundness_report(Max(Max(IMax(x, a), IMax(x, b)), x))[0]
-    ok, report = soundness_report(Max(x, y), budget=3)
-    assert not ok and report.budget_exhausted and report.steps == 3
+    report = reduce(encode_level(Max(x, y)), default_rules(), budget=3)
+    assert report.budget_exhausted and report.steps == 3
 
 
 @given(level_strategy(max_leaves=6))
@@ -775,14 +802,15 @@ def test_strategies_agree():
 
 
 def test_sample_confluence():
-    assert sample_confluence(Max(IMax(x, y), Succ(x)), strategies=5, seed=3)
-    assert sample_confluence(ZERO, strategies=2)
+    for t, strategies, seed in ((Max(IMax(x, y), Succ(x)), 5, 3), (ZERO, 2, 0)):
+        runs = confluence_runs(t, strategies, seed, 10**6)
+        assert len(runs) == strategies and not any(run.budget_exhausted for run in runs)
+        assert len({run.result for run in runs}) == 1
     with pytest.raises(ValueError):
-        sample_confluence(ZERO, strategies=1)
+        confluence_runs(ZERO, 1, 0, 10**6)
 
 
 def test_confluence_runs_record_step_counts():
-    from levelcanon.rewrite import confluence_runs
     runs = confluence_runs(Max(Succ(x), IMax(y, x)), strategies=5, seed=1, budget=10**6)
     assert len(runs) == 5
     assert all(run.steps > 0 and not run.budget_exhausted for run in runs)

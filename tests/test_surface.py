@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import levelcanon
-from levelcanon import IMax, Max, Succ, Var, ZERO, repr_zero, repr_var
+from levelcanon import IMax, Max, Succ, Var, ZERO, Repr, repr_var
 from levelcanon.cli import run_cli
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level, harness_names
@@ -78,6 +80,18 @@ def test_parse_error_reports(text, message, line, col, expected):
     assert err.value.expected == expected
 
 
+def test_parse_errors_pickle_and_copy():
+    for text in ("max(x y)", "max(x,\n", "max(x,\n 10001)"):
+        with pytest.raises(ParseError) as err:
+            parse_level(text, NameTable())
+        e = err.value
+        copies = [pickle.loads(pickle.dumps(e, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies + [copy.copy(e), copy.deepcopy(e)]:
+            assert type(c) is ParseError
+            assert (c.args, c.line, c.col, c.expected) == (e.args, e.line, e.col, e.expected)
+
+
 def test_keywords_are_not_identifiers():
     with pytest.raises(ParseError):
         parse_level("s", NameTable())
@@ -89,8 +103,10 @@ def test_keywords_are_not_identifiers():
 def test_name_table_is_dense_and_bijective():
     names = NameTable()
     parse_level("max(b, max(a, b))", names)
-    assert names.id_of("b") == 0 and names.id_of("a") == 1
     assert names.name_of(0) == "b" and names.name_of(1) == "a"
+    assert len(names) == 2
+    # a name already in the table keeps its id
+    assert names.intern("b") == 0 and names.intern("a") == 1
     assert len(names) == 2
 
 
@@ -111,7 +127,7 @@ def test_print_parse_roundtrip():
 
 def test_print_repr_examples():
     names = _names("x")
-    assert print_repr(repr_zero(), names) == "max{}"
+    assert print_repr(Repr(), names) == "max{}"
     assert print_repr(repr_var(0), names) == "max{A{x}(x)+0}"
     names2 = _names("x", "y")
     r = normalize(Max(Succ(Var(0)), Var(1)))
@@ -120,7 +136,7 @@ def test_print_repr_examples():
 
 def test_print_repr_json():
     names = _names("x")
-    assert print_repr_json(repr_zero(), names) == '{"atoms":[]}'
+    assert print_repr_json(Repr(), names) == '{"atoms":[]}'
     assert print_repr_json(normalize(Succ(ZERO)), names) == \
         '{"atoms":[{"kind":"B","set":[],"shift":1}]}'
     cfg = GenConfig(seed=2, max_size=16)
