@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, fold_term
+from .terms import PVAR_HEAD, RTerm, RewriteRule, fold_term, is_pvar, term_vars
 
 
 def _left_sides(rules: list[RewriteRule], kids: list[str]):
@@ -68,7 +68,9 @@ def _mk_node(head: str, kids: list[str]) -> str:
 #   * Ids stay valid: every id in a table key belongs to a node that the same
 #     table keeps alive.  Each argument of a call or node is a value that
 #     this reduction made, whatever the input's sorts: a result stored in
-#     `table`, a node entered there, or a subterm of one.
+#     `table`, a node entered there, or a subterm of one.  The functions of
+#     `unmemoized_heads` store no call, and make a normal form that no rule
+#     matches through c<n>, never as a bare tuple that a later key could name.
 #   * One table per reduction: `evaluate` binds it before any call, and every
 #     entry of the reduction, the nullary values included, is read from and
 #     written to that dict alone.
@@ -126,6 +128,33 @@ def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
     return namespace["evaluate"]
 
 
+def unmemoized_heads(by_head: dict[str, list[RewriteRule]]) -> set[str]:
+    """The defined heads whose evaluator functions keep no table entry:
+    selectors, whose right sides are each a variable or a nullary
+    constructor (one test and one step cost less than a lookup), and
+    caller-keyed heads, called only in rules of other, memoized heads with
+    every variable of the left side below constructors alone (nodes are
+    hash-consed, so such a key fixes the caller's, which is looked up first)."""
+    def call(head: str, kids: list[set[str]]) -> set[str]:  # variables below constructors
+        below = set().union(*kids)
+        if head not in by_head:
+            return below
+        # `rule` is the rule whose right side is being folded
+        callers.setdefault(head, []).append((rule.lhs[0], below >= term_vars(rule.lhs)))
+        return set()
+
+    callers: dict[str, list[tuple[str, bool]]] = {}
+    for rules in by_head.values():
+        for rule in rules:
+            fold_term(rule.rhs, lambda name: {name}, call)
+    selectors = {head for head, rules in by_head.items() if all(
+        is_pvar(r.rhs) or len(r.rhs) == 1 and r.rhs[0] not in by_head for r in rules)}
+    keyed = {callee for callee, found in callers.items() if callee not in selectors
+             and all(head != callee and carried for head, carried in found)}
+    return selectors | {callee for callee in keyed
+                        if not any(head in keyed for head, _ in callers[callee])}
+
+
 def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
     # One function per defined head (f<h>), one per constructor arity (c<n>,
     # the head its first argument), and one value per nullary constructor
@@ -147,24 +176,30 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
     def lookup(head: str, kids: list[str]) -> str:
         return f"    hit = table_get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
 
+    unmemoized = unmemoized_heads(by_head)
     lines = []
     for head, head_rules in by_head.items():
         kids = [f"k{i}" for i in range(len(head_rules[0].lhs) - 1)]
-        lines += [f"def {defined[head]}({', '.join(kids)}):",
-                  lookup(repr(head), kids),
-                  "    if hit:",
-                  "        return replay(hit)",
-                  "    start = steps"]
+        memo = head not in unmemoized
+        lines.append(f"def {defined[head]}({', '.join(kids)}):")
+        if memo:
+            lines += [lookup(repr(head), kids),
+                      "    if hit:",
+                      "        return replay(hit)",
+                      "    start = steps"]
+        value = "result =" if memo else "return"
         branch = "if"
         for rule, tests, binds in _left_sides(head_rules, kids):
             lines += [f"    {branch} {' and '.join(tests) or 'True'}:",
                       "        tick()",
-                      f"        result = {fold_term(rule.rhs, binds.__getitem__, node)}"]
+                      f"        {value} {fold_term(rule.rhs, binds.__getitem__, node)}"]
             branch = "elif"
-        if tests:  # arguments that no rule matches make a normal form
+        if tests:  # arguments that no rule matches make a normal form, a node
+            arities.add(len(kids))
             lines += ["    else:",
-                      f"        result = ({head!r}, {_items(kids)})"]
-        lines += ["    return table_put(key, (result, steps - start))[0]"]
+                      f"        {value} c{len(kids)}({head!r}, {_items(kids)})"]
+        if memo:
+            lines += ["    return table_put(key, (result, steps - start))[0]"]
     for n in sorted(arities):
         kids = [f"k{i}" for i in range(n)]
         lines += [f"def c{n}(head, {_items(kids)}):",

@@ -32,12 +32,16 @@ counts are exact rule applications under tree semantics (no sharing).
 
 The innermost evaluator is memoized: the normal form of ``f(args)``
 depends only on ``f`` and the normal forms of ``args``, so each distinct
-call is computed once and a repeat replays the recorded result and step
-cost.  Counts stay tree semantics, and a replay that would cross the budget
-stops exactly where re-running the call would have.  Every call and node
-is memoized in the rule set's table, which every innermost reduction with
-that rule set shares, whatever its input; the table is bound anew, empty,
-after a reduction leaves it above a fixed size.
+call of a memoized head is computed once and a repeat replays the recorded
+result and step cost.  Counts stay tree semantics, and a replay that would
+cross the budget stops exactly where re-running the call would have.
+Selectors (right sides variables or nullary constructors) and caller-keyed
+heads (whose key fixes a memoized caller's) keep no entry; see
+`codegen.unmemoized_heads`.  A normal form that no rule matches is made as
+a hash-consed node.  Every node and memoized call is in the rule set's
+table, which every innermost reduction with that rule set shares, whatever
+its input; the table is bound anew, empty, after a reduction leaves it
+above a fixed size.
 Outermost and random (and innermost with a trace) share nothing, so
 confluence sampling still follows genuinely different reduction orders.
 """

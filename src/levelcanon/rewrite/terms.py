@@ -218,11 +218,14 @@ class RuleSet(tuple):
         what it builds is normal; every other node is hash-consed.  A rule
         application is one step.
 
-        Calls and nodes are memoized in `table`: a call's entry maps
-        ``(head, *ids of normal kids)`` to ``(normal form, steps it took)``,
-        a node's to ``(node, 0)``.  A repeated call replays its steps, and
-        one that would cross the budget stops at `budget`, where re-running
-        it would have.  Every value the reduction makes is held by `table`,
+        Nodes and the calls of memoized heads (all but selectors and
+        caller-keyed heads, `codegen.unmemoized_heads`) are memoized in
+        `table`: a call's entry maps ``(head, *ids of normal kids)`` to
+        ``(normal form, steps it took)``, a node's to ``(node, 0)``.  A
+        repeated call replays its steps, and one that would cross the
+        budget stops at `budget`, where re-running it would have.  A normal
+        form that no rule matches is made as a node, so every value the
+        reduction makes is held by `table`,
         so the table may outlive the reduction and serve the next; `reduce`
         passes this rule set's.  The generated functions are made once; a
         reduction's state lives in their module, under a lock, so the

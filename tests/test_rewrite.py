@@ -475,6 +475,67 @@ def test_two_rule_sets_reducing_at_once_agree_with_serial_runs():
     assert all(half.budget_exhausted for _, half in serial)
 
 
+_SELECTORS = {"and", "or", "not", "iteL", "iteNS", "iteSLS"}
+
+
+def test_selectors_and_caller_keyed_heads_are_the_unmemoized_ones():
+    unmemoized = codegen.unmemoized_heads(RULES.by_head)
+    assert unmemoized == _SELECTORS | {"ordSL", "maxHelperGo"}
+    assert codegen.unmemoized_heads(LITERAL.by_head) == _SELECTORS | {"ordSL"}
+    assert codegen.unmemoized_heads(HAND.by_head) == set()
+    source = codegen.evaluator_source(RULES.by_head)
+    for h, head in enumerate(RULES.by_head):
+        body = source.split(f"\ndef f{h}(")[1].split("\ndef ")[0]
+        assert ("table_get" in body) == (head not in unmemoized)
+
+
+_X, _Q = pvar("x"), pvar("q")
+
+
+@pytest.mark.parametrize("rules, unmemoized", [
+    # a one-rule head whose right side builds a node is no selector
+    ([RewriteRule(app("f", _X), app("s", _X))], set()),
+    # `h` is keyed by its caller only when the call carries all of x and q
+    ([RewriteRule(app("g", app("c", _X, _Q)), app("h", _X, _Q)),
+      RewriteRule(app("h", _X, _Q), app("s", _X))], {"h"}),
+    ([RewriteRule(app("g", app("c", _X, _Q)), app("h", _X)),
+      RewriteRule(app("h", _X), app("s", _X))], set()),
+    # below a defined head a variable does not count: `k x` is no node
+    ([RewriteRule(app("g", _X, _Q), app("h", app("k", _X), _Q)),
+      RewriteRule(app("h", _X, _Q), app("s", _X)),
+      RewriteRule(app("k", _X), app("s", _X))], set()),
+    # a head whose only caller is itself, as `maxN`
+    ([RewriteRule(app("m", app("s", _X)), app("s", app("m", _X)))], set()),
+    # a caller-keyed head's callee keeps its entries: no caller is looked up
+    ([RewriteRule(app("e", _X), app("g", _X)),
+      RewriteRule(app("g", _X), app("h", _X)),
+      RewriteRule(app("h", _X), app("s", _X))], {"g"}),
+])
+def test_a_head_keeps_its_memo_unless_its_entries_cannot_pay(rules, unmemoized):
+    assert codegen.unmemoized_heads(RuleSet(rules).by_head) == unmemoized
+
+
+def test_a_dropped_fall_through_of_an_unmemoized_head_stays_alive():
+    # `and` of a level matches no rule, and `ltN n zeroN --> false` keeps no
+    # reference to it: only the node entry made for it holds what the key
+    # of the `ltN` call names
+    rules = RuleSet(RULES)
+    term = app("ltN", app("and", app("maxS", app("nilSL")), app("true")), app("zeroN"))
+    report = reduce(term, rules)
+    assert report == ReductionReport(app("false"), 1, False) == _unmemoized_innermost(term, rules, 10)
+    _assert_keys_are_kept_alive(rules.table)
+
+
+def test_the_table_holds_no_call_of_an_unmemoized_head():
+    # a work pin that needs no clock: the same steps as with every head
+    # memoized (16,118 entries then)
+    rules = RuleSet(RULES)
+    cfg = GenConfig(seed=707, max_size=50)
+    steps = sum(reduce(encode_level(gen_level(cfg, i)), rules).steps for i in range(200))
+    assert steps == 326_302 and len(rules.table) == 11_598
+    assert not {head for head, *_ in rules.table} & codegen.unmemoized_heads(RULES.by_head)
+
+
 def _subterms(term):
     stack = [term]
     while stack:
