@@ -118,7 +118,7 @@ def _pair_for(t: Level, digest: int, pool: int) -> Level:
 
 def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     vids = tuple(sorted(level_vars(t)))
-    r = normalize(t)
+    ok, report, r = soundness_report(t)
     digest = _digest(t)
     rng = random.Random(digest ^ 0x5EED)
     pool = max(3, vids[-1] + 1) if vids else 3
@@ -135,8 +135,7 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
             return Failure(print_level(t, names), None, "eval",
                            {names.name_of(v): columns[v][k] for v in vids}), 0
 
-    # (b) the rewrite path must land on the same representation
-    ok, report = soundness_report(t)
+    # (b) the rewrite path, run at the top, must land on the same representation
     if not ok:
         phase = "budget" if report.budget_exhausted else "rewrite"
         return Failure(print_level(t, names), None, phase, None), report.steps

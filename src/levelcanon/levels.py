@@ -17,17 +17,16 @@ T = TypeVar("T")
 
 
 class _Node:
-    """A level node: immutable, its fields named by `__match_args__`.
+    """A level node: immutable, holding only its fields, named by
+    `__match_args__`.
 
-    Hash, equality, repr, pickling and copying take a level of any depth.
-    The hash is computed once, at construction, from the children's stored
-    hashes (a child that is not a node has none and goes through `hash`);
-    equality walks both levels with its own stack; repr is
-    `printer.level_repr`'s text.  A level reduces to its nodes in post-order
-    (`__reduce__`), from which `_unfold` rebuilds it with a stack.
+    Hash, equality and pickling read the level's post-order records
+    (`_records`), one fold of any depth; `_unfold` rebuilds a level from
+    them, so equal records are equal levels.  Repr is `printer.level_repr`'s
+    text.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -36,47 +35,34 @@ class _Node:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _records(self) -> tuple[tuple, ...]:
+        # (Var, vid), (Succ, n, child) for a run of n successors, (Max or
+        # IMax, left, right); a side is 0 for a zero and None for a node
+        # recorded before, the value every record returns
+        ops: list[tuple] = []
+        fold_level(self, 0, lambda vid: ops.append((Var, vid)),
+                   lambda child, n: ops.append((Succ, n, child)),
+                   lambda a, b: ops.append((Max, a, b)), lambda a, b: ops.append((IMax, a, b)))
+        return tuple(ops)
+
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._records())
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b) or not issubclass(kind, _Node):
-                if a != b:
-                    return False
-            elif a._hash != b._hash:
-                return False
-            else:
-                todo += ((getattr(a, f), getattr(b, f)) for f in kind.__match_args__)
-        return True
+        return self is other or self._records() == other._records()
 
     def __repr__(self) -> str:
         from .printer import level_repr
         return level_repr(self)
 
     def __reduce__(self) -> tuple:
-        # one fold records the nodes: (Var, vid), (Succ, n, child) for a run
-        # of n successors, (Max or IMax, left, right); a side is 0 for a zero
-        # and None for a node recorded before, the value every record returns
-        ops: list[tuple] = []
-        fold_level(self, 0, lambda vid: ops.append((Var, vid)),
-                   lambda child, n: ops.append((Succ, n, child)),
-                   lambda a, b: ops.append((Max, a, b)), lambda a, b: ops.append((IMax, a, b)))
-        return _unfold, (tuple(ops),)
+        return _unfold, (self._records(),)
 
 
 class Zero(_Node):
     __slots__ = ()
-
-    def __init__(self):
-        _set_hash(self, hash(Zero))
 
 
 class Succ(_Node):
@@ -85,11 +71,6 @@ class Succ(_Node):
 
     def __init__(self, child: "Level"):
         _set_child(self, child)
-        try:
-            h = hash((Succ, child._hash))
-        except AttributeError:  # not a level node
-            h = hash((Succ, hash(child)))
-        _set_hash(self, h)
 
 
 class _Binary(_Node):
@@ -99,11 +80,6 @@ class _Binary(_Node):
     def __init__(self, left: "Level", right: "Level"):
         _set_left(self, left)
         _set_right(self, right)
-        try:
-            h = hash((type(self), left._hash, right._hash))
-        except AttributeError:  # a side that is not a level node
-            h = hash((type(self), hash(left), hash(right)))
-        _set_hash(self, h)
 
 
 class Max(_Binary):
@@ -120,12 +96,10 @@ class Var(_Node):
 
     def __init__(self, vid: VarId):
         _set_vid(self, vid)
-        _set_hash(self, hash((Var, vid)))
 
 
 # a node's fields are set once, in its __init__, through the slot descriptors
 # bound here; its own __setattr__ refuses any later assignment
-_set_hash = _Node._hash.__set__
 _set_child = Succ.child.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_vid = Var.vid.__set__
@@ -136,7 +110,7 @@ ZERO = Zero()
 
 
 def _unfold(ops: tuple[tuple, ...]) -> Level:
-    """The level whose post-order records `_Node.__reduce__` made: each
+    """The level whose post-order records `_Node._records` made: each
     record's sides that are None are the last levels built, taken off the
     stack right side first.  No records is 0."""
     built: list[Level] = []

@@ -64,12 +64,14 @@ def _succ_l_times(term: RTerm, n: int) -> RTerm:
     return term
 
 
-def soundness_report(t: Level) -> tuple[bool, ReductionReport]:
+def soundness_report(t: Level) -> tuple[bool, ReductionReport, Repr]:
     """Whether the rewrite path reaches exactly the normalizer's answer
-    within 10**6 steps, with the underlying reduction report (step counts)."""
+    within 10**6 steps, with the underlying reduction report (step counts)
+    and that answer, `normalize(t)`."""
     report = reduce(encode_level(t), default_rules())
-    ok = not report.budget_exhausted and report.result == encode_repr(normalize(t))
-    return ok, report
+    r = normalize(t)
+    ok = not report.budget_exhausted and report.result == encode_repr(r)
+    return ok, report, r
 
 
 def confluence_runs(t: Level, strategies: int, seed: int, budget: int) -> list[ReductionReport]:

@@ -135,12 +135,24 @@ WALKS = {
 }
 
 
+BAD_NODES = [Max(x, "x"), IMax(Succ("x"), x), Succ(Succ("x"))]
+BAD_NODE_IDS = ["max-side", "imax-side-under-succ", "succ-run"]
+
+
 @pytest.mark.parametrize("walk", WALKS)
-@pytest.mark.parametrize("bad", [Max(x, "x"), IMax(Succ("x"), x), Succ(Succ("x")), "x"],
-                         ids=["max-side", "imax-side-under-succ", "succ-run", "root"])
+@pytest.mark.parametrize("bad", [*BAD_NODES, "x"], ids=[*BAD_NODE_IDS, "root"])
 def test_every_walk_rejects_a_node_that_is_not_a_level(walk, bad):
     with pytest.raises(TypeError, match=r"^not a level: 'x'$"):
         WALKS[walk](bad)
+
+
+@pytest.mark.parametrize("op", ["hash", "=="])
+@pytest.mark.parametrize("bad", BAD_NODES, ids=BAD_NODE_IDS)
+def test_hash_and_equality_reject_a_node_that_is_not_a_level(op, bad):
+    # the twin is a distinct node over the same fields, so == must walk both
+    twin = type(bad)(*(getattr(bad, f) for f in bad.__match_args__))
+    with pytest.raises(TypeError, match=r"^not a level: 'x'$"):
+        hash(bad) if op == "hash" else bad == twin
 
 
 # leaf: (level, size, variable ids, constant depth, value under a valuation,
@@ -236,4 +248,8 @@ def test_every_walk_takes_a_level_ten_thousand_deep(shape):
 
 @pytest.mark.parametrize("shape", ["left", "right", "mixed"])
 def test_linear_walks_take_a_level_a_hundred_thousand_deep(shape):
-    _check_linear_walks(*_deep(shape, 100_000))
+    t, expect = _deep(shape, 100_000)
+    _check_linear_walks(t, expect)
+    twin = _deep(shape, 100_000)[0]
+    assert t is not twin and t == twin and hash(t) == hash(twin)
+    assert t != Succ(twin) and Max(t, x) != Max(twin, y)

@@ -87,7 +87,7 @@ def test_failures_name_the_levels_and_the_witness(monkeypatch):
     monkeypatch.undo()
 
     original = harness.soundness_report
-    monkeypatch.setattr(harness, "soundness_report", lambda t: (False, original(t)[1]))
+    monkeypatch.setattr(harness, "soundness_report", lambda t: (False, *original(t)[1:]))
     assert harness._differential_case(t) == (
         Failure("s(imax(x1, x0))", None, "rewrite", None), original(t)[1].steps)
     monkeypatch.undo()

@@ -86,6 +86,12 @@ def test_levels_are_immutable_and_match_their_fields():
     assert t != IMax(x, Succ(ZERO)) and t != Max(y, Succ(ZERO)) and t != "x"
 
 
+@pytest.mark.parametrize("kind", [Zero, Succ, Max, IMax, Var])
+def test_a_node_stores_only_its_fields(kind):
+    slots = [name for cls in kind.__mro__ for name in cls.__dict__.get("__slots__", ())]
+    assert sorted(slots) == sorted(kind.__match_args__)
+
+
 def _chain(base, depth: int):
     t = base
     for i in range(depth):

@@ -92,6 +92,36 @@ def test_the_export_reads_back_as_the_signature_and_the_rule_set(paper_literal):
     assert rules == list(builtin_ruleset(paper_literal))
 
 
+def _overlaps(rules) -> list[tuple[str, str]]:
+    """Each pair of rules of one head whose left sides overlap.  Left-linear
+    constructor patterns, renamed apart, overlap exactly when they agree at
+    every constructor position both have."""
+    def unify(p, q) -> bool:
+        return is_pvar(p) or is_pvar(q) or (
+            p[0] == q[0] and len(p) == len(q) and all(map(unify, p[1:], q[1:])))
+    by_head: dict[str, list[RewriteRule]] = {}
+    for rule in rules:
+        by_head.setdefault(rule.lhs[0], []).append(rule)
+    return [(str(r), str(s)) for group in by_head.values()
+            for i, r in enumerate(group) for s in group[i + 1:] if unify(r.lhs, s.lhs)]
+
+
+@pytest.mark.parametrize("paper_literal", [False, True], ids=["default", "paper_literal"])
+def test_no_two_left_sides_of_a_head_overlap(paper_literal):
+    # with left-linearity and the constructor discipline checked above, the
+    # rule set is orthogonal, hence confluent (Huet 1980)
+    assert _overlaps(builtin_ruleset(paper_literal)) == []
+    assert _overlaps(read_rules(export_framework(None, paper_literal))[1]) == []
+
+
+def test_an_overlap_names_both_rules():
+    extra = RewriteRule(app("plus", pvar("n"), pvar("m")), pvar("m"))
+    assert _overlaps([*RULES, extra]) == [
+        ("plus n zeroN --> n", "plus n m --> m"),
+        ("plus n (succN m) --> succN (plus n m)", "plus n m --> m"),
+    ]
+
+
 def test_the_published_forms_replace_only_the_rules_of_their_heads():
     swapped = {"varL", "succL", "maxHelper", "maxHelperGo", "evalS"}
     assert {head for head in RULES.by_head.keys() | LITERAL.by_head.keys()

@@ -15,10 +15,13 @@ from __future__ import annotations
 from itertools import product
 from operator import le
 
+import pytest
+
 from levelcanon import (
-    IMax, Max, Succ, Var, ZERO, const_depth, eval_level, eval_repr, leq_repr, level_size,
-    subst_repr,
+    IMax, Max, Repr, Succ, Var, ZERO, const_depth, eval_level, eval_repr, leq_repr, leq_sub,
+    level_size, subst_repr,
 )
+from levelcanon.harness import enumerate_sublevels
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import soundness_report
 
@@ -105,3 +108,39 @@ def test_equivalence_is_equality_on_every_small_level_in_three_variables():
     assert wrong_subst(classes, points, columns) == []
 
     assert [t for t in levels if not soundness_report(t)[0]] == []
+
+
+def antichains(atoms: list, most: int) -> list[tuple]:
+    """Every set of at most `most` of `atoms` that leq_sub finds pairwise
+    incomparable, each in the order of `atoms`."""
+    found = []
+
+    def extend(chain: tuple, start: int) -> None:
+        found.append(chain)
+        if len(chain) < most:
+            for i in range(start, len(atoms)):
+                u = atoms[i]
+                if not any(leq_sub(u, v) or leq_sub(v, u) for v in chain):
+                    extend((*chain, u), i + 1)
+    extend((), 0)
+    return found
+
+
+@pytest.mark.parametrize("num_vars, max_shift, most, count", [
+    (2, 2, 20, 865),  # 20 is every atom of the scope
+    (3, 1, 4, 9234),
+], ids=["2-vars-shift-2", "3-vars-shift-1-four-atoms"])
+def test_no_two_small_representations_mean_the_same_function(num_vars, max_shift, most, count):
+    # every antichain of atoms is a representation; two of them with one
+    # value vector on {0..max_shift+2}^num_vars would be one function twice
+    chains = antichains(enumerate_sublevels(num_vars, max_shift), most)
+    points, columns = grid(num_vars, max_shift + 2)
+    seen, collisions = {}, []
+    for chain in chains:
+        r = Repr(tuple(sorted(chain)))
+        vec = tuple(eval_repr(r, columns, len(points)))
+        if vec in seen:
+            collisions.append((seen[vec], r))
+        seen.setdefault(vec, r)
+    assert collisions == []
+    assert len(chains) == count
