@@ -18,11 +18,12 @@ Two operations deliberately differ from their naive pointwise statements:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 from .levels import Level, Valuation, VarId, fold_level
 from .sublevels import (
-    SubLevel, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, subst_sub, succ_sub,
+    SubA, SubB, SubLevel, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, subst_sub, succ_sub,
 )
 
 
@@ -39,6 +40,9 @@ class Repr(tuple):
     __match_args__ = ("atoms",)
 
     def __new__(cls, atoms: tuple[SubLevel, ...] = ()):
+        for u in atoms:
+            if not isinstance(u, (SubA, SubB)):
+                raise ReprInvariantError(f"not an atom: {u!r}")
         if any(b <= a for a, b in zip(atoms, atoms[1:])):
             raise ReprInvariantError(f"atoms not strictly sorted: {atoms!r}")
         for i, u in enumerate(atoms):
@@ -72,31 +76,53 @@ def repr_var(x: VarId) -> Repr:
 def _merge(atoms: Iterable[SubLevel], candidates: Iterable[SubLevel]) -> Repr:
     """Minimal representation of the max of an antichain and some atoms.  A
     candidate that a kept atom dominates is dropped; otherwise it drops every
-    kept atom it dominates.  Domination is a partial order, so the kept atoms
-    are the maximal ones in any candidate order; they are sorted once, as
-    tuples, which is the storage order."""
+    kept atom it dominates.  One pass over the kept atoms tests both ways.
+    Domination is a partial order, so the kept atoms are the maximal ones in
+    any candidate order; they are sorted once, as tuples, which is the
+    storage order."""
     kept = list(atoms)
     for u in candidates:
+        rest = []
         for v in kept:
             if leq_sub(u, v):
                 break
+            if not leq_sub(v, u):
+                rest.append(v)
         else:
-            kept = [v for v in kept if not leq_sub(v, u)]
-            kept.append(u)
+            rest.append(u)
+            kept = rest
     kept.sort()
     return _new(Repr, kept)
 
 
 def max_repr(r1: Repr, r2: Repr) -> Repr:
     """Minimal representation of max(r1, r2)."""
+    if not r1:
+        return r2
+    if not r2:
+        return r1
     return _merge(r1, r2)
 
 
 def succ_repr(r: Repr, n: int) -> Repr:
-    """Minimal representation of s^n(r), n >= 1: every atom shifted by n (which
-    keeps them an antichain) plus the B({}, n) floor, which is above the
-    floors of the shorter runs and below every shifted atom that is active."""
-    return _merge((succ_sub(u, n) for u in r), (_sub_b((), n, _NO_GUARD),))
+    """Minimal representation of s^n(r), built without a comparison.
+
+    It is every atom shifted by n plus the floor B({}, n).  A uniform shift
+    keeps the atoms an antichain and keeps their storage order.  The floor
+    is dominated exactly when r holds a B-atom with the empty set (the
+    B <= B case with F = {}), and it dominates no shifted atom: A <= B never
+    holds, and a shifted B-atom has shift at least n + 1.  So the floor sits
+    first among the B-atoms, or is dropped.
+    """
+    if n <= 0:
+        if n == 0:
+            return r
+        raise ValueError("successor count must be a natural number")
+    shifted = [succ_sub(u, n) for u in r]
+    first_b = bisect_left(r, (1,))  # A-atoms are tagged 0, B-atoms 1
+    if first_b == len(r) or r[first_b][1]:
+        shifted.insert(first_b, _sub_b((), n, _NO_GUARD))
+    return _new(Repr, shifted)
 
 
 def imax_repr(r1: Repr, r2: Repr) -> Repr:
@@ -105,10 +131,33 @@ def imax_repr(r1: Repr, r2: Repr) -> Repr:
     imax(0, t) is t and imax(t, 0) is 0; otherwise imax distributes over the
     max on both sides, and imax(u, v) is max(u under v's guard set, v)
     (`imax_sub`).  The v's make up r2, so the guarded u's are merged into it.
+
+    `imax_sub(u, v)` reads v only through its guard set, and u under a
+    larger guard set is dominated by u under a smaller one.  So only the
+    atoms of r2 with a minimal guard set (`least`) give copies of u that can
+    survive, and when one of those sets is within u's own guard, u itself is
+    a copy and dominates every other.  The merge drops just the candidates
+    that other candidates dominate, so leaving them out keeps the result.
     """
     if not r1 or not r2:
         return r2
-    return _merge(r2, (imax_sub(u, v) for u in r1 for v in r2))
+    guards = [v[-1] for v in r2]
+    least = []
+    for v in r2:
+        for guard in guards:
+            if guard < v[-1]:
+                break
+        else:
+            least.append(v)
+    candidates = []
+    for u in r1:
+        for v in least:
+            if v[-1] <= u[-1]:
+                candidates.append(u)
+                break
+        else:
+            candidates += [imax_sub(u, v) for v in least]
+    return _merge(r2, candidates)
 
 
 def normalize(t: Level) -> Repr:

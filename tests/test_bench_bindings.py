@@ -61,7 +61,7 @@ def test_normalize_makes_the_leq_sub_calls_the_benchmark_counts(monkeypatch):
     cfg = GenConfig(seed=707, max_size=50)
     for index in range(1_000):
         nz.normalize(gen_level(cfg, index))
-    assert calls == 21_599
+    assert calls == 13_433
 
 
 def test_fuzz_cases_reach_every_harness_binding_the_tracer_requires(monkeypatch):

@@ -35,6 +35,19 @@ def test_repr_validates_its_invariants():
     Repr((SubA((0,), 0, 0), SubA((1,), 1, 0)))
 
 
+def test_repr_refuses_what_is_not_an_atom():
+    # an atom's layout is read directly by the operations, so a look-alike
+    # tuple or any other value is refused by name, before any comparison
+    look_alike = (0, (0,), 0, 0, frozenset({0}))
+    with pytest.raises(ReprInvariantError) as err:
+        Repr((look_alike,))
+    assert str(err.value) == f"not an atom: {look_alike!r}"
+    with pytest.raises(ReprInvariantError, match="^not an atom: 'x'$"):
+        Repr((SubA((0,), 0, 0), "x"))
+    with pytest.raises(ReprInvariantError, match="^not an atom: None$"):
+        Repr((None,))
+
+
 def test_repr_invariant_messages():
     with pytest.raises(ReprInvariantError) as err:
         Repr((SubB((), 1), SubA((0,), 0, 0)))
@@ -113,6 +126,11 @@ def test_succ_repr_adds_the_constant_floor():
     assert succ_repr(r, 1).atoms == (SubA((0,), 0, 1), SubB((), 1), SubB((1,), 2))
     for sigma in valuations_on((0, 1), 3):
         assert eval_repr(succ_repr(r, 1), sigma) == 1 + eval_repr(r, sigma)
+    # the floor goes first among the B-atoms, unless an empty-set B-atom
+    # already dominates it
+    assert succ_repr(Repr((SubB((0, 1), 1),)), 2).atoms == (SubB((), 2), SubB((0, 1), 3))
+    assert succ_repr(Repr((SubA((0,), 0, 0), SubB((), 1))), 2).atoms == (
+        SubA((0,), 0, 2), SubB((), 3))
 
 
 @given(level_strategy(max_leaves=6))
@@ -136,8 +154,8 @@ def test_a_successor_run_is_one_shift(t, n):
     assert normalize(tower) == succ_repr(r, n) == stepped
 
 
-def test_a_long_successor_run_costs_one_merge(monkeypatch):
-    # one shift and one merged floor, not a merge per successor
+def test_a_long_successor_run_costs_no_comparison(monkeypatch):
+    # one shift and the floor placed by the successor lemma, not a merge
     import levelcanon.normalize as nz
 
     calls = []
@@ -152,7 +170,16 @@ def test_a_long_successor_run_costs_one_merge(monkeypatch):
     for _ in range(10_000):
         t = Succ(t)
     assert nz.normalize(t).atoms == (SubA((0,), 0, 10_000), SubB((), 10_000))
-    assert len(calls) < 10
+    assert calls == []
+
+
+def test_succ_repr_counts_from_zero():
+    r = normalize(Max(x, Succ(y)))
+    assert succ_repr(r, 0) is r
+    assert succ_repr(Repr(), 0) == Repr()
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="^successor count must be a natural number$"):
+            succ_repr(r, n)
 
 
 @given(level_strategy(max_leaves=12))

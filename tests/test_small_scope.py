@@ -18,8 +18,8 @@ from operator import le
 import pytest
 
 from levelcanon import (
-    IMax, Max, Repr, Succ, Var, ZERO, const_depth, eval_level, eval_repr, leq_repr, leq_sub,
-    level_size, subst_repr,
+    IMax, Max, Repr, SubB, Succ, Var, ZERO, const_depth, eval_level, eval_repr, imax_repr,
+    imax_sub, leq_repr, leq_sub, level_size, max_repr, subst_repr, succ_repr, succ_sub,
 )
 from levelcanon.harness import enumerate_sublevels
 from levelcanon.normalize import normalize
@@ -144,3 +144,39 @@ def test_no_two_small_representations_mean_the_same_function(num_vars, max_shift
         seen.setdefault(vec, r)
     assert collisions == []
     assert len(chains) == count
+
+
+def maximal(atoms) -> Repr:
+    """The representation of the max of some atoms: the ones no other atom
+    dominates, sorted.  Each operation below is this one merge of all the
+    atoms its naive statement names."""
+    atoms = set(atoms)
+    return Repr(tuple(sorted(u for u in atoms
+                             if not any(v != u and leq_sub(u, v) for v in atoms))))
+
+
+def reference_imax(r1: Repr, r2: Repr) -> Repr:
+    if not r1 or not r2:
+        return r2
+    return maximal([*r2, *(imax_sub(u, v) for u in r1 for v in r2)])
+
+
+@pytest.mark.parametrize("num_vars, max_shift, most, count", [
+    (2, 1, 12, 118),  # 12 is every atom of the scope
+    (3, 0, 3, 152),
+], ids=["2-vars-shift-1", "3-vars-shift-0-three-atoms"])
+def test_the_operations_equal_one_merge_on_every_small_pair(num_vars, max_shift, most, count):
+    # max_repr, imax_repr and succ_repr skip comparisons that cannot change
+    # their result; on every (pair of) small antichain(s) they must still
+    # equal the maximal atoms of everything their naive statements name
+    reprs = [Repr(tuple(sorted(chain)))
+             for chain in antichains(enumerate_sublevels(num_vars, max_shift), most)]
+    assert len(reprs) == count
+    wrong = [("succ", r, n) for r in reprs for n in (1, 2)
+             if succ_repr(r, n) != maximal([*(succ_sub(u, n) for u in r), SubB((), n)])]
+    for r1, r2 in product(reprs, repeat=2):
+        if max_repr(r1, r2) != maximal([*r1, *r2]):
+            wrong.append(("max", r1, r2))
+        if imax_repr(r1, r2) != reference_imax(r1, r2):
+            wrong.append(("imax", r1, r2))
+    assert wrong == []
