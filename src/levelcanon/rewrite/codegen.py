@@ -8,6 +8,7 @@ does not load it.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable
 
 from .terms import PVAR_HEAD, RTerm, RewriteRule, fold_term, is_pvar, term_vars
@@ -65,12 +66,23 @@ def _mk_node(head: str, kids: list[str]) -> str:
 # under the module's lock, so the reductions on one rule set take turns.
 # Every entry goes to `table`, which outlives the reduction; sharing it
 # across reductions is sound by these invariants:
+#   * A key is one int, ``tag << 64 n | id(k0) << 64 (n - 1) | ... | id(k(n-1))``
+#     for a head applied to n kids, with the head's `tag` (at least 1) and
+#     every id below 2**64, so distinct heads, arities or kids never share a
+#     key.  Tags come from one registry per process, so two rule sets given
+#     one dict agree.  A fall-through node and its call have one key, and
+#     share one entry.
 #   * Ids stay valid: every id in a table key belongs to a node that the same
 #     table keeps alive.  Each argument of a call or node is a value that
 #     this reduction made, whatever the input's sorts: a result stored in
 #     `table`, a node entered there, or a subterm of one.  The functions of
 #     `unmemoized_heads` store no call, and make a normal form that no rule
 #     matches through c<n>, never as a bare tuple that a later key could name.
+#   * Insertion order is topological: a call's kids and its result, and a
+#     node's kids, are entered before the entry that names them, and
+#     `setdefault` never reorders.  So every first part of `table` keeps
+#     alive every id its keys name, and the engine may replace a full table
+#     by its first half.
 #   * One table per reduction: `evaluate` binds it before any call, and every
 #     entry of the reduction, the nullary values included, is read from and
 #     written to that dict alone.
@@ -99,7 +111,9 @@ def evaluate(order, limit, table):
                 if defined is not None:
                     values.append(defined(*kids))
                 else:
-                    key = (head, *map(id, kids))
+                    key = tag(head)
+                    for kid in kids:
+                        key = key << 64 | id(kid)
                     values.append((table_get(key) or table_put(key, ((head, *kids), 0)))[0])
             result = values[0]
         except Exhausted:
@@ -122,10 +136,24 @@ def tick():
 """
 
 
+_tags: dict[str, int] = {}
+_fresh_tag = count(1).__next__
+
+
+def tag(head: str) -> int:
+    """The head's tag in table keys: a positive int, one per head string,
+    the same for every rule set in the process.  Drawn from one counter
+    and entered with `setdefault`, so two heads never share a tag, even
+    when two threads enter them at once."""
+    return _tags.get(head) or _tags.setdefault(head, _fresh_tag())
+
+
 def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
-    namespace: dict[str, object] = {}
+    namespace: dict[str, object] = {"tag": tag}
     exec(compile(evaluator_source(by_head), "<compiled evaluator>", "exec"), namespace)
-    return namespace["evaluate"]
+    evaluate = namespace["evaluate"]
+    evaluate.lock = namespace["lock"]
+    return evaluate
 
 
 def unmemoized_heads(by_head: dict[str, list[RewriteRule]]) -> set[str]:
@@ -157,7 +185,8 @@ def unmemoized_heads(by_head: dict[str, list[RewriteRule]]) -> set[str]:
 
 def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
     # One function per defined head (f<h>), one per constructor arity (c<n>,
-    # the head its first argument), and one value per nullary constructor
+    # the head its first argument and the head's part of the key, ``tag <<
+    # 64 n``, its second), and one value per nullary constructor
     # that a right side builds (n<i>, bound per reduction).  Symbol text
     # reaches the source only as repr() literals, and a pattern variable is
     # its source expression in the arguments, such as k1[2].
@@ -171,10 +200,17 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
         arities.add(len(kids))
         if not kids:
             return nullary.setdefault(head, f"n{len(nullary)}")
-        return f"c{len(kids)}({head!r}, {_items(kids)})"
+        return construct(head, kids)
 
-    def lookup(head: str, kids: list[str]) -> str:
-        return f"    hit = table_get(key := ({head}, {_items(f'id({k})' for k in kids)}))"
+    def key_base(head: str, n: int) -> str:  # a constant once compiled
+        return f"{tag(head)} << {64 * n}"
+
+    def construct(head: str, kids: list[str]) -> str:
+        return f"c{len(kids)}({head!r}, {key_base(head, len(kids))}, {_items(kids)})"
+
+    def lookup(base: str, kids: list[str]) -> str:
+        ids = "".join(f" | id({k}) << {64 * (len(kids) - i)}" for i, k in enumerate(kids, 1))
+        return f"    hit = table_get(key := {base}{ids.removesuffix(' << 0')})"
 
     unmemoized = unmemoized_heads(by_head)
     lines = []
@@ -183,7 +219,7 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
         memo = head not in unmemoized
         lines.append(f"def {defined[head]}({', '.join(kids)}):")
         if memo:
-            lines += [lookup(repr(head), kids),
+            lines += [lookup(key_base(head, len(kids)), kids),
                       "    if hit:",
                       "        return replay(hit)",
                       "    start = steps"]
@@ -197,18 +233,19 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
         if tests:  # arguments that no rule matches make a normal form, a node
             arities.add(len(kids))
             lines += ["    else:",
-                      f"        {value} c{len(kids)}({head!r}, {_items(kids)})"]
+                      f"        {value} {construct(head, kids)}"]
         if memo:
             lines += ["    return table_put(key, (result, steps - start))[0]"]
     for n in sorted(arities):
         kids = [f"k{i}" for i in range(n)]
-        lines += [f"def c{n}(head, {_items(kids)}):",
-                  lookup("head", kids),
+        lines += [f"def c{n}(head, base, {_items(kids)}):",
+                  lookup("base", kids),
                   f"    return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
     calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
     lines += [f"calls = {{{calls}}}.get"]
     state = ", ".join(["budget", "steps", "table_get", "table_put", *nullary.values()])
-    bind = "\n".join(f"        {name} = c0({head!r})" for head, name in nullary.items())
+    bind = "\n".join(f"        {name} = c0({head!r}, {key_base(head, 0)})"
+                     for head, name in nullary.items())
     return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n"
 
 

@@ -40,8 +40,10 @@ heads (whose key fixes a memoized caller's) keep no entry; see
 `codegen.unmemoized_heads`.  A normal form that no rule matches is made as
 a hash-consed node.  Every node and memoized call is in the rule set's
 table, which every innermost reduction with that rule set shares, whatever
-its input; the table is bound anew, empty, after a reduction leaves it
-above a fixed size.
+its input.  A key is one int, the head's tag above the ids of the
+arguments.  Entries are inserted in topological order (each names only
+values of earlier entries), so after a reduction leaves the table above a
+fixed size, the rule set binds a new table of the old one's first half.
 Outermost and random (and innermost with a trace) share nothing, so
 confluence sampling still follows genuinely different reduction orders.
 """
@@ -51,6 +53,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, fold_term
@@ -116,8 +119,9 @@ def _check_input(term: RTerm, arity: dict[str, int]) -> list[RTerm]:
 
 
 # Bounded memory: a rule set whose table holds more entries than this after a
-# reduction gets a new, empty table
-_TABLE_LIMIT = 1 << 14
+# reduction gets a new table of the old one's first half, in insertion order
+# (a full table is about 3.7 MB, at about 152 B an entry)
+_TABLE_LIMIT = 3 << 13
 
 
 def _reduce_innermost(term: RTerm, rules: RuleSet, evaluate, order: list[RTerm],
@@ -131,9 +135,13 @@ def _reduce_innermost(term: RTerm, rules: RuleSet, evaluate, order: list[RTerm],
         sys.setrecursionlimit(100_000)
     result, steps = evaluate(order, budget, table)
     # replaced, never cleared: clearing would free nodes whose ids the keys
-    # of another reduction still on this table may hold
+    # of another reduction still on this table may hold.  The copy is taken
+    # under the evaluator's lock, so no reduction on this rule set writes
+    # the table while it is read
     if len(table) > _TABLE_LIMIT:
-        rules.table = {}
+        with evaluate.lock:
+            if rules.table is table:
+                rules.table = dict(islice(table.items(), _TABLE_LIMIT // 2))
     return ReductionReport(term if result is None else result, steps, result is None)
 
 

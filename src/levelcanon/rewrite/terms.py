@@ -220,16 +220,19 @@ class RuleSet(tuple):
 
         Nodes and the calls of memoized heads (all but selectors and
         caller-keyed heads, `codegen.unmemoized_heads`) are memoized in
-        `table`: a call's entry maps ``(head, *ids of normal kids)`` to
+        `table`: a call's entry maps one int, the head's tag shifted above
+        the ids of its normal kids (64 bits each, `codegen.tag`), to
         ``(normal form, steps it took)``, a node's to ``(node, 0)``.  A
         repeated call replays its steps, and one that would cross the
         budget stops at `budget`, where re-running it would have.  A normal
         form that no rule matches is made as a node, so every value the
         reduction makes is held by `table`,
         so the table may outlive the reduction and serve the next; `reduce`
-        passes this rule set's.  The generated functions are made once; a
-        reduction's state lives in their module, under a lock, so the
-        reductions on one rule set take turns.
+        passes this rule set's.  Entries are inserted in topological order,
+        so any first part of the table is a table.  The generated functions
+        are made once; a reduction's state lives in their module, under a
+        lock (the evaluator's `lock` attribute), so the reductions on one
+        rule set take turns.
         """
         if self._evaluator is None:
             from .codegen import compile_evaluator

@@ -158,7 +158,9 @@ def leq_sub(u: SubLevel, v: SubLevel) -> bool:
 
 
 def succ_sub(u: SubLevel, n: int) -> SubLevel:
-    """`u` with its shift raised by the natural n."""
+    """`u` with its shift raised by the natural n.  ValueError if n < 0."""
+    if n < 0:
+        raise ValueError("successor count must be a natural number")
     if u[0]:
         return _sub_b(u[1], u[2] + n, u[3])
     return _sub_a(u[1], u[2], u[3] + n, u[4])
@@ -167,7 +169,10 @@ def succ_sub(u: SubLevel, n: int) -> SubLevel:
 def subst_sub(u: SubLevel, y: VarId, n: int) -> SubLevel | None:
     """`u` with variable y set to the natural n, or None where that makes it 0.
     Otherwise y leaves the guard set, and an A-atom on y becomes the constant
-    atom B(E \\ {y}, S + n), with S + n >= 1 because n >= 1 here."""
+    atom B(E \\ {y}, S + n), with S + n >= 1 because n >= 1 here.
+    ValueError if n < 0."""
+    if n < 0:
+        raise ValueError("substituted value must be a natural number")
     guard = u[-1]
     if y not in guard:
         return u

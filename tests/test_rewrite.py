@@ -383,6 +383,15 @@ def test_a_warm_table_gives_the_reports_of_a_cold_one(rules):
     assert warm.table is table and len(table) == size > 0
 
 
+def _decode(key):
+    """The head and the kid ids of an int table key, ``tag << 64 n | id(k0)
+    << 64 (n - 1) | ... | id(k(n-1))``: 64-bit chunks under the head's tag."""
+    n = max(key.bit_length() - 1, 0) // 64
+    heads = {tag: head for head, tag in codegen._tags.items()}
+    assert key >> 64 * n in heads, f"{key:#x} carries no head's tag"
+    return heads[key >> 64 * n], [key >> 64 * i & (1 << 64) - 1 for i in reversed(range(n))]
+
+
 def _assert_keys_are_kept_alive(table):
     """Every id in a key of `table` is the id of a node reachable from its
     values."""
@@ -393,8 +402,24 @@ def _assert_keys_are_kept_alive(table):
         if id(node) not in kept:
             kept.add(id(node))
             stack += node[1:]
-    for _, *ids in table:
-        assert kept.issuperset(ids)
+    for key in table:
+        assert kept.issuperset(_decode(key)[1])
+
+
+def _assert_insertion_order_is_topological(table):
+    """Walking `table` in insertion order, every id an entry's key names is
+    the value of an earlier entry, and every value is an earlier entry's or
+    a node that the entry itself holds: keyed by its own head and kids, each
+    kid an earlier entry's value.  So every prefix of the table keeps alive
+    every node its keys name, which a table replaced by its first half
+    relies on."""
+    earlier = set()
+    for key, (value, _) in table.items():
+        head, ids = _decode(key)
+        assert earlier.issuperset(ids)
+        if id(value) not in earlier:
+            assert (head, ids) == (value[0], [id(kid) for kid in value[1:]])
+            earlier.add(id(value))
 
 
 def test_the_table_keeps_alive_every_node_its_keys_name():
@@ -403,6 +428,21 @@ def test_the_table_keeps_alive_every_node_its_keys_name():
     for i in range(40):
         reduce(encode_level(gen_level(cfg, i)), rules, budget=1 + 97 * i)
     assert len(rules.table) > 100
+    _assert_keys_are_kept_alive(rules.table)
+    _assert_insertion_order_is_topological(rules.table)
+
+
+def test_a_table_cut_to_its_first_half_stays_in_topological_order(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_LIMIT", 200)
+    rules = RuleSet(RULES)
+    cfg = GenConfig(seed=707, max_size=50)
+    replaced = 0
+    for i in range(40):
+        table = rules.table
+        reduce(encode_level(gen_level(cfg, i)), rules, budget=1 + 97 * i)
+        replaced += rules.table is not table
+        _assert_insertion_order_is_topological(rules.table)
+    assert replaced > 5
     _assert_keys_are_kept_alive(rules.table)
 
 
@@ -414,6 +454,7 @@ def test_an_ill_sorted_input_reduces_as_before_and_keeps_the_table_alive():
     report = reduce(term, rules)
     assert report == ReductionReport(term, 0, False) == _unmemoized_innermost(term, rules, 10)
     _assert_keys_are_kept_alive(rules.table)
+    _assert_insertion_order_is_topological(rules.table)
 
 
 def test_a_table_past_the_limit_is_replaced_between_reductions(monkeypatch):
@@ -429,7 +470,8 @@ def test_a_table_past_the_limit_is_replaced_between_reductions(monkeypatch):
             assert reduce(term, rules, budget=budget) == reduce(term, cold, budget=budget)
             if rules.table is not table:  # bound anew, the old one left whole
                 replaced += 1
-                assert rules.table == {} and len(table) > 200
+                assert list(rules.table.items()) == list(table.items())[:100]
+                assert len(table) > 200
             else:
                 assert len(table) <= 200
     assert replaced > 5
@@ -444,7 +486,8 @@ def test_a_replaced_table_is_freed(monkeypatch):
     rules.table = Table()
     table = weakref.ref(rules.table)
     reduce(encode_level(gen_level(GenConfig(seed=707, max_size=50), 0)), rules)
-    assert rules.table == {}  # replaced, and nothing else holds the old one
+    # replaced by a plain dict of its first half, and nothing else holds the old one
+    assert type(rules.table) is dict and len(rules.table) == 100
     assert table() is None
 
 
@@ -469,6 +512,36 @@ def test_two_threads_sharing_a_table_agree_with_serial_runs():
     assert reports == [serial, serial]
     assert serial.steps == 107_142 and not serial.budget_exhausted
     _assert_keys_are_kept_alive(table)
+
+
+def test_two_threads_replacing_a_small_table_agree_with_serial_runs(monkeypatch):
+    # one thread's reduction may still write the table that the other,
+    # finished, cuts to its first half
+    monkeypatch.setattr(engine, "_TABLE_LIMIT", 200)
+    cfg = GenConfig(seed=707, max_size=50)
+    terms = [encode_level(gen_level(cfg, i)) for i in range(30)]
+    serial = [reduce(term, RuleSet(RULES)) for term in terms]
+    rules = RuleSet(RULES)
+    rules.evaluator()  # compiled before the race
+    reports = [[], []]
+
+    def run(j):
+        for term in terms:
+            reports[j].append(reduce(term, rules))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [serial, serial]
+    _assert_insertion_order_is_topological(rules.table)
 
 
 def test_two_rule_sets_reducing_at_once_agree_with_serial_runs():
@@ -554,6 +627,7 @@ def test_a_dropped_fall_through_of_an_unmemoized_head_stays_alive():
     report = reduce(term, rules)
     assert report == ReductionReport(app("false"), 1, False) == _unmemoized_innermost(term, rules, 10)
     _assert_keys_are_kept_alive(rules.table)
+    _assert_insertion_order_is_topological(rules.table)
 
 
 def test_the_table_holds_no_call_of_an_unmemoized_head():
@@ -563,7 +637,24 @@ def test_the_table_holds_no_call_of_an_unmemoized_head():
     cfg = GenConfig(seed=707, max_size=50)
     steps = sum(reduce(encode_level(gen_level(cfg, i)), rules).steps for i in range(200))
     assert steps == 326_302 and len(rules.table) == 11_598
-    assert not {head for head, *_ in rules.table} & codegen.unmemoized_heads(RULES.by_head)
+    heads = {_decode(key)[0] for key in rules.table}
+    assert not heads & codegen.unmemoized_heads(RULES.by_head)
+
+
+def test_the_fuzz_stream_makes_a_fixed_number_of_table_entries():
+    # a work pin that needs no clock: entries inserted, tables replaced and
+    # tree steps over the first 1,800 levels (107,046, 6 and 3,396,105 when a
+    # table of 16,384 entries was replaced by an empty one)
+    rules = RuleSet(RULES)
+    cfg = GenConfig(seed=707, max_size=50)
+    inserted = replaced = steps = 0
+    for i in range(1800):
+        table = rules.table
+        size = len(table)
+        steps += reduce(encode_level(gen_level(cfg, i)), rules).steps
+        inserted += len(table) - size
+        replaced += rules.table is not table
+    assert (inserted, replaced, steps) == (71_327, 4, 3_396_105)
 
 
 def _subterms(term):

@@ -190,6 +190,17 @@ def test_succ_sub():
                 assert eval_sub(succ_sub(atom, n), sigma) == expected
 
 
+def test_a_negative_count_is_refused():
+    # as succ_repr and subst_repr refuse it: SubA((0,), 0, -3) is no atom
+    for u in (SubA((0,), 0, 0), SubB((1,), 2)):
+        with pytest.raises(ValueError, match="successor count must be a natural number"):
+            succ_sub(u, -3)
+        for y in (0, 1, 2):
+            with pytest.raises(ValueError, match="substituted value must be a natural number"):
+                subst_sub(u, y, -1)
+    assert succ_sub(SubA((0,), 0, 0), 0) == SubA((0,), 0, 0)
+
+
 def test_subst_sub_semantics_exhaustive():
     grid = list(valuations_on((0, 1), 3))
     for u in enumerate_sublevels(2, 2):
