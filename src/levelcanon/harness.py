@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .levels import (
-    IMax, Level, Max, Succ, Var, ZERO, default_grid_bound,
-    eval_level, find_counterexample_leq, level_size, level_vars, valuations_on,
+    IMax, Level, Max, Succ, Var, ZERO, const_depth, eval_level, find_counterexample_leq,
+    grid_bound, level_facts, valuations_on,
 )
 from .normalize import eval_repr, leq_repr, normalize
 from .parser import NameTable
@@ -72,20 +72,30 @@ def _rng_for(cfg: GenConfig, index: int) -> random.Random:
     return random.Random(f"{cfg.seed}:{index}:level")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """`rng.randrange(n)` for n >= 1, draw for draw: `getrandbits` of n's bit
+    length until the value is below n, without `randrange`'s checks."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _gen(rng: random.Random, budget: int, cfg: GenConfig) -> Level:
     if budget <= 1 or rng.random() < 0.22:
         pick = rng.random()
         if pick < 0.30 or cfg.num_vars == 0:
             if budget >= 2 and pick < 0.12:
                 t: Level = ZERO
-                for _ in range(rng.randint(1, min(CONST_BOUND, budget - 1))):
+                for _ in range(1 + _below(rng, min(CONST_BOUND, budget - 1))):
                     t = Succ(t)
                 return t
             return ZERO
-        return Var(rng.randrange(cfg.num_vars))
+        return Var(_below(rng, cfg.num_vars))
     if budget == 2 or rng.random() < 0.30:
         return Succ(_gen(rng, budget - 1, cfg))
-    left_budget = rng.randint(1, budget - 2)
+    left_budget = 1 + _below(rng, budget - 2)
     left = _gen(rng, left_budget, cfg)
     right = _gen(rng, budget - 1 - left_budget, cfg)
     return Max(left, right) if rng.random() < 0.5 else IMax(left, right)
@@ -94,7 +104,7 @@ def _gen(rng: random.Random, budget: int, cfg: GenConfig) -> Level:
 def gen_level(cfg: GenConfig, index: int) -> Level:
     """Deterministic level for (cfg, index); node count <= cfg.max_size."""
     rng = _rng_for(cfg, index)
-    size = rng.randint(1, cfg.max_size)
+    size = 1 + _below(rng, cfg.max_size)
     return _gen(rng, size, cfg)
 
 
@@ -110,40 +120,48 @@ def _digest(t: Level) -> int:
     return zlib.crc32(level_repr(t).encode())
 
 
-def _pair_for(t: Level, digest: int, pool: int) -> Level:
-    """Deterministic partner level over the variable ids 0..pool-1."""
-    cfg = GenConfig(seed=digest, max_size=max(4, min(20, level_size(t))), num_vars=pool)
+def _pair_for(size: int, digest: int, pool: int) -> Level:
+    """Deterministic partner of a level of `size` nodes, over the ids 0..pool-1."""
+    cfg = GenConfig(seed=digest, max_size=max(4, min(20, size)), num_vars=pool)
     return gen_level(cfg, 0)
 
 
+def _failure(pool: int, phase: str, t: Level, other: Optional[Level] = None,
+             witness: Optional[dict[int, int]] = None) -> Failure:
+    """The report of a failed case, its variables named from a pool of `pool`."""
+    names = harness_names(pool)
+    return Failure(print_level(t, names), None if other is None else print_level(other, names),
+                   phase, None if witness is None else {
+                       names.name_of(v): n for v, n in witness.items()})
+
+
 def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
-    vids = tuple(sorted(level_vars(t)))
+    found, size, depth = level_facts(t)
+    vids = tuple(sorted(found))
     ok, report, r = soundness_report(t)
     digest = _digest(t)
     rng = random.Random(digest ^ 0x5EED)
     pool = max(3, vids[-1] + 1) if vids else 3
-    names = harness_names(pool)
 
     # (a) representation evaluation against the level semantics at 22
     # valuations, all at once: valuation k is entry k of every variable's
     # column (all 0, all 1, then 20 drawn valuation by valuation, ids ascending)
-    draws = [rng.randint(0, 6) for _ in range(20 * len(vids))]
+    draws = [_below(rng, 7) for _ in range(20 * len(vids))]
     columns = {v: [0, 1, *draws[i::len(vids)]] for i, v in enumerate(vids)}
     expected = eval_level(t, columns, 22)
     for k, (value, got) in enumerate(zip(expected, eval_repr(r, columns, 22))):
         if got != value:
-            return Failure(print_level(t, names), None, "eval",
-                           {names.name_of(v): columns[v][k] for v in vids}), 0
+            return _failure(pool, "eval", t, witness={v: columns[v][k] for v in vids}), 0
 
     # (b) the rewrite path, run at the top, must land on the same representation
     if not ok:
         phase = "budget" if report.budget_exhausted else "rewrite"
-        return Failure(print_level(t, names), None, phase, None), report.steps
+        return _failure(pool, phase, t), report.steps
 
     # (c) comparison decision against grid search, both directions
-    t2 = _pair_for(t, digest, pool)
+    t2 = _pair_for(size, digest, pool)
     r2 = normalize(t2)
-    grid = default_grid_bound(t, t2)
+    grid = grid_bound(depth, const_depth(t2))
     for lhs, rhs, n_lhs, n_rhs in ((t, t2, r, r2), (t2, t, r2, r)):
         claimed = leq_repr(n_lhs, n_rhs)
         witness = find_counterexample_leq(lhs, rhs, grid)
@@ -151,10 +169,7 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
         # strict inequality without one, since the grid covers every
         # witness construction
         if claimed == (witness is not None):
-            shown = None if witness is None else {
-                names.name_of(v): n for v, n in witness.items()}
-            return Failure(print_level(lhs, names), print_level(rhs, names), "compare",
-                           shown), report.steps
+            return _failure(pool, "compare", lhs, rhs, witness), report.steps
     return None, report.steps
 
 

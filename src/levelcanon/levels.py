@@ -7,6 +7,7 @@ mapping between source names and ids.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
@@ -242,8 +243,18 @@ def const_depth(t: Level) -> int:
     return fold_level(t, 0, lambda vid: 0, add, max, max)
 
 
-def default_grid_bound(t1: Level, t2: Level) -> int:
-    """The value grid on which the oracle decides t1 <= t2 and t2 <= t1.
+def level_facts(t: Level) -> tuple[frozenset[VarId], int, int]:
+    """`level_vars(t)`, `level_size(t)` and `const_depth(t)`, from one fold."""
+    found: set[VarId] = set()
+    var = lambda vid: found.add(vid) or (1, 0)
+    pair = lambda a, b: (a[0] + b[0] + 1, a[1] if a[1] > b[1] else b[1])
+    size, depth = fold_level(t, (1, 0), var, lambda a, n: (a[0] + n, a[1] + n), pair, pair)
+    return frozenset(found), size, depth
+
+
+def grid_bound(depth1: int, depth2: int) -> int:
+    """The value grid on which the oracle decides t1 <= t2 and t2 <= t1,
+    given their constant depths.
 
     Constant depth bounds every shift a minimal representation of either
     level can carry, and the witness constructions behind the sublevel
@@ -251,7 +262,12 @@ def default_grid_bound(t1: Level, t2: Level) -> int:
     (constant depth + 3 >= max shift + 3) covers them with a margin of one:
     when it holds no counterexample, none exists.
     """
-    return max(const_depth(t1), const_depth(t2)) + 3
+    return max(depth1, depth2) + 3
+
+
+def default_grid_bound(t1: Level, t2: Level) -> int:
+    """`grid_bound` for the levels t1 and t2."""
+    return grid_bound(const_depth(t1), const_depth(t2))
 
 
 def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, int]]:
@@ -263,6 +279,7 @@ def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, i
 
 # the most grid points the oracle evaluates in one fold of a level
 GRID_LANES = 4096
+GRID_LAYOUTS = 256  # the most block layouts it keeps; a fuzz run meets a few dozen
 
 
 def _repunit(count: int, step: int) -> int:
@@ -274,6 +291,25 @@ def _ramp(count: int, step: int) -> int:
     """`count` lanes of `step` bits holding 0, 1, ..., count - 1 from the
     lowest: the sum of i * x**i for x = 2**step, in closed form."""
     return (((count - 1) << step * count) - _repunit(count, step) + 1) // ((1 << step) - 1)
+
+
+@lru_cache(maxsize=GRID_LAYOUTS)
+def _layout(side: int, width: int, count: int) -> tuple[int, int, tuple[int, ...]]:
+    """A block of the grid of `count` variables over {0..side - 1}, in lanes
+    of `width` bits: its lane count, the int with 1 in each lane, and the
+    trailing variables' columns, the last variable first."""
+    trailing, lanes = 0, 1
+    while trailing < count and lanes * side <= GRID_LANES:
+        trailing, lanes = trailing + 1, lanes * side
+    # a trailing variable is constant over runs of `stride` lanes, its
+    # values counting up through {0..side - 1} and starting over
+    columns, stride = [], 1
+    for _ in range(trailing):
+        period = stride * side
+        columns.append(_ramp(side, width * stride) * _repunit(stride, width)
+                       * _repunit(lanes // period, width * period))
+        stride = period
+    return lanes, _repunit(lanes, width), tuple(columns)
 
 
 def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
@@ -293,7 +329,8 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     at most the larger constant depth d of the two levels, so every value is
     at most bound + d < 2 ** (width - 1).  The top bit of each lane, its
     guard, is then 0, and `(a | G) - b` borrows only within each lane: the
-    guard stays set exactly where a >= b.
+    guard stays set exactly where a >= b.  A block's layout depends only on
+    the grid's shape, so the last GRID_LAYOUTS layouts are kept (`_layout`).
     """
     if bound < 0:
         raise ValueError(f"grid bound {bound} is negative")
@@ -304,19 +341,10 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     width = (bound + max(depth(t1), depth(t2))).bit_length() + 1
     shift = width - 1
     vids = tuple(sorted(found))
-    trailing, lanes = 0, 1
-    while trailing < len(vids) and lanes * side <= GRID_LANES:
-        trailing, lanes = trailing + 1, lanes * side
-    ones = _repunit(lanes, width)
+    lanes, ones, ramps = _layout(side, width, len(vids))
     guards = ones << shift
-    # a trailing variable is constant over runs of `stride` lanes, its
-    # values counting up through {0..bound} and starting over
-    columns, stride = {}, 1
-    for vid in reversed(vids[len(vids) - trailing:]):
-        period = stride * side
-        columns[vid] = (_ramp(side, width * stride) * _repunit(stride, width)
-                        * _repunit(lanes // period, width * period))
-        stride = period
+    leading, trailing = vids[:len(vids) - len(ramps)], vids[len(vids) - len(ramps):]
+    columns = dict(zip(reversed(trailing), ramps))
 
     # a set guard less its shifted copy sets the value bits of its lane
     def max_(a: int, b: int) -> int:
@@ -327,7 +355,6 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
         nonzero = ((b | guards) - ones) & guards
         return max_(a, b) & (nonzero - (nonzero >> shift))
     succ = lambda a, n: a + n * ones
-    leading = vids[:len(vids) - trailing]
     for block, head in enumerate(product(range(side), repeat=len(leading))):
         columns.update(zip(leading, (value * ones for value in head)))
         lhs, rhs = (fold_level(t, 0, columns.__getitem__, succ, max_, imax) for t in (t1, t2))

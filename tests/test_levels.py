@@ -12,7 +12,7 @@ from conftest import deep_level_strategy, level_strategy
 from levelcanon import (
     IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero,
     const_depth, default_grid_bound, eval_level, eval_repr, find_counterexample_leq,
-    imax_nat, level_vars,
+    imax_nat, level_size, level_vars,
 )
 from levelcanon import harness
 from levelcanon.levels import GRID_LANES, valuations_on
@@ -179,7 +179,7 @@ def test_oracle_returns_the_first_witness_on_the_fuzz_stream():
     found = 0
     for index in range(300):
         t = harness.gen_level(cfg, index)
-        t2 = harness._pair_for(t, harness._digest(t), 3)  # every variable is below 3
+        t2 = harness._pair_for(level_size(t), harness._digest(t), 3)  # every variable is below 3
         bound = default_grid_bound(t, t2)
         for lhs, rhs in ((t, t2), (t2, t)):
             _assert_same_witness(lhs, rhs, bound)
