@@ -16,13 +16,12 @@ from typing import Optional
 
 from .levels import (
     IMax, Level, Max, Succ, Var, ZERO, const_depth, eval_level, find_counterexample_leq,
-    grid_bound, level_facts, valuations_on,
+    grid_bound, level_facts,
 )
 from .normalize import eval_repr, leq_repr, normalize
 from .parser import NameTable
-from .printer import level_repr, print_atom, print_level
+from .printer import level_repr, print_level
 from .rewrite.codec import soundness_report
-from .sublevels import SubA, SubB, SubLevel, eval_sub, leq_sub
 
 # generated numerals are successor towers of height 1..CONST_BOUND
 CONST_BOUND = 3
@@ -193,38 +192,4 @@ def run_fuzz(cfg: GenConfig, cases: int) -> DiffReport:
         stats = {"min": min(steps), "max": max(steps),
                  "total": sum(steps), "mean": sum(steps) // len(steps)}
     return DiffReport(cases, tuple(failures), stats)
-
-
-def enumerate_sublevels(max_vars: int, max_shift: int) -> list[SubLevel]:
-    """Every valid sublevel over variable ids 0..max_vars-1 with shift <= max_shift.
-
-    Counts: A-atoms number max_vars * 2^(max_vars-1) * (max_shift+1), B-atoms
-    2^max_vars * max_shift; (2,2) gives 20 atoms, (3,3) gives 72.
-    """
-    vids = range(max_vars)
-    subsets = [tuple(v for v in vids if mask >> v & 1) for mask in range(1 << max_vars)]
-    out: list[SubLevel] = []
-    for varset in subsets:
-        for x in varset:
-            out.extend(SubA(varset, x, s) for s in range(max_shift + 1))
-        out.extend(SubB(varset, s) for s in range(1, max_shift + 1))
-    return out
-
-
-def exhaustive_sublevel_suite(max_vars: int, max_shift: int, bound: int) -> DiffReport:
-    """Check leq_sub against exhaustive grid evaluation on every ordered pair."""
-    atoms = enumerate_sublevels(max_vars, max_shift)
-    names = harness_names(max_vars)
-    grid = list(valuations_on(tuple(range(max_vars)), bound))
-    vectors = [tuple(eval_sub(u, sigma) for sigma in grid) for u in atoms]
-    failures: list[Failure] = []
-    pairs = 0
-    for i, u in enumerate(atoms):
-        for j, v in enumerate(atoms):
-            pairs += 1
-            semantic = all(a <= b for a, b in zip(vectors[i], vectors[j]))
-            if semantic != leq_sub(u, v):
-                failures.append(Failure(print_atom(u, names), print_atom(v, names),
-                                        "compare", None))
-    return DiffReport(pairs, tuple(failures))
 

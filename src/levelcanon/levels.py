@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 VarId = int
 Valuation = Mapping[VarId, int]
@@ -270,13 +270,6 @@ def default_grid_bound(t1: Level, t2: Level) -> int:
     return grid_bound(const_depth(t1), const_depth(t2))
 
 
-def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, int]]:
-    """All valuations of `vids` with values in {0..bound}; ValueError if bound < 0."""
-    if bound < 0:
-        raise ValueError(f"grid bound {bound} is negative")
-    return (dict(zip(vids, point)) for point in product(range(bound + 1), repeat=len(vids)))
-
-
 # the most grid points the oracle evaluates in one fold of a level
 GRID_LANES = 4096
 GRID_LAYOUTS = 256  # the most block layouts it keeps; a fuzz run meets a few dozen
@@ -317,17 +310,17 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
 
     A returned valuation is always a genuine counterexample to t1 <= t2;
     returning None only means the grid holds no witness, not that t1 <= t2.
-    The grid and its order are those of `valuations_on`, and the first
-    witness in that order is the one returned.  Raises ValueError on a
-    negative bound.
+    The grid's order is lexicographic in ascending variable id, the first
+    variable slowest, and the first witness in that order is the one
+    returned.  Raises ValueError on a negative bound.
 
     A block of at most GRID_LANES points is one int per variable, point p
     the lane of `width` bits at bit width * p, and each level folds once per
     block.  A block fixes the leading variables and runs the trailing ones,
-    which keeps `valuations_on`'s order.  Lanes cannot interfere: variables
-    lie in {0..bound}, max and imax pick a side's value, and successors add
-    at most the larger constant depth d of the two levels, so every value is
-    at most bound + d < 2 ** (width - 1).  The top bit of each lane, its
+    which keeps that order.  Lanes cannot interfere: variables lie in
+    {0..bound}, max and imax pick a side's value, and successors add at most
+    the larger constant depth d of the two levels, so every value is at most
+    bound + d < 2 ** (width - 1).  The top bit of each lane, its
     guard, is then 0, and `(a | G) - b` borrows only within each lane: the
     guard stays set exactly where a >= b.  A block's layout depends only on
     the grid's shape, so the last GRID_LAYOUTS layouts are kept (`_layout`).

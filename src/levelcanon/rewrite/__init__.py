@@ -2,7 +2,7 @@
 
 from .terms import (
     RTerm, RewriteRule, RuleSet, SortError, Symbol, app, check_rule_sorts, fold_term,
-    infer_sort, is_pvar, match, pvar, subst_template, term_to_str, term_vars,
+    infer_sort, is_pvar, pvar, term_to_str, term_vars,
 )
 from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump
 from .engine import STRATEGIES, ReductionReport, Strategy, reduce

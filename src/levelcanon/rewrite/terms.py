@@ -91,41 +91,6 @@ def term_to_str(t: RTerm) -> str:
     return join_rope(fold_term(t, str, _print_node))
 
 
-def match_args(pats: tuple, kids: tuple, env: dict[str, RTerm]) -> bool:
-    """Extend `env` so that each pattern of `pats` instantiates to the term at
-    the same position of `kids`; False if some pair does not match.
-
-    A repeated pattern variable only matches syntactically equal arguments.
-    """
-    # not a fold: a paired walk over pattern and term, up to the first mismatch
-    for pat, kid in zip(pats, kids):
-        stack = [(pat, kid)]
-        while stack:
-            p, t = stack.pop()
-            if p[0] == PVAR_HEAD:
-                name = p[1]
-                bound = env.get(name)
-                if bound is None:
-                    env[name] = t
-                elif bound != t:
-                    return False
-            elif p[0] != t[0] or len(p) != len(t):
-                return False
-            else:
-                stack.extend(zip(p[1:], t[1:]))
-    return True
-
-
-def match(pattern: RTerm, term: RTerm) -> Optional[dict[str, RTerm]]:
-    """Bindings sigma with pattern[sigma] = term, or None."""
-    env: dict[str, RTerm] = {}
-    return env if match_args((pattern,), (term,), env) else None
-
-
-def subst_template(template: RTerm, env: dict[str, RTerm]) -> RTerm:
-    return fold_term(template, env.__getitem__, lambda head, kids: (head, *kids))
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     lhs: RTerm
@@ -137,11 +102,6 @@ class RewriteRule:
         extra = term_vars(self.rhs) - term_vars(self.lhs)
         if extra:
             raise ValueError(f"right-hand side introduces variables {sorted(extra)}")
-
-    def is_left_linear(self) -> bool:
-        names: list[str] = []
-        fold_term(self.lhs, names.append, lambda head, kids: None)
-        return len(names) == len(set(names))
 
     def __str__(self) -> str:
         return f"{term_to_str(self.lhs)} --> {term_to_str(self.rhs)}"
@@ -191,12 +151,13 @@ class RuleSet(tuple):
 
         ``matchers()[head](kids)`` takes the argument tuple of a `head` node
         (as many arguments as the head's rules take) and tests the rules'
-        left sides in order, with `match_args`' semantics.  It returns None,
-        or ``(build, bindings, rule)`` for the first rule that matches:
-        `bindings` are the terms bound to the rule's pattern variables in
-        the order of their first occurrence in the left side, and
-        ``build(mk, *bindings)`` instantiates the right side bottom-up,
-        calling ``mk(head, kids)`` for every node it constructs.
+        left sides in order, so the first rule that matches wins; a repeated
+        pattern variable matches only equal terms.  It returns None, or
+        ``(build, bindings, rule)`` for that rule: `bindings` are the terms
+        bound to the rule's pattern variables in the order of their first
+        occurrence in the left side, and ``build(mk, *bindings)``
+        instantiates the right side bottom-up, calling ``mk(head, kids)``
+        for every node it constructs.
         """
         if self._matchers is None:
             from .codegen import compile_matchers
@@ -212,11 +173,12 @@ class RuleSet(tuple):
         budget`` when the budget ran out.  `order` is the input's nodes in
         preorder with the last argument first; the evaluator applies them
         in reverse, each to the normal forms of its arguments.  A defined
-        head's generated function tests its rules' left sides in order,
-        with `match_args`' semantics, and builds the first match's right
-        side as nested calls of the generated functions of its nodes, so
-        what it builds is normal; every other node is hash-consed.  A rule
-        application is one step.
+        head's generated function tests its rules' left sides in order (the
+        first rule that matches wins, and a repeated pattern variable matches
+        only equal terms) and builds that rule's right side as nested calls
+        of the generated functions of its nodes, so what it builds is
+        normal; every other node is hash-consed.  A rule application is one
+        step.
 
         Nodes and the calls of memoized heads (all but selectors and
         caller-keyed heads, `codegen.unmemoized_heads`) are memoized in

@@ -3,10 +3,10 @@ from __future__ import annotations
 import hashlib
 
 import hypothesis.strategies as st
+from oracles import grid, up
 
 from levelcanon import IMax, Max, Succ, Var, ZERO, eval_level, find_counterexample_leq, level_vars
 from levelcanon.harness import GenConfig, gen_level
-from levelcanon.levels import valuations_on
 
 
 def level_strategy(num_vars: int = 3, max_leaves: int = 10):
@@ -65,12 +65,6 @@ def gen_stream_sha256() -> str:
     return digest.hexdigest()
 
 
-def _up(t, n: int):
-    for _ in range(n):
-        t = Succ(t)
-    return t
-
-
 def _sweep_levels(count: int) -> list:
     """Four levels over the variables 0..count-1, each using all of them, of
     constant depths 0, 1, 3 and 6, so one grid shape meets several lane widths."""
@@ -80,7 +74,7 @@ def _sweep_levels(count: int) -> list:
         top = Max(top, x)
     for x in reversed(xs[:-1]):
         chain = IMax(x, chain)
-    return [top, Succ(chain), Max(_up(ZERO, 3), IMax(top, xs[-1])), _up(Max(chain, xs[0]), 6)]
+    return [top, Succ(chain), Max(up(ZERO, 3), IMax(top, xs[-1])), up(Max(chain, xs[0]), 6)]
 
 
 def oracle_sweep(max_bound: int = 10, max_vars: int = 5) -> tuple[int, int, object]:
@@ -95,8 +89,7 @@ def oracle_sweep(max_bound: int = 10, max_vars: int = 5) -> tuple[int, int, obje
         for count in range(max_vars + 1):
             levels = _sweep_levels(count)
             vids = tuple(sorted(set().union(*map(level_vars, levels))))
-            points = list(valuations_on(vids, bound))
-            columns = {v: [p[v] for p in points] for v in vids}
+            points, columns = grid(vids, bound)
             values = [eval_level(t, columns, len(points)) for t in levels]
             for i, t1 in enumerate(levels):
                 for j, t2 in enumerate(levels):

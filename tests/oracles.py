@@ -1,0 +1,232 @@
+"""Reference oracles that the tests check the library against.
+
+The program runs none of this.  Each oracle computes its answer a plainer
+way than the library does, so a test that compares the two checks the
+library against code it does not share: one valuation at a time where the
+library evaluates columns or packed lanes, every atom where it reasons about
+antichains, an interpretive matcher where it compiles one, and structural
+rules where it normalizes.
+"""
+
+from __future__ import annotations
+
+import importlib
+from itertools import product
+from typing import Iterator, Optional
+
+from levelcanon import IMax, Max, Succ, Zero, eval_level, level_vars
+from levelcanon.harness import DiffReport, Failure, harness_names
+from levelcanon.levels import Level, VarId
+from levelcanon.normalize import Repr
+from levelcanon.printer import print_atom
+from levelcanon.rewrite.terms import PVAR_HEAD, RewriteRule, RTerm, fold_term
+from levelcanon.sublevels import SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
+
+
+# --- levels and their grids ----------------------------------------------
+
+def up(t: Level, n: int) -> Level:
+    """`t` under a run of n successors."""
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def valuations_on(vids: tuple[VarId, ...], bound: int) -> Iterator[dict[VarId, int]]:
+    """All valuations of `vids` with values in {0..bound}; ValueError if bound < 0.
+
+    The order is lexicographic in ascending variable id, the first variable
+    slowest: the grid order of `find_counterexample_leq`.
+    """
+    if bound < 0:
+        raise ValueError(f"grid bound {bound} is negative")
+    return (dict(zip(vids, point)) for point in product(range(bound + 1), repeat=len(vids)))
+
+
+def grid(vids: tuple[VarId, ...], bound: int) -> tuple[list[dict[VarId, int]], dict]:
+    """The points of `valuations_on(vids, bound)`, and a column per variable:
+    its values at those points, in order."""
+    points = list(valuations_on(vids, bound))
+    return points, {v: [point[v] for point in points] for v in vids}
+
+
+def first_witness(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
+    """The first point of the {0..bound} grid, in `valuations_on` order,
+    where t1's value exceeds t2's, one valuation at a time; None if none."""
+    vids = tuple(sorted(level_vars(t1) | level_vars(t2)))
+    for sigma in valuations_on(vids, bound):
+        if eval_level(t1, sigma) > eval_level(t2, sigma):
+            return sigma
+    return None
+
+
+# --- atoms and antichains ------------------------------------------------
+
+def enumerate_sublevels(max_vars: int, max_shift: int) -> list[SubLevel]:
+    """Every valid sublevel over variable ids 0..max_vars-1 with shift <= max_shift.
+
+    Counts: A-atoms number max_vars * 2^(max_vars-1) * (max_shift+1), B-atoms
+    2^max_vars * max_shift; (2,2) gives 20 atoms, (3,3) gives 72.
+    """
+    vids = range(max_vars)
+    subsets = [tuple(v for v in vids if mask >> v & 1) for mask in range(1 << max_vars)]
+    out: list[SubLevel] = []
+    for varset in subsets:
+        for x in varset:
+            out.extend(SubA(varset, x, s) for s in range(max_shift + 1))
+        out.extend(SubB(varset, s) for s in range(1, max_shift + 1))
+    return out
+
+
+def exhaustive_sublevel_suite(max_vars: int, max_shift: int, bound: int) -> DiffReport:
+    """Check leq_sub against exhaustive grid evaluation on every ordered pair."""
+    atoms = enumerate_sublevels(max_vars, max_shift)
+    names = harness_names(max_vars)
+    points = list(valuations_on(tuple(range(max_vars)), bound))
+    vectors = [tuple(eval_sub(u, sigma) for sigma in points) for u in atoms]
+    failures: list[Failure] = []
+    pairs = 0
+    for i, u in enumerate(atoms):
+        for j, v in enumerate(atoms):
+            pairs += 1
+            semantic = all(a <= b for a, b in zip(vectors[i], vectors[j]))
+            if semantic != leq_sub(u, v):
+                failures.append(Failure(print_atom(u, names), print_atom(v, names),
+                                        "compare", None))
+    return DiffReport(pairs, tuple(failures))
+
+
+def antichains(atoms: list, most: int) -> list[tuple]:
+    """Every set of at most `most` of `atoms` that leq_sub finds pairwise
+    incomparable, each in the order of `atoms`."""
+    found = []
+
+    def extend(chain: tuple, start: int) -> None:
+        found.append(chain)
+        if len(chain) < most:
+            for i in range(start, len(atoms)):
+                u = atoms[i]
+                if not any(leq_sub(u, v) or leq_sub(v, u) for v in chain):
+                    extend((*chain, u), i + 1)
+    extend((), 0)
+    return found
+
+
+def maximal(atoms) -> Repr:
+    """The representation of the max of some atoms: the ones no other atom
+    dominates, sorted."""
+    atoms = set(atoms)
+    return Repr(tuple(sorted(u for u in atoms
+                             if not any(v != u and leq_sub(u, v) for v in atoms))))
+
+
+def reference_imax(r1: Repr, r2: Repr) -> Repr:
+    """imax(r1, r2) by its naive statement: r2, and every u of r1 under
+    every v of r2, with the dominated atoms left out."""
+    if not r1 or not r2:
+        return r2
+    return maximal([*r2, *(imax_sub(u, v) for u in r1 for v in r2)])
+
+
+def wrong_merges(reprs: list[Repr]) -> Iterator[tuple]:
+    """The cases where `succ_repr(r, 1 | 2)`, `max_repr` or `imax_repr` on
+    `reprs` is not the one merge of all the atoms its naive statement names
+    (`maximal`), as (operation, its arguments), the successors first.  The
+    operations are read from their module at each call, so a patched
+    binding is the one checked."""
+    ops = importlib.import_module("levelcanon.normalize")
+    for r in reprs:
+        for n in (1, 2):
+            if ops.succ_repr(r, n) != maximal([*(succ_sub(u, n) for u in r), SubB((), n)]):
+                yield "succ", r, n
+    for r1, r2 in product(reprs, repeat=2):
+        if ops.max_repr(r1, r2) != maximal([*r1, *r2]):
+            yield "max", r1, r2
+        if ops.imax_repr(r1, r2) != reference_imax(r1, r2):
+            yield "imax", r1, r2
+
+
+# --- rewrite terms -------------------------------------------------------
+
+def match_args(pats: tuple, kids: tuple, env: dict[str, RTerm]) -> bool:
+    """Extend `env` so that each pattern of `pats` instantiates to the term at
+    the same position of `kids`; False if some pair does not match.
+
+    A repeated pattern variable only matches syntactically equal arguments.
+    """
+    # not a fold: a paired walk over pattern and term, up to the first mismatch
+    for pat, kid in zip(pats, kids):
+        stack = [(pat, kid)]
+        while stack:
+            p, t = stack.pop()
+            if p[0] == PVAR_HEAD:
+                name = p[1]
+                bound = env.get(name)
+                if bound is None:
+                    env[name] = t
+                elif bound != t:
+                    return False
+            elif p[0] != t[0] or len(p) != len(t):
+                return False
+            else:
+                stack.extend(zip(p[1:], t[1:]))
+    return True
+
+
+def match(pattern: RTerm, term: RTerm) -> Optional[dict[str, RTerm]]:
+    """Bindings sigma with pattern[sigma] = term, or None."""
+    env: dict[str, RTerm] = {}
+    return env if match_args((pattern,), (term,), env) else None
+
+
+def subst_template(template: RTerm, env: dict[str, RTerm]) -> RTerm:
+    return fold_term(template, env.__getitem__, lambda head, kids: (head, *kids))
+
+
+def is_left_linear(rule: RewriteRule) -> bool:
+    names: list[str] = []
+    fold_term(rule.lhs, names.append, lambda head, kids: None)
+    return len(names) == len(set(names))
+
+
+# --- structural comparison -----------------------------------------------
+
+def _offset(t: Level) -> tuple[Level, int]:
+    """`t` as a level under a run of successors, and the run's length."""
+    n = 0
+    while type(t) is Succ:
+        t, n = t.child, n + 1
+    return t, n
+
+
+def structural_geq(u: Level, v: Level) -> bool:
+    """A sound, incomplete proof that u >= v at every valuation, by the rules
+    of Lean 4's `Level.geq`, applied to the levels as written.  Each rule
+    holds by a one-line argument, with no atoms:
+
+    - equal levels have equal values;
+    - every value is at least 0;
+    - u >= max(v1, v2) when u >= v1 and u >= v2;
+    - max(u1, u2) >= v when u1 >= v or u2 >= v;
+    - u >= imax(v1, v2) when u >= v1 and u >= v2, since imax <= max;
+    - imax(u1, u2) >= v when u2 >= v, since imax(u1, u2) >= u2;
+    - s(u) >= s(v) when u >= v;
+    - s^k(w) >= s^j(w), and s^k(w) >= s^j(0), when k >= j.
+
+    As in Lean, the first rule that applies decides, so a False proves
+    nothing.
+    """
+    if u == v or type(v) is Zero:
+        return True
+    if type(v) is Max:
+        return structural_geq(u, v.left) and structural_geq(u, v.right)
+    if type(u) is Max:
+        return structural_geq(u.left, v) or structural_geq(u.right, v)
+    if type(v) is IMax:
+        return structural_geq(u, v.left) and structural_geq(u, v.right)
+    if type(u) is IMax:
+        return structural_geq(u.right, v)
+    if type(u) is Succ and type(v) is Succ:
+        return structural_geq(u.child, v.child)
+    (base_u, k), (base_v, j) = _offset(u), _offset(v)
+    return (base_u == base_v or type(base_v) is Zero) and k >= j

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import random
 
+from oracles import exhaustive_sublevel_suite
+
 from levelcanon import (
     IMax, Level, Max, Succ, Var, Zero, ZERO,
     eq_repr, eval_level, eval_repr, find_counterexample_leq, level_vars, subst_repr,
 )
 from levelcanon.normalize import normalize
 from levelcanon.cli import run_cli
-from levelcanon.harness import GenConfig, gen_level, exhaustive_sublevel_suite, run_fuzz
+from levelcanon.harness import GenConfig, gen_level, run_fuzz
 from levelcanon.rewrite import confluence_runs
 
 x, y = Var(0), Var(1)

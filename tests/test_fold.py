@@ -90,9 +90,8 @@ def test_fold_term_calls_back_in_post_order_left_to_right():
 _DEEP_TERM_WALKS = """
 import sys
 from levelcanon import Succ, Var
-from levelcanon.rewrite import (
-    SIGNATURE, encode_level, infer_sort, subst_template, term_to_str, term_vars,
-)
+from levelcanon.rewrite import SIGNATURE, encode_level, infer_sort, term_to_str, term_vars
+from oracles import subst_template
 assert sys.getrecursionlimit() == 1000
 n = 100_000
 t = ("plus", ("$", "x"), ("$", "y"))
@@ -118,7 +117,8 @@ assert got[0] == "plus" and got[1] is zero and got[2] is one
 def test_term_walks_take_a_term_a_hundred_thousand_deep():
     env = dict(os.environ)
     src = str(Path(levelcanon.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = str(Path(__file__).resolve().parent)  # for `oracles`
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _DEEP_TERM_WALKS], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from oracles import enumerate_sublevels, exhaustive_sublevel_suite
 
 from levelcanon import (
     IMax, Max, Succ, Var, ZERO, eq_repr, eval_level, find_counterexample_leq,
@@ -11,8 +12,7 @@ from levelcanon import (
 from levelcanon import harness
 from levelcanon.normalize import eval_repr, normalize
 from levelcanon.harness import (
-    DiffReport, Failure, GenConfig, differential_case, enumerate_sublevels,
-    exhaustive_sublevel_suite, gen_level, run_fuzz,
+    DiffReport, Failure, GenConfig, differential_case, gen_level, run_fuzz,
 )
 from levelcanon.printer import level_repr, print_level
 from levelcanon.rewrite import default_rules, encode_level, encode_repr, reduce

@@ -10,7 +10,8 @@ name up on the package.
 
 The public names of the package, of `levelcanon.rewrite` and of
 `levelcanon.sublevels` are pinned against literal lists, so that adding or
-removing one shows up as a diff.
+removing one shows up as a diff, and the test oracles of `tests/oracles.py`
+are not library names.
 
 Beside them, a recursion check: no function in the modules that walk or read
 levels or rewrite terms calls itself by name.  Those walks go through
@@ -170,7 +171,18 @@ def test_public_names_are_pinned():
         "RTerm", "ReductionReport", "RewriteRule", "RuleSet", "SIGNATURE", "STRATEGIES",
         "SortError", "Strategy", "Symbol", "app", "builtin_ruleset", "check_rule_sorts",
         "confluence_runs", "default_rules", "encode_level", "encode_nat", "encode_repr",
-        "encode_sub", "encode_varset", "fold_term", "infer_sort", "is_pvar", "match",
-        "pvar", "reduce", "rule_dump", "soundness_report", "subst_template",
-        "term_to_str", "term_vars",
+        "encode_sub", "encode_varset", "fold_term", "infer_sort", "is_pvar", "pvar",
+        "reduce", "rule_dump", "soundness_report", "term_to_str", "term_vars",
     ]
+
+
+def test_the_test_oracles_are_not_library_names():
+    # they live in tests/oracles.py: only tests ever called them
+    oracles = ("enumerate_sublevels", "exhaustive_sublevel_suite", "valuations_on", "match_args",
+               "match", "subst_template", "is_left_linear")
+    for name in ("levelcanon", "levelcanon.harness", "levelcanon.levels", "levelcanon.rewrite",
+                 "levelcanon.rewrite.terms"):
+        module = importlib.import_module(name)
+        assert [n for n in oracles if hasattr(module, n)] == [], name
+    terms = importlib.import_module("levelcanon.rewrite.terms")
+    assert [n for n in oracles if hasattr(terms.RewriteRule, n)] == []

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import deep_level_strategy, level_strategy
+from oracles import first_witness, up, valuations_on
 from levelcanon import (
     IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero,
     const_depth, default_grid_bound, eval_level, eval_repr, find_counterexample_leq,
     imax_nat, level_size, level_vars,
 )
 from levelcanon import harness
-from levelcanon.levels import GRID_LANES, valuations_on
+from levelcanon.levels import GRID_LANES
 from levelcanon.normalize import normalize
 
 x, y, z = Var(0), Var(1), Var(2)
@@ -159,19 +160,9 @@ def test_find_counterexample_none_cases():
     assert find_counterexample_leq(rhs, lhs, 3) is None
 
 
-def _first_witness(t1, t2, bound):
-    """The oracle's contract, one valuation at a time: the first point of the
-    grid, in `valuations_on` order, where t1's value exceeds t2's."""
-    vids = tuple(sorted(level_vars(t1) | level_vars(t2)))
-    for sigma in valuations_on(vids, bound):
-        if eval_level(t1, sigma) > eval_level(t2, sigma):
-            return sigma
-    return None
-
-
 def _assert_same_witness(t1, t2, bound):
     # equal dicts, not merely both found or both missing
-    assert find_counterexample_leq(t1, t2, bound) == _first_witness(t1, t2, bound), (t1, t2)
+    assert find_counterexample_leq(t1, t2, bound) == first_witness(t1, t2, bound), (t1, t2)
 
 
 def test_oracle_returns_the_first_witness_on_the_fuzz_stream():
@@ -212,13 +203,6 @@ def test_oracle_on_grids_of_one_block_and_more():
     _assert_same_witness(x, rhs, 2)
 
 
-def _up(t, n: int):
-    """`t` under a run of n successors."""
-    for _ in range(n):
-        t = Succ(t)
-    return t
-
-
 def _max_of(*levels):
     t = levels[-1]
     for left in reversed(levels[:-1]):
@@ -240,9 +224,9 @@ def test_oracle_across_blocks(count, bound, blocks):
          dict(enumerate([0] * (count - 1) + [2]))),
         # a middle block: the first variable is 3, and the witness lies
         # inside the block, with more witnesses after it
-        (IMax(first, second), Max(_up(ZERO, 2), _max_of(*vs[1:])), dict(enumerate([3, 1] + rest))),
+        (IMax(first, second), Max(up(ZERO, 2), _max_of(*vs[1:])), dict(enumerate([3, 1] + rest))),
         # the last block: the first variable is at the bound
-        (IMax(first, fourth), Max(_up(ZERO, bound - 1), _max_of(*vs[1:])),
+        (IMax(first, fourth), Max(up(ZERO, bound - 1), _max_of(*vs[1:])),
          dict(enumerate([bound, 0, 0, 1] + [0] * (count - 4)))),
         # no witness
         (Max(first, IMax(second, _max_of(*vs[2:]))), _max_of(*vs), None),
@@ -271,13 +255,13 @@ def test_oracle_blocks_fix_the_leading_variables_in_order():
 def test_oracle_on_lanes_either_side_of_a_width(bound, depth):
     # bound + depth is 127 or 128, 255 or 256: the largest value a fold can
     # reach fills a lane's value bits, or needs one more
-    pairs = ((_up(x, depth), _up(y, depth)), (Max(_up(x, depth), y), IMax(_up(y, depth), x)),
-             (_up(IMax(x, y), depth), Max(_up(y, depth), _up(z, depth - 1))),
-             (IMax(_up(x, depth), z), _up(ZERO, depth)))
+    pairs = ((up(x, depth), up(y, depth)), (Max(up(x, depth), y), IMax(up(y, depth), x)),
+             (up(IMax(x, y), depth), Max(up(y, depth), up(z, depth - 1))),
+             (IMax(up(x, depth), z), up(ZERO, depth)))
     for lhs, rhs in pairs:
         _assert_same_witness(lhs, rhs, bound)
         _assert_same_witness(rhs, lhs, bound)
-    assert find_counterexample_leq(_up(x, depth), _up(ZERO, depth), bound) == (
+    assert find_counterexample_leq(up(x, depth), up(ZERO, depth), bound) == (
         None if bound == 0 else {0: 1})
 
 

@@ -1,10 +1,11 @@
 """A standing catalogue of mutants: every check keeps its teeth.
 
 Each row is a one-line change to a library function, installed with
-`monkeypatch` at the name its caller binds, and the library-level check that
-must kill it, with the first witness that check names.  A row that stops
-being killed means a check lost what it once caught; a changed witness means
-the check or the program changed, and both deserve a look.
+`monkeypatch` at the name its caller binds, or a one-rule edit of
+`RULE_TEXT`, and the library-level check that must kill it, with the first
+witness that check names.  A row that stops being killed means a check lost
+what it once caught; a changed witness means the check or the program
+changed, and both deserve a look.
 
 Equivalent mutants are listed with the reason they cannot be told apart from
 the program, and are asserted to survive: if one is killed, the code changed
@@ -15,15 +16,23 @@ Add a row when a change shows that a new check has teeth.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, NamedTuple
 
 import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
+from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, wrong_merges
+from test_rule_model import check
 
 from levelcanon import IMax, Max, Succ, Var, ZERO, levels
-from levelcanon.harness import GenConfig, run_fuzz
-from levelcanon.normalize import Repr
-from levelcanon.sublevels import leq_sub, succ_sub
+from levelcanon.harness import GenConfig, harness_names, run_fuzz
+from levelcanon.normalize import Repr, _merge
+from levelcanon.printer import print_repr
+from levelcanon.rewrite import default_rules, rules
+from levelcanon.rewrite.rules import read_rules
+from levelcanon.sublevels import _new, _sub_b, imax_sub, leq_sub, succ_sub
+
+DEFAULT_RULES = set(default_rules())
 
 
 # --- checks: each returns None when the program passes it ---------------
@@ -44,6 +53,33 @@ def oracle_check():
     """The grid oracle against the first `valuations_on` witness, over bounds
     0..10 and 0..5 variables: the first disagreement."""
     return oracle_sweep()[2]
+
+
+def atom_suite_check():
+    """`exhaustive_sublevel_suite(2, 2, 4)`, which calls `oracles.leq_sub`:
+    (failures, the first one)."""
+    report = exhaustive_sublevel_suite(2, 2, 4)
+    return None if report.ok else (len(report.failures), report.failures[0].to_json())
+
+
+def merge_check():
+    """`wrong_merges` on every antichain of the atoms over two variables with
+    shift <= 1: the first case, printed."""
+    reprs = [Repr(tuple(sorted(chain))) for chain in antichains(enumerate_sublevels(2, 1), 12)]
+    names = harness_names(2)
+    for op, r, arg in wrong_merges(reprs):
+        return op, print_repr(r, names), arg if op == "succ" else print_repr(arg, names)
+    return None
+
+
+def rule_model_check():
+    """The rule model on each rule of `RULE_TEXT`, read with `read_rules`,
+    that the default set lacks: the first that fails and its instance."""
+    for rule in read_rules(rules.RULE_TEXT)[1]:
+        env = None if rule in DEFAULT_RULES else check(rule)[1]
+        if env is not None:
+            return str(rule), env
+    return None
 
 
 # --- mutants -------------------------------------------------------------
@@ -68,6 +104,64 @@ def leq_sub_a_under_a_ignoring_the_variable(u, v):
 
 def succ_repr_without_the_floor(r, n):
     return Repr(tuple(succ_sub(u, n) for u in r)) if n else r
+
+
+def imax_repr_with(least_of, copies):
+    """`normalize.imax_repr` with its two steps given: the atoms of r2 whose
+    guard sets can give surviving copies of an atom of r1, and those copies."""
+    def imax_repr(r1, r2):
+        if not r1 or not r2:
+            return r2
+        least = least_of(r2)
+        return _merge(r2, [c for u in r1 for c in copies(u, least)])
+    return imax_repr
+
+
+def minimal_guards(r2):
+    return [v for v in r2 if not any(w[-1] < v[-1] for w in r2)]
+
+
+def maximal_guards(r2):
+    return [v for v in r2 if not any(w[-1] > v[-1] for w in r2)]
+
+
+def own_guard_shortcut(u, least):
+    return [u] if any(v[-1] <= u[-1] for v in least) else [imax_sub(u, v) for v in least]
+
+
+def shortcut_dropping_u(u, least):
+    return [] if any(v[-1] <= u[-1] for v in least) else [imax_sub(u, v) for v in least]
+
+
+def no_shortcut(u, least):
+    return [imax_sub(u, v) for v in least]
+
+
+def first_guard_shortcut(u, least):
+    return [u] if least[0][-1] <= u[-1] else [imax_sub(u, v) for v in least]
+
+
+def succ_repr_always_flooring(r, n):
+    if n == 0:
+        return r
+    shifted = [succ_sub(u, n) for u in r]
+    shifted.insert(bisect_left(r, (1,)), _sub_b((), n, frozenset()))
+    return _new(Repr, shifted)
+
+
+def rule_edit(old: str, new: str) -> Callable[[], str]:
+    """`RULE_TEXT` with `old`, a rule it holds once, replaced by `new`."""
+    def make():
+        assert rules.RULE_TEXT.count(old) == 1, old
+        return rules.RULE_TEXT.replace(old, new)
+    return make
+
+
+RULE_SL_AA = ("ruleSL (A e x s) (A f y k) --> maxL (maxS (addSL nilSL (A (unionN e f) x s)))\n"
+              "    (maxS (addSL nilSL (A f y k)))")
+# the right side of ruleSL (A f y k) (A e x s): imax with its sides swapped
+RULE_SL_AA_SWAPPED = ("ruleSL (A e x s) (A f y k) --> maxL (maxS (addSL nilSL "
+                      "(A (unionN f e) y k)))\n    (maxS (addSL nilSL (A e x s)))")
 
 
 def below_by_remainder(rng, n):
@@ -123,6 +217,33 @@ KILLED = [
            layout_keyed_without_width, oracle_check,
            (1, 1, Max(Succ(Succ(Succ(ZERO))), IMax(Var(0), Var(0))), Succ(Var(0)),
             {0: 1}, {0: 0})),
+    # the three leq_sub mutants again, on every ordered pair of 20 atoms
+    Mutant("B <= A without + 1, on the atom suite", "oracles.leq_sub",
+           lambda: leq_sub_b_under_a_without_plus_one, atom_suite_check,
+           (12, {"level": "B{x0}+1", "other": "A{x0}(x0)+0", "phase": "compare",
+                 "witness": None})),
+    Mutant("B <= B without the subset test, on the atom suite", "oracles.leq_sub",
+           lambda: leq_sub_b_under_b_without_the_subset_test, atom_suite_check,
+           (21, {"level": "B{}+1", "other": "B{x0}+1", "phase": "compare", "witness": None})),
+    Mutant("A <= A ignoring the variable, on the atom suite", "oracles.leq_sub",
+           lambda: leq_sub_a_under_a_ignoring_the_variable, atom_suite_check,
+           (24, {"level": "A{x0,x1}(x0)+0", "other": "A{x1}(x1)+0", "phase": "compare",
+                 "witness": None})),
+    Mutant("least as the maximal guard sets", "levelcanon.normalize.imax_repr",
+           lambda: imax_repr_with(maximal_guards, own_guard_shortcut), merge_check,
+           ("imax", "max{A{x0}(x0)+0, B{}+1}", "max{A{x1}(x1)+0, B{}+1}")),
+    Mutant("imax shortcut dropping u", "levelcanon.normalize.imax_repr",
+           lambda: imax_repr_with(minimal_guards, shortcut_dropping_u), merge_check,
+           ("imax", "max{A{x0}(x0)+0, B{}+1}", "max{B{}+1}")),
+    Mutant("succ_repr always inserting the floor", "levelcanon.normalize.succ_repr",
+           lambda: succ_repr_always_flooring, merge_check, ("succ", "max{B{}+1}", 1)),
+    Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
+           rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
+           rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),
+    Mutant("ruleSL of A-atoms with the swapped right side", "levelcanon.rewrite.rules.RULE_TEXT",
+           rule_edit(RULE_SL_AA, RULE_SL_AA_SWAPPED), rule_model_check,
+           (RULE_SL_AA_SWAPPED.replace("\n   ", ""),
+            {"e": (0,), "x": 0, "s": 0, "f": (1,), "y": 1, "k": 0})),
 ]
 
 # (mutant, why it cannot be told apart)
@@ -130,6 +251,19 @@ EQUIVALENT = [
     (Mutant("_below rejecting r > n - 1", "levelcanon.harness._below",
             lambda: below_rejecting_above_n_less_one, stream_check, None),
      "on ints, r > n - 1 holds exactly when r >= n"),
+    (Mutant("imax without the own-guard shortcut", "levelcanon.normalize.imax_repr",
+            lambda: imax_repr_with(minimal_guards, no_shortcut), merge_check, None),
+     "imax_sub(u, v) is u itself when v's guard set is within u's, so the shortcut "
+     "saves work and decides nothing"),
+    (Mutant("imax shortcut testing the first minimal guard only",
+            "levelcanon.normalize.imax_repr",
+            lambda: imax_repr_with(minimal_guards, first_guard_shortcut), merge_check, None),
+     "when another minimal guard set than the first is within u's, the copies "
+     "include u itself, as with no shortcut"),
+    (Mutant("unionN f e in ruleSL of A-atoms", "levelcanon.rewrite.rules.RULE_TEXT",
+            rule_edit(RULE_SL_AA, RULE_SL_AA.replace("unionN e f", "unionN f e")),
+            rule_model_check, None),
+     "union commutes"),
 ]
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import level_strategy
+from oracles import is_left_linear, match, match_args, subst_template
 import levelcanon
 from levelcanon import IMax, Max, Repr, ReprInvariantError, SubA, SubB, Succ, Var, ZERO, subst_repr
 from levelcanon.export import export_framework
@@ -25,12 +26,12 @@ from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
     SIGNATURE, STRATEGIES, ReductionReport, RewriteRule, RuleSet, SortError, app,
     builtin_ruleset, check_rule_sorts, confluence_runs, default_rules,
-    encode_level, encode_nat, encode_repr, infer_sort, is_pvar, match, pvar,
-    reduce, rule_dump, soundness_report, subst_template, term_to_str,
+    encode_level, encode_nat, encode_repr, infer_sort, is_pvar, pvar,
+    reduce, rule_dump, soundness_report, term_to_str,
 )
 from levelcanon.rewrite import codegen, engine
 from levelcanon.rewrite.rules import read_rules
-from levelcanon.rewrite.terms import fold_term, match_args
+from levelcanon.rewrite.terms import fold_term
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
 RULES = default_rules()
@@ -73,7 +74,7 @@ def test_builtin_rules_are_first_order_left_linear_and_sorted():
     for rules in (RULES, LITERAL):
         assert set(rules.by_head) == {rule.lhs[0] for rule in rules}
         for rule in rules:
-            assert rule.is_left_linear(), rule
+            assert is_left_linear(rule), rule
             check_rule_sorts(rule, SIGNATURE)
             # constructor discipline: below its root, a left-hand side
             # holds only constructors and pattern variables
@@ -948,12 +949,35 @@ assert sys.getrecursionlimit() == fresh, sys.getrecursionlimit()
 """
 
 
-def test_positional_strategies_leave_the_recursion_limit_alone():
+def _run_in_child(script: str) -> subprocess.CompletedProcess:
+    """`script` run by a fresh interpreter that imports this levelcanon."""
     env = dict(os.environ)
     src = str(Path(levelcanon.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _POSITIONAL_RUNS], capture_output=True,
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def test_positional_strategies_leave_the_recursion_limit_alone():
+    proc = _run_in_child(_POSITIONAL_RUNS)
+    assert proc.returncode == 0, proc.stderr
+
+
+_INNERMOST_RUN = """
+import sys
+from levelcanon.rewrite import app, default_rules, reduce
+before = sys.getrecursionlimit()
+reduce(app("zeroL"), default_rules())
+assert sys.getrecursionlimit() == before, (before, sys.getrecursionlimit())
+"""
+
+
+# a library call should leave interpreter-wide state as it found it; when
+# the evaluator stops raising the limit, this passes and the marker must go
+@pytest.mark.xfail(strict=True, reason="an untraced innermost reduction raises the "
+                   "recursion limit from 1,000 to 100,000 and leaves it there")
+def test_innermost_reduction_leaves_the_recursion_limit_alone():
+    proc = _run_in_child(_INNERMOST_RUN)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -6,12 +6,12 @@ import time
 from itertools import product
 
 import pytest
+from oracles import enumerate_sublevels, grid, valuations_on
 
 from levelcanon import (
     Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub, leq_sub, set_delete, succ_sub,
 )
-from levelcanon.harness import enumerate_sublevels
-from levelcanon.levels import UnboundVariableError, valuations_on
+from levelcanon.levels import UnboundVariableError
 from levelcanon.normalize import normalize
 from levelcanon.sublevels import subst_sub
 
@@ -119,8 +119,7 @@ def test_eval_sub():
 
 
 def test_eval_sub_on_columns_is_eval_at_each_point():
-    points = list(valuations_on((0, 1), 2))
-    columns = {v: [sigma[v] for sigma in points] for v in (0, 1)}
+    points, columns = grid((0, 1), 2)
     for u in (SubA((0,), 0, 0), SubA((0, 1), 1, 2), SubB((0, 1), 2), SubB((), 1)):
         assert eval_sub(u, columns, len(points)) == [eval_sub(u, s) for s in points]
     with pytest.raises(UnboundVariableError) as err:
@@ -168,9 +167,9 @@ def test_leq_sub_agrees_with_semantics_exhaustively():
     # small-scale version of the acceptance gate: universe of 2 ids,
     # shifts <= 2, value grid {0..5} (witnesses need at most shift + 2)
     atoms = enumerate_sublevels(2, 2)
-    grid = list(valuations_on((0, 1), 5))
+    points = list(valuations_on((0, 1), 5))
     for u, v in product(atoms, repeat=2):
-        semantic = all(eval_sub(u, s) <= eval_sub(v, s) for s in grid)
+        semantic = all(eval_sub(u, s) <= eval_sub(v, s) for s in points)
         assert leq_sub(u, v) == semantic, (u, v)
 
 
@@ -179,12 +178,12 @@ def test_succ_sub():
     assert succ_sub(SubB((), 1), 1) == SubB((), 2)
     assert succ_sub(SubA((0,), 0, 2), 5) == SubA((0,), 0, 7)
     assert succ_sub(SubB((1,), 3), 10_000) == SubB((1,), 10_003)
-    grid = list(valuations_on((0, 1), 3))
+    points = list(valuations_on((0, 1), 3))
     for atom in enumerate_sublevels(2, 2):
         for n in (1, 2, 7):
             # built unchecked: the validating constructor must accept it
             assert _rebuilt(succ_sub(atom, n)) == succ_sub(atom, n)
-            for sigma in grid:
+            for sigma in points:
                 guarded = all(sigma[v] for v in atom.varset)
                 expected = eval_sub(atom, sigma) + n if guarded else 0
                 assert eval_sub(succ_sub(atom, n), sigma) == expected
@@ -202,13 +201,13 @@ def test_a_negative_count_is_refused():
 
 
 def test_subst_sub_semantics_exhaustive():
-    grid = list(valuations_on((0, 1), 3))
+    points = list(valuations_on((0, 1), 3))
     for u in enumerate_sublevels(2, 2):
         for y, n in product((0, 1, 2), range(3)):
             image = subst_sub(u, y, n)
             if image is not None:
                 assert _rebuilt(image) == image and y not in image.varset
-            for sigma in grid:
+            for sigma in points:
                 if sigma.get(y, n) == n:
                     value = 0 if image is None else eval_sub(image, sigma)
                     assert value == eval_sub(u, {**sigma, y: n}), (u, y, n, sigma)
@@ -222,10 +221,10 @@ def test_imax_sub():
 
 def test_imax_sub_semantics_exhaustive():
     atoms = enumerate_sublevels(2, 1)
-    grid = list(valuations_on((0, 1), 3))
+    points = list(valuations_on((0, 1), 3))
     for u, v in product(atoms, repeat=2):
         a = imax_sub(u, v)
         assert _rebuilt(a) == a
-        for sigma in grid:
+        for sigma in points:
             expected = imax_nat(eval_sub(u, sigma), eval_sub(v, sigma))
             assert max(eval_sub(a, sigma), eval_sub(v, sigma)) == expected
