@@ -14,11 +14,22 @@ Two operations deliberately differ from their naive pointwise statements:
   * merging an atom drops EVERY kept atom the new one dominates, not just the
     first one found; an atom with a small variable set can dominate several
     incomparable atoms at once.
+
+`normalize` memoizes the four operations its fold calls, one process-wide
+`lru_cache` each, since a kernel's levels share sub-representations (`u+1`,
+`max u v`) across calls.  The operations are pure functions of immutable
+tuples and the keys are typed (a `Repr` and a plain tuple of its atoms are
+two keys), so a hit returns what the call would.  A memo is bounded by its
+entry count, MEMO_ENTRIES: an entry holds its argument and result tuples,
+whose atoms are shared with the levels that made them, about 8 B per atom.
+On a miss it calls the operation by this module's name, so a binding patched
+here still runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .levels import Level, Valuation, VarId, fold_level
@@ -160,9 +171,17 @@ def imax_repr(r1: Repr, r2: Repr) -> Repr:
     return _merge(r2, candidates)
 
 
+MEMO_ENTRIES = 512  # results each of normalize's four memos keeps
+_memo = lru_cache(maxsize=MEMO_ENTRIES, typed=True)
+_var_memo = _memo(lambda x: repr_var(x))
+_succ_memo = _memo(lambda r, n: succ_repr(r, n))
+_max_memo = _memo(lambda r1, r2: max_repr(r1, r2))
+_imax_memo = _memo(lambda r1, r2: imax_repr(r1, r2))
+
+
 def normalize(t: Level) -> Repr:
-    """The minimal representation of a level."""
-    return fold_level(t, _ZERO_REPR, repr_var, succ_repr, max_repr, imax_repr)
+    """The minimal representation of a level, by the memoized operations."""
+    return fold_level(t, _ZERO_REPR, _var_memo, _succ_memo, _max_memo, _imax_memo)
 
 
 def leq_repr(r1: Repr, r2: Repr) -> bool:

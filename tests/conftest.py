@@ -3,10 +3,27 @@ from __future__ import annotations
 import hashlib
 
 import hypothesis.strategies as st
+import pytest
 from oracles import grid, up
 
+import levelcanon.normalize as nz
 from levelcanon import IMax, Max, Succ, Var, ZERO, eval_level, find_counterexample_leq, level_vars
 from levelcanon.harness import GenConfig, gen_level
+
+
+NORMALIZE_MEMOS = (nz._var_memo, nz._succ_memo, nz._max_memo, nz._imax_memo)
+
+
+@pytest.fixture(autouse=True)
+def empty_normalize_memos():
+    """`normalize`'s memos are process-wide: every test starts and ends with
+    them empty, so no entry made before a test, or under its monkeypatch,
+    answers a call in another."""
+    for memo in NORMALIZE_MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in NORMALIZE_MEMOS:
+        memo.cache_clear()
 
 
 def level_strategy(num_vars: int = 3, max_leaves: int = 10):

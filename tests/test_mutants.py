@@ -26,7 +26,7 @@ from test_rule_model import check
 
 from levelcanon import IMax, Max, Succ, Var, ZERO, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
-from levelcanon.normalize import Repr, _merge
+from levelcanon.normalize import Repr, _merge, succ_repr
 from levelcanon.printer import print_repr
 from levelcanon.rewrite import default_rules, rules
 from levelcanon.rewrite.rules import read_rules
@@ -185,6 +185,13 @@ def layout_keyed_without_width():
                                                        build(side, width, count))
 
 
+def succ_memo_keyed_without_n():
+    """`normalize`'s successor memo keyed by the representation alone,
+    keeping the result for the run length first asked for."""
+    table = {}
+    return lambda r, n: table.setdefault(r, succ_repr(r, n))
+
+
 class Mutant(NamedTuple):
     name: str
     target: str  # the binding the mutant replaces
@@ -237,6 +244,11 @@ KILLED = [
            ("imax", "max{A{x0}(x0)+0, B{}+1}", "max{B{}+1}")),
     Mutant("succ_repr always inserting the floor", "levelcanon.normalize.succ_repr",
            lambda: succ_repr_always_flooring, merge_check, ("succ", "max{B{}+1}", 1)),
+    Mutant("succ memo keyed without n", "levelcanon.normalize._succ_memo",
+           succ_memo_keyed_without_n, fuzz_check,
+           (67, {"level": "imax(s(imax(s(max(0, 0)), max(imax(s(max(x2, s(0))), x1), "
+                          "s(imax(x0, s(s(s(x1)))))))), s(imax(s(x1), s(max(x0, 0)))))",
+                 "other": None, "phase": "eval", "witness": {"x0": 0, "x1": 0, "x2": 0}})),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),
