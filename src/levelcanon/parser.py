@@ -9,13 +9,14 @@ Grammar::
 NAT literals desugar to successor towers of at most ``MAX_NUMERAL``; IDENT is
 ``[A-Za-z_][A-Za-z0-9_]*`` excluding the keywords ``s``, ``max`` and ``imax``.
 Whitespace is free.  At most ``MAX_NESTING`` of ``s``, ``max`` and ``imax`` may
-be open along one path.
+be open along one path.  Levels are immutable, so every parse returns the same
+node for a variable of id below 64 and the same tower for a numeral 0-15.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import accumulate, islice
 
 from .levels import IMax, Level, Max, Succ, Var, ZERO, VarId
 
@@ -70,13 +71,19 @@ class ParseError(Exception):
 _BAD_RE = re.compile(r"[^ \t\r\n0-9A-Za-z_(),]")
 
 # one lexeme per match, after whitespace: a numeral, a name or keyword,
-# punctuation, or the empty end of input
+# punctuation, or the empty end of input; the lexer of the error path
 _LEXEME_RE = re.compile(r"[ \t\r\n]*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[(),]|\Z)")
 
 # what may start a level
 _LEVEL_START = frozenset({"NAT", "IDENT", *KEYWORDS})
 
 _BINARY = {"max": Max, "imax": IMax}
+
+# the leaves every parse shares: one node per small variable id, and the
+# numerals "0" to "15" as one successor tower
+_VARS = tuple(map(Var, range(64)))
+_NUMERALS = {str(n): t for n, t in
+             enumerate(accumulate(range(15), lambda t, _: Succ(t), initial=ZERO))}
 
 
 def _error(text: str, offset: int, message: str,
@@ -88,18 +95,23 @@ def _error(text: str, offset: int, message: str,
 
 def _error_at(text: str, index: int, message: str,
               expected: frozenset[str] = frozenset()) -> ParseError:
-    """The error at the `index`-th lexeme, whose offset is found only now."""
-    offset = next(islice(_LEXEME_RE.finditer(text), index, None)).start(1)
-    return _error(text, offset, message, expected)
+    """The error at the `index`-th lexeme, which `_LEXEME_RE` finds only now;
+    a `{}` in `message` stands for that lexeme."""
+    lexeme = next(islice(_LEXEME_RE.finditer(text), index, None))
+    return _error(text, lexeme.start(1), message.format(lexeme[1] or "end of input"),
+                  expected)
 
 
-def _unexpected(text: str, lexemes: list[str], index: int,
-                expected: frozenset[str]) -> ParseError:
-    return _error_at(text, index, f"unexpected {lexemes[index] or 'end of input'}", expected)
+def _unexpected(text: str, index: int, expected: frozenset[str]) -> ParseError:
+    return _error_at(text, index, "unexpected {}", expected)
 
 
 def _numeral(text: str, lexemes: list[str], index: int) -> Level:
     digits = lexemes[index]
+    if not digits.isdigit():  # a name glued to the numeral ("2x") is a lexeme of its own
+        name = digits.lstrip("0123456789")
+        digits = digits[:-len(name)]
+        lexemes[index:index + 1] = digits, name
     # the length first: int() refuses text longer than the interpreter's limit
     significant = digits.lstrip("0") or "0"
     n = int(significant) if len(significant) <= len(str(MAX_NUMERAL)) else None
@@ -117,14 +129,15 @@ def parse_level(text: str, names: NameTable) -> Level:
     """Parse a level expression, interning new variables into `names`.
 
     A character outside the grammar is reported first, wherever it stands.
-    The lexemes are then read left to right with an explicit stack of the
-    open `s`, `max` and `imax`: each entry is the constructor and, once its
-    comma is read, the left side.
+    The words between whitespace and punctuation are then read left to right
+    with an explicit stack of the open `s`, `max` and `imax`: each entry is
+    the constructor and, once its comma is read, the left side.
     """
     bad = _BAD_RE.search(text)
     if bad:
         raise _error(text, bad.start(), f"unexpected character {bad[0]!r}")
-    lexemes = _LEXEME_RE.findall(text)
+    lexemes = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    lexemes.append("")
     stack: list[list] = []
     i = 0
     while True:
@@ -134,21 +147,23 @@ def parse_level(text: str, names: NameTable) -> Level:
             if len(stack) == MAX_NESTING:
                 raise _error_at(text, i, f"nesting deeper than {MAX_NESTING}")
             if lexemes[i + 1] != "(":
-                raise _unexpected(text, lexemes, i + 1, frozenset({"("}))
+                raise _unexpected(text, i + 1, frozenset({"("}))
             stack.append([_BINARY.get(lex, Succ), None])
             i += 2
             continue
         if lex in "(),":  # punctuation, or "" at the end of input
-            raise _unexpected(text, lexemes, i, _LEVEL_START)
-        # digits sort before letters and "_"
-        t = _numeral(text, lexemes, i) if lex[0] <= "9" else Var(names.intern(lex))
+            raise _unexpected(text, i, _LEVEL_START)
+        if lex[0] <= "9":  # digits sort before letters and "_"
+            t = _NUMERALS.get(lex) or _numeral(text, lexemes, i)
+        else:
+            t = _VARS[vid] if (vid := names.intern(lex)) < len(_VARS) else Var(vid)
         i += 1
         # close every node the level completes, up to the next right side
         while stack:
             make, left = stack[-1]
             want = ")" if make is Succ or left is not None else ","
             if lexemes[i] != want:
-                raise _unexpected(text, lexemes, i, frozenset({want}))
+                raise _unexpected(text, i, frozenset({want}))
             i += 1
             if want == ",":
                 stack[-1][1] = t
@@ -157,5 +172,5 @@ def parse_level(text: str, names: NameTable) -> Level:
             stack.pop()
         else:
             if lexemes[i]:
-                raise _unexpected(text, lexemes, i, frozenset({"EOF"}))
+                raise _unexpected(text, i, frozenset({"EOF"}))
             return t

@@ -4,20 +4,25 @@ The program runs none of this.  Each oracle computes its answer a plainer
 way than the library does, so a test that compares the two checks the
 library against code it does not share: one valuation at a time where the
 library evaluates columns or packed lanes, every atom where it reasons about
-antichains, an interpretive matcher where it compiles one, and structural
-rules where it normalizes.
+antichains, an interpretive matcher where it compiles one, structural rules
+where it normalizes, and a parser that lexes with one regular expression and
+builds every node where the library's splits words and shares leaves.
 """
 
 from __future__ import annotations
 
 import importlib
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional
 
 from levelcanon import IMax, Max, Succ, Zero, eval_level, level_vars
 from levelcanon.harness import DiffReport, Failure, harness_names
-from levelcanon.levels import Level, VarId
+from levelcanon.levels import Level, Var, VarId, ZERO
 from levelcanon.normalize import Repr
+from levelcanon.parser import (
+    _BAD_RE, _BINARY, _LEVEL_START, _LEXEME_RE, KEYWORDS, MAX_NESTING, MAX_NUMERAL, NameTable,
+    ParseError, _error,
+)
 from levelcanon.printer import print_atom
 from levelcanon.rewrite.terms import PVAR_HEAD, RewriteRule, RTerm, fold_term
 from levelcanon.sublevels import SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
@@ -230,3 +235,82 @@ def structural_geq(u: Level, v: Level) -> bool:
         return structural_geq(u.child, v.child)
     (base_u, k), (base_v, j) = _offset(u), _offset(v)
     return (base_u == base_v or type(base_v) is Zero) and k >= j
+
+
+# --- the parser ----------------------------------------------------------
+# `parse_level` as it read before it shared leaves: `_LEXEME_RE` lexes the
+# whole text, and every variable and numeral is a new node
+
+def _error_at(text: str, index: int, message: str,
+              expected: frozenset[str] = frozenset()) -> ParseError:
+    """The error at the `index`-th lexeme, whose offset is found only now."""
+    offset = next(islice(_LEXEME_RE.finditer(text), index, None)).start(1)
+    return _error(text, offset, message, expected)
+
+
+def _unexpected(text: str, lexemes: list[str], index: int,
+                expected: frozenset[str]) -> ParseError:
+    return _error_at(text, index, f"unexpected {lexemes[index] or 'end of input'}", expected)
+
+
+def _numeral(text: str, lexemes: list[str], index: int) -> Level:
+    digits = lexemes[index]
+    # the length first: int() refuses text longer than the interpreter's limit
+    significant = digits.lstrip("0") or "0"
+    n = int(significant) if len(significant) <= len(str(MAX_NUMERAL)) else None
+    if n is None or n > MAX_NUMERAL:
+        # a numeral longer than the limit's text is named by its length
+        shown = digits if len(digits) <= len(str(MAX_NUMERAL)) else f"of {len(digits)} digits"
+        raise _error_at(text, index, f"numeral {shown} too large (limit {MAX_NUMERAL})")
+    t: Level = ZERO
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def reference_parse_level(text: str, names: NameTable) -> Level:
+    """Parse a level expression, interning new variables into `names`.
+
+    A character outside the grammar is reported first, wherever it stands.
+    The lexemes are then read left to right with an explicit stack of the
+    open `s`, `max` and `imax`: each entry is the constructor and, once its
+    comma is read, the left side.
+    """
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise _error(text, bad.start(), f"unexpected character {bad[0]!r}")
+    lexemes = _LEXEME_RE.findall(text)
+    stack: list[list] = []
+    i = 0
+    while True:
+        # a level starts at lexeme i
+        lex = lexemes[i]
+        if lex in KEYWORDS:
+            if len(stack) == MAX_NESTING:
+                raise _error_at(text, i, f"nesting deeper than {MAX_NESTING}")
+            if lexemes[i + 1] != "(":
+                raise _unexpected(text, lexemes, i + 1, frozenset({"("}))
+            stack.append([_BINARY.get(lex, Succ), None])
+            i += 2
+            continue
+        if lex in "(),":  # punctuation, or "" at the end of input
+            raise _unexpected(text, lexemes, i, _LEVEL_START)
+        # digits sort before letters and "_"
+        t = _numeral(text, lexemes, i) if lex[0] <= "9" else Var(names.intern(lex))
+        i += 1
+        # close every node the level completes, up to the next right side
+        while stack:
+            make, left = stack[-1]
+            want = ")" if make is Succ or left is not None else ","
+            if lexemes[i] != want:
+                raise _unexpected(text, lexemes, i, frozenset({want}))
+            i += 1
+            if want == ",":
+                stack[-1][1] = t
+                break
+            t = Succ(t) if make is Succ else make(left, t)
+            stack.pop()
+        else:
+            if lexemes[i]:
+                raise _unexpected(text, lexemes, i, frozenset({"EOF"}))
+            return t

@@ -22,11 +22,13 @@ from typing import Callable, NamedTuple
 import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
 from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, wrong_merges
+from test_parser_reference import first_difference
 from test_rule_model import check
 
 from levelcanon import IMax, Max, Succ, Var, ZERO, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
 from levelcanon.normalize import Repr, _merge, succ_repr
+from levelcanon.parser import _NUMERALS, _error_at, _numeral
 from levelcanon.printer import print_repr
 from levelcanon.rewrite import default_rules, rules
 from levelcanon.rewrite.rules import read_rules
@@ -149,6 +151,25 @@ def succ_repr_always_flooring(r, n):
     return _new(Repr, shifted)
 
 
+def numeral_splitting_a_copy(text, lexemes, index):
+    """`parser._numeral` whose split of a glued word ("2x") the parse never
+    sees: the digits are read, and the whole word stays one lexeme."""
+    return _numeral(text, list(lexemes), index)
+
+
+def unexpected_naming_the_split_word(text, index, expected):
+    """`parser._unexpected` naming the `index`-th word of `str.split`, not
+    the `index`-th lexeme of `_LEXEME_RE`."""
+    words = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    word = words[index] if index < len(words) else ""
+    return _error_at(text, index, f"unexpected {word or 'end of input'}", expected)
+
+
+def numerals_off_by_one():
+    """`parser._NUMERALS` with each numeral's text one above its tower."""
+    return {str(int(digits) + 1): t for digits, t in _NUMERALS.items()}
+
+
 def rule_edit(old: str, new: str) -> Callable[[], str]:
     """`RULE_TEXT` with `old`, a rule it holds once, replaced by `new`."""
     def make():
@@ -249,6 +270,23 @@ KILLED = [
            (67, {"level": "imax(s(imax(s(max(0, 0)), max(imax(s(max(x2, s(0))), x1), "
                           "s(imax(x0, s(s(s(x1)))))))), s(imax(s(x1), s(max(x0, 0)))))",
                  "other": None, "phase": "eval", "witness": {"x0": 0, "x1": 0, "x2": 0}})),
+    Mutant("glued numeral read without its split", "levelcanon.parser._numeral",
+           lambda: numeral_splitting_a_copy, first_difference,
+           ("imax\n(\r\n9z9,s ( imax\r\n( 015\n, y )\t, imax(\n15\n,\t15y ) ",
+            (("unexpected z9", 3, 2, [","], "unexpected z9 at line 3, column 2 (expected ,)"),
+             []),
+            (("unexpected )", 5, 5, [")"], "unexpected ) at line 5, column 5 (expected ))"),
+             ["y"]))),
+    Mutant("_unexpected naming the split word", "levelcanon.parser._unexpected",
+           lambda: unexpected_naming_the_split_word, first_difference,
+           ("\r\n15y 7",
+            (("unexpected y", 2, 3, ["EOF"], "unexpected y at line 2, column 3 (expected EOF)"),
+             []),
+            (("unexpected 7", 2, 3, ["EOF"], "unexpected 7 at line 2, column 3 (expected EOF)"),
+             []))),
+    Mutant("numeral table off by one", "levelcanon.parser._NUMERALS", numerals_off_by_one,
+           first_difference,
+           (" 2\t", ("Succ(child=Succ(child=Zero()))", []), ("Succ(child=Zero())", []))),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),
