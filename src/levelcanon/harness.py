@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .levels import (
-    IMax, Level, Max, Succ, Var, ZERO, const_depth, eval_level, find_counterexample_leq,
+    IMax, Level, Max, Succ, Var, ZERO, _Lanes, const_depth, eval_level, find_counterexample_leq,
     grid_bound, level_facts,
 )
 from .normalize import eval_repr, leq_repr, normalize
@@ -143,14 +143,16 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     pool = max(3, vids[-1] + 1) if vids else 3
 
     # (a) representation evaluation against the level semantics at 22
-    # valuations, all at once: valuation k is entry k of every variable's
-    # column (all 0, all 1, then 20 drawn valuation by valuation, ids ascending)
+    # valuations at once, valuation k in lane k (all 0, all 1, then 20 drawn
+    # valuation by valuation, ids ascending), lanes wide for every value
     draws = [_below(rng, 7) for _ in range(20 * len(vids))]
     columns = {v: [0, 1, *draws[i::len(vids)]] for i, v in enumerate(vids)}
-    expected = eval_level(t, columns, 22)
-    for k, (value, got) in enumerate(zip(expected, eval_repr(r, columns, 22))):
-        if got != value:
-            return _failure(pool, "eval", t, witness={v: columns[v][k] for v in vids}), 0
+    lanes = _Lanes(22, (6 + max(depth, max((u[-2] for u in r), default=0))).bit_length() + 1)
+    sigma = {v: lanes.pack(column) for v, column in columns.items()}
+    wrong = eval_level(t, sigma, lanes) ^ eval_repr(r, sigma, lanes)
+    if wrong:
+        k = lanes.first(wrong)
+        return _failure(pool, "eval", t, witness={v: columns[v][k] for v in vids}), 0
 
     # (b) the rewrite path, run at the top, must land on the same representation
     if not ok:

@@ -195,32 +195,20 @@ def fold_level(t: Level, zero: T, var: Callable[[VarId], T], succ: Callable[[T, 
     return values[0]
 
 
-def _column_succ(column: list[int], n: int) -> list[int]:
-    return [v + n for v in column]
-
-
-def _column_max(a: list[int], b: list[int]) -> list[int]:
-    return [i if i > j else j for i, j in zip(a, b)]
-
-
-def _column_imax(a: list[int], b: list[int]) -> list[int]:
-    return [0 if j == 0 else i if i > j else j for i, j in zip(a, b)]
-
-
-def eval_level(t: Level, sigma: Valuation, width: Optional[int] = None) -> int | Sequence[int]:
+def eval_level(t: Level, sigma: Valuation, lanes: Optional[_Lanes] = None) -> int:
     """Value of `t` under `sigma`.  Raises UnboundVariableError.
 
-    With a `width`, `sigma` maps each variable to a column of `width`
-    values, one per point, and the result is the column of `t`'s values at
-    those points: one fold for all of them.
+    With `lanes`, `sigma` maps each variable to its values at some points,
+    packed one a lane, and the result is `t`'s values there, packed: one
+    fold for all of them.
     """
     def var(vid: VarId):
         if vid not in sigma:
             raise UnboundVariableError(vid)
         return sigma[vid]
-    if width is None:
+    if lanes is None:
         return fold_level(t, 0, var, add, max, imax_nat)
-    return fold_level(t, [0] * width, var, _column_succ, _column_max, _column_imax)
+    return fold_level(t, 0, var, lanes.succ, lanes.max_, lanes.imax)
 
 
 def level_vars(t: Level) -> frozenset[VarId]:
@@ -286,11 +274,57 @@ def _ramp(count: int, step: int) -> int:
     return (((count - 1) << step * count) - _repunit(count, step) + 1) // ((1 << step) - 1)
 
 
+class _Lanes:
+    """`count` lanes of `width` bits in one int, lane p at bit width * p, so
+    an int holds a value per point and each operation acts on every lane at
+    once (SIMD within a register).
+
+    The lanes keep apart while values are below 2 ** (width - 1), and b in
+    `at_least(a, b)` at most that: the top bit of each lane of a, its guard,
+    is then 0, and `(a | guards) - b` borrows only within each lane, leaving
+    the guard set exactly where a >= b.  A set guard less its shifted copy
+    sets the value bits of its lane.
+    """
+
+    __slots__ = ("count", "width", "ones", "_guards", "_shift")
+
+    def __init__(self, count: int, width: int):
+        self.count, self.width, self._shift = count, width, width - 1
+        self.ones = _repunit(count, width)
+        self._guards = self.ones << self._shift
+
+    def at_least(self, a: int, b: int) -> int:
+        """The value bits of each lane where a >= b."""
+        ge = ((a | self._guards) - b) & self._guards
+        return ge - (ge >> self._shift)
+
+    def succ(self, a: int, n: int) -> int:
+        return a + n * self.ones
+
+    def max_(self, a: int, b: int) -> int:
+        return b ^ ((a ^ b) & self.at_least(a, b))
+
+    def imax(self, a: int, b: int) -> int:
+        return self.max_(a, b) & self.nonzero(b)
+
+    def nonzero(self, a: int) -> int:
+        """The value bits of each lane where a is not 0."""
+        return self.at_least(a, self.ones)
+
+    def pack(self, column: Sequence[int]) -> int:
+        """The values of `column`, the first in the lowest lane."""
+        return sum(value << self.width * p for p, value in enumerate(column))
+
+    def first(self, mask: int) -> int:
+        """The index of the lowest lane of `mask` with a bit set."""
+        return ((mask & -mask).bit_length() - 1) // self.width
+
+
 @lru_cache(maxsize=GRID_LAYOUTS)
-def _layout(side: int, width: int, count: int) -> tuple[int, int, tuple[int, ...]]:
+def _layout(side: int, width: int, count: int) -> tuple[_Lanes, tuple[int, ...]]:
     """A block of the grid of `count` variables over {0..side - 1}, in lanes
-    of `width` bits: its lane count, the int with 1 in each lane, and the
-    trailing variables' columns, the last variable first."""
+    of `width` bits: its lanes, and the trailing variables' columns, the
+    last variable first."""
     trailing, lanes = 0, 1
     while trailing < count and lanes * side <= GRID_LANES:
         trailing, lanes = trailing + 1, lanes * side
@@ -302,7 +336,7 @@ def _layout(side: int, width: int, count: int) -> tuple[int, int, tuple[int, ...
         columns.append(_ramp(side, width * stride) * _repunit(stride, width)
                        * _repunit(lanes // period, width * period))
         stride = period
-    return lanes, _repunit(lanes, width), tuple(columns)
+    return _Lanes(lanes, width), tuple(columns)
 
 
 def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
@@ -314,16 +348,14 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     variable slowest, and the first witness in that order is the one
     returned.  Raises ValueError on a negative bound.
 
-    A block of at most GRID_LANES points is one int per variable, point p
-    the lane of `width` bits at bit width * p, and each level folds once per
-    block.  A block fixes the leading variables and runs the trailing ones,
-    which keeps that order.  Lanes cannot interfere: variables lie in
-    {0..bound}, max and imax pick a side's value, and successors add at most
-    the larger constant depth d of the two levels, so every value is at most
-    bound + d < 2 ** (width - 1).  The top bit of each lane, its
-    guard, is then 0, and `(a | G) - b` borrows only within each lane: the
-    guard stays set exactly where a >= b.  A block's layout depends only on
-    the grid's shape, so the last GRID_LAYOUTS layouts are kept (`_layout`).
+    A block of at most GRID_LANES points is one int per variable, a lane
+    (`_Lanes`) per point, and each level folds once per block.  A block
+    fixes the leading variables and runs the trailing ones, which keeps that
+    order.  Variables lie in {0..bound}, max and imax pick a side's value,
+    and successors add at most the larger constant depth d of the two
+    levels, so a value plus one is at most 2 ** (width - 1).  A block's
+    layout depends only on the grid's shape, so the last GRID_LAYOUTS
+    layouts are kept (`_layout`).
     """
     if bound < 0:
         raise ValueError(f"grid bound {bound} is negative")
@@ -332,29 +364,16 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     # one fold per level finds both its variables and its constant depth
     depth = lambda t: fold_level(t, 0, lambda vid: found.add(vid) or 0, add, max, max)
     width = (bound + max(depth(t1), depth(t2))).bit_length() + 1
-    shift = width - 1
     vids = tuple(sorted(found))
-    lanes, ones, ramps = _layout(side, width, len(vids))
-    guards = ones << shift
+    lanes, ramps = _layout(side, width, len(vids))
     leading, trailing = vids[:len(vids) - len(ramps)], vids[len(vids) - len(ramps):]
     columns = dict(zip(reversed(trailing), ramps))
-
-    # a set guard less its shifted copy sets the value bits of its lane
-    def max_(a: int, b: int) -> int:
-        ge = ((a | guards) - b) & guards
-        return b ^ ((a ^ b) & (ge - (ge >> shift)))
-
-    def imax(a: int, b: int) -> int:
-        nonzero = ((b | guards) - ones) & guards
-        return max_(a, b) & (nonzero - (nonzero >> shift))
-    succ = lambda a, n: a + n * ones
     for block, head in enumerate(product(range(side), repeat=len(leading))):
-        columns.update(zip(leading, (value * ones for value in head)))
-        lhs, rhs = (fold_level(t, 0, columns.__getitem__, succ, max_, imax) for t in (t1, t2))
-        # guards left set where lhs - rhs - 1 >= 0; the lowest is the first
-        above = ((lhs | guards) - rhs - ones) & guards
+        columns.update(zip(leading, (value * lanes.ones for value in head)))
+        lhs, rhs = (eval_level(t, columns, lanes) for t in (t1, t2))
+        above = lanes.at_least(lhs, lanes.succ(rhs, 1))
         if above:
-            index = block * lanes + ((above & -above).bit_length() - 1) // width
+            index = block * lanes.count + lanes.first(above)
             places = reversed(range(len(vids)))
             return dict(zip(vids, (index // side ** k % side for k in places)))
     return None

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .levels import Level, Valuation, VarId, fold_level
+from .levels import Level, Valuation, VarId, _Lanes, fold_level
 from .sublevels import (
     SubA, SubB, SubLevel, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, subst_sub, succ_sub,
 )
@@ -203,22 +203,12 @@ def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
     return _merge((), (u for u in images if u is not None))
 
 
-def eval_repr(r: Repr, sigma: Valuation, width: Optional[int] = None) -> int | list[int]:
+def eval_repr(r: Repr, sigma: Valuation, lanes: Optional[_Lanes] = None) -> int:
     """Max of the atom values; 0 for the empty representation.  Raises
-    UnboundVariableError.
-
-    With a `width`, as for `eval_level`, `sigma` maps each variable to a
-    column of `width` values, one per point, and the result is the column of
-    `r`'s values at those points: one pass over the atoms for all of them.
-    """
-    if width is None:
-        best = 0
-        for u in r:
-            val = eval_sub(u, sigma)
-            if val > best:
-                best = val
-        return best
-    column = [0] * width
+    UnboundVariableError.  With `lanes`, the values packed in them, as for
+    `eval_level`: one pass over the atoms for all of them."""
+    join = max if lanes is None else lanes.max_
+    best = 0
     for u in r:
-        column = [a if a > b else b for a, b in zip(column, eval_sub(u, sigma, width))]
-    return column
+        best = join(best, eval_sub(u, sigma, lanes))
+    return best

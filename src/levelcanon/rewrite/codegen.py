@@ -62,8 +62,8 @@ def _mk_node(head: str, kids: list[str]) -> str:
 
 # The innermost evaluator is one generated module per rule set.  A
 # reduction's state is the module's globals (step count, budget, the table's
-# `get` and `setdefault`), bound by `evaluate` at the start of the reduction
-# under the module's lock, so the reductions on one rule set take turns.
+# `get` and `setdefault`), bound by `evaluate` at the start of the reduction,
+# so the engine runs one reduction at a time (`engine._INNERMOST`).
 # Every entry goes to `table`, which outlives the reduction; sharing it
 # across reductions is sound by these invariants:
 #   * A key is one int, ``tag << 64 n | id(k0) << 64 (n - 1) | ... | id(k(n-1))``
@@ -90,36 +90,33 @@ def _mk_node(head: str, kids: list[str]) -> str:
 #     the value it returns is the one used, so two reductions on one table
 #     (two rule sets given one dict) never make two canonical nodes for one key.
 _EVALUATION = """\
-import _thread
-lock = _thread.allocate_lock()
 class Exhausted(Exception):
     pass
 def evaluate(order, limit, table):
     global {state}
-    with lock:
-        budget, steps = limit, 0
-        table_get, table_put = table.get, table.setdefault
+    budget, steps = limit, 0
+    table_get, table_put = table.get, table.setdefault
 {nullary}
-        values = []
-        try:
-            for node in reversed(order):
-                split = len(values) + 1 - len(node)
-                kids = values[split:]
-                del values[split:]
-                head = node[0]
-                defined = calls(head)
-                if defined is not None:
-                    values.append(defined(*kids))
-                else:
-                    key = tag(head)
-                    for kid in kids:
-                        key = key << 64 | id(kid)
-                    values.append((table_get(key) or table_put(key, ((head, *kids), 0)))[0])
-            result = values[0]
-        except Exhausted:
-            result = None
-        table_get = table_put = None  # a table the rule set replaces is freed
-        return result, steps
+    values = []
+    try:
+        for node in reversed(order):
+            split = len(values) + 1 - len(node)
+            kids = values[split:]
+            del values[split:]
+            head = node[0]
+            defined = calls(head)
+            if defined is not None:
+                values.append(defined(*kids))
+            else:
+                key = tag(head)
+                for kid in kids:
+                    key = key << 64 | id(kid)
+                values.append((table_get(key) or table_put(key, ((head, *kids), 0)))[0])
+        result = values[0]
+    except Exhausted:
+        result = None
+    table_get = table_put = None  # a table the rule set replaces is freed
+    return result, steps
 def replay(hit):
     global steps
     result, cost = hit
@@ -151,9 +148,7 @@ def tag(head: str) -> int:
 def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
     namespace: dict[str, object] = {"tag": tag}
     exec(compile(evaluator_source(by_head), "<compiled evaluator>", "exec"), namespace)
-    evaluate = namespace["evaluate"]
-    evaluate.lock = namespace["lock"]
-    return evaluate
+    return namespace["evaluate"]
 
 
 def unmemoized_heads(by_head: dict[str, list[RewriteRule]]) -> set[str]:
@@ -244,7 +239,7 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
     calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
     lines += [f"calls = {{{calls}}}.get"]
     state = ", ".join(["budget", "steps", "table_get", "table_put", *nullary.values()])
-    bind = "\n".join(f"        {name} = c0({head!r}, {key_base(head, 0)})"
+    bind = "\n".join(f"    {name} = c0({head!r}, {key_base(head, 0)})"
                      for head, name in nullary.items())
     return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ is reduced as it is made, and constructor nodes are hash-consed (one
 generated function per number of arguments).  The call takes the input's
 nodes in the order that checking the input visited them and returns the
 normal form, or None when the budget ran out, with the step count.
-Reductions on one rule set take turns on its evaluator.  The positional loop
+Innermost reductions take turns, under one lock.  The positional loop
 (outermost, random, and innermost with a trace) dispatches through the
 compiled matchers (`RuleSet.matchers`) instead: one generated function per
 defined head returns the first matching rule with its bindings, and the
@@ -50,6 +50,7 @@ confluence sampling still follows genuinely different reduction orders.
 
 from __future__ import annotations
 
+import _thread
 import random
 import sys
 from dataclasses import dataclass
@@ -124,24 +125,27 @@ def _check_input(term: RTerm, arity: dict[str, int]) -> list[RTerm]:
 _TABLE_LIMIT = 3 << 13
 
 
+# Every untraced innermost reduction runs under this one lock: its state is
+# its evaluator module's globals, and it raises the interpreter's recursion
+# limit to at least 100,000 while it runs (a rewrite chain nests a frame per
+# step), then restores it.  Another thread sees the raised limit meanwhile,
+# and a limit that it sets then is undone when the reduction ends.
+_INNERMOST = _thread.allocate_lock()
+
+
 def _reduce_innermost(term: RTerm, rules: RuleSet, evaluate, order: list[RTerm],
                       budget: int) -> ReductionReport:
-    # the table is read once: the reduction keeps it to the end even if
-    # another thread's reduction replaces the rule set's table meanwhile
-    table = rules.table
-    # rewrite chains nest one Python frame per step at a given position;
-    # only ever raise the limit so parallel reductions cannot interfere
-    if sys.getrecursionlimit() < 100_000:
-        sys.setrecursionlimit(100_000)
-    result, steps = evaluate(order, budget, table)
-    # replaced, never cleared: clearing would free nodes whose ids the keys
-    # of another reduction still on this table may hold.  The copy is taken
-    # under the evaluator's lock, so no reduction on this rule set writes
-    # the table while it is read
-    if len(table) > _TABLE_LIMIT:
-        with evaluate.lock:
-            if rules.table is table:
-                rules.table = dict(islice(table.items(), _TABLE_LIMIT // 2))
+    with _INNERMOST:
+        table = rules.table
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 100_000))
+        try:
+            result, steps = evaluate(order, budget, table)
+        finally:
+            sys.setrecursionlimit(limit)
+        # its entries are in topological order, so its first half is a table
+        if len(table) > _TABLE_LIMIT:
+            rules.table = dict(islice(table.items(), _TABLE_LIMIT // 2))
     return ReductionReport(term if result is None else result, steps, result is None)
 
 

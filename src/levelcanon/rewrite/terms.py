@@ -192,9 +192,9 @@ class RuleSet(tuple):
         so the table may outlive the reduction and serve the next; `reduce`
         passes this rule set's.  Entries are inserted in topological order,
         so any first part of the table is a table.  The generated functions
-        are made once; a reduction's state lives in their module, under a
-        lock (the evaluator's `lock` attribute), so the reductions on one
-        rule set take turns.
+        are made once; a reduction's state lives in their module, so one
+        reduction runs at a time: `reduce` runs each under the engine's
+        lock, which every innermost reduction shares.
         """
         if self._evaluator is None:
             from .codegen import compile_evaluator

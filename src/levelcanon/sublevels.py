@@ -29,7 +29,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Optional
 
-from .levels import Valuation, VarId, UnboundVariableError
+from .levels import Valuation, VarId, UnboundVariableError, _Lanes
 
 VarSet = tuple[VarId, ...]  # strictly increasing ids
 
@@ -108,36 +108,23 @@ def _sub_b(varset: VarSet, shift: int, guard: frozenset) -> SubB:
     return _new(SubB, (1, varset, shift, guard))
 
 
-def eval_sub(u: SubLevel, sigma: Valuation, width: Optional[int] = None) -> int | list[int]:
-    """Value of `u` under `sigma`.  Raises UnboundVariableError.
-
-    With a `width`, as for `eval_level`, `sigma` maps each variable to a
-    column of `width` values, one per point, and the result is the column of
-    `u`'s values at those points.
-    """
-    if width is not None:
-        return _eval_sub_column(u, sigma, width)
+def eval_sub(u: SubLevel, sigma: Valuation, lanes: Optional[_Lanes] = None) -> int:
+    """Value of `u` under `sigma`, or with `lanes` its values packed in them,
+    as for `eval_level`.  Raises UnboundVariableError."""
+    # an A-atom's variable is in its set, so the set's check binds it
+    if lanes is not None:
+        mask = -1
+        for y in u[1]:
+            if y not in sigma:
+                raise UnboundVariableError(y)
+            mask &= lanes.nonzero(sigma[y])
+        return mask & lanes.succ(0 if u[0] else sigma[u[2]], u[-2])
     for y in u[1]:
         if y not in sigma:
             raise UnboundVariableError(y)
         if sigma[y] == 0:
             return 0
-    if u[0]:
-        return u[2]
-    if u[2] not in sigma:
-        raise UnboundVariableError(u[2])
-    return sigma[u[2]] + u[3]
-
-
-def _eval_sub_column(u: SubLevel, columns: Valuation, width: int) -> list[int]:
-    for y in u[1]:
-        if y not in columns:
-            raise UnboundVariableError(y)
-    # an A-atom's variable is in its set, so it is bound
-    values = [u[2]] * width if u[0] else [n + u[3] for n in columns[u[2]]]
-    for y in u[1]:
-        values = [v if g else 0 for v, g in zip(values, columns[y])]
-    return values
+    return u[2] if u[0] else sigma[u[2]] + u[3]
 
 
 def leq_sub(u: SubLevel, v: SubLevel) -> bool:

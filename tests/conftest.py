@@ -4,26 +4,28 @@ import hashlib
 
 import hypothesis.strategies as st
 import pytest
-from oracles import grid, up
+from oracles import column_level, grid, up
 
+import levelcanon.levels as lv
 import levelcanon.normalize as nz
-from levelcanon import IMax, Max, Succ, Var, ZERO, eval_level, find_counterexample_leq, level_vars
+from levelcanon import IMax, Max, Succ, Var, ZERO, find_counterexample_leq, level_vars
 from levelcanon.harness import GenConfig, gen_level
 
 
 NORMALIZE_MEMOS = (nz._var_memo, nz._succ_memo, nz._max_memo, nz._imax_memo)
+PROCESS_CACHES = (*NORMALIZE_MEMOS, lv._layout)
 
 
 @pytest.fixture(autouse=True)
-def empty_normalize_memos():
-    """`normalize`'s memos are process-wide: every test starts and ends with
-    them empty, so no entry made before a test, or under its monkeypatch,
-    answers a call in another."""
-    for memo in NORMALIZE_MEMOS:
-        memo.cache_clear()
+def empty_process_caches():
+    """`normalize`'s memos and the grid's layouts are process-wide: every
+    test starts and ends with them empty, so no entry made before a test, or
+    under its monkeypatch, answers a call in another."""
+    for cache in PROCESS_CACHES:
+        cache.cache_clear()
     yield
-    for memo in NORMALIZE_MEMOS:
-        memo.cache_clear()
+    for cache in PROCESS_CACHES:
+        cache.cache_clear()
 
 
 def level_strategy(num_vars: int = 3, max_leaves: int = 10):
@@ -98,8 +100,8 @@ def oracle_sweep(max_bound: int = 10, max_vars: int = 5) -> tuple[int, int, obje
     """Every ordered pair of distinct `_sweep_levels(count)` on the {0..bound}
     grid, for bounds 0..max_bound and 0..max_vars variables, checked against
     the oracle's contract: the first `valuations_on` point where the left side
-    exceeds the right, by one columnar `eval_level` of each level over the
-    whole grid.  Returns (pairs with a witness, pairs without, the first
+    exceeds the right, by one `column_level` of each level over the whole
+    grid.  Returns (pairs with a witness, pairs without, the first
     disagreement as (bound, count, t1, t2, found, first) or None)."""
     found_some = found_none = 0
     for bound in range(max_bound + 1):
@@ -107,7 +109,7 @@ def oracle_sweep(max_bound: int = 10, max_vars: int = 5) -> tuple[int, int, obje
             levels = _sweep_levels(count)
             vids = tuple(sorted(set().union(*map(level_vars, levels))))
             points, columns = grid(vids, bound)
-            values = [eval_level(t, columns, len(points)) for t in levels]
+            values = [column_level(t, columns, len(points)) for t in levels]
             for i, t1 in enumerate(levels):
                 for j, t2 in enumerate(levels):
                     if i == j:

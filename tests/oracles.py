@@ -2,11 +2,12 @@
 
 The program runs none of this.  Each oracle computes its answer a plainer
 way than the library does, so a test that compares the two checks the
-library against code it does not share: one valuation at a time where the
-library evaluates columns or packed lanes, every atom where it reasons about
-antichains, an interpretive matcher where it compiles one, structural rules
-where it normalizes, and a parser that lexes with one regular expression and
-builds every node where the library's splits words and shares leaves.
+library against code it does not share: one valuation at a time, or a list
+of values per variable, where the library evaluates packed lanes, every atom
+where it reasons about antichains, an interpretive matcher where it compiles
+one, structural rules where it normalizes, and a parser that lexes with one
+regular expression and builds every node where the library's splits words
+and shares leaves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator, Optional
 
 from levelcanon import IMax, Max, Succ, Zero, eval_level, level_vars
 from levelcanon.harness import DiffReport, Failure, harness_names
-from levelcanon.levels import Level, Var, VarId, ZERO
+from levelcanon.levels import Level, Var, VarId, ZERO, fold_level
 from levelcanon.normalize import Repr
 from levelcanon.parser import (
     _BAD_RE, _BINARY, _LEVEL_START, _LEXEME_RE, KEYWORDS, MAX_NESTING, MAX_NUMERAL, NameTable,
@@ -53,6 +54,37 @@ def grid(vids: tuple[VarId, ...], bound: int) -> tuple[list[dict[VarId, int]], d
     its values at those points, in order."""
     points = list(valuations_on(vids, bound))
     return points, {v: [point[v] for point in points] for v in vids}
+
+
+def _column_succ(column: list[int], n: int) -> list[int]:
+    return [v + n for v in column]
+
+
+def _column_max(a: list[int], b: list[int]) -> list[int]:
+    return [i if i > j else j for i, j in zip(a, b)]
+
+
+def _column_imax(a: list[int], b: list[int]) -> list[int]:
+    return [0 if j == 0 else i if i > j else j for i, j in zip(a, b)]
+
+
+def column_level(t: Level, columns: dict[VarId, list[int]], width: int) -> list[int]:
+    """`t`'s values at `width` points, `columns` mapping each variable to
+    its values at those points: one fold over lists of values."""
+    return fold_level(t, [0] * width, columns.__getitem__, _column_succ, _column_max,
+                      _column_imax)
+
+
+def column_repr(r: Repr, columns: dict[VarId, list[int]], width: int) -> list[int]:
+    """`r`'s values at `width` points, as for `column_level`: one pass over
+    the atoms, each zeroed wherever a variable of its set is 0."""
+    column = [0] * width
+    for u in r:
+        values = [u[2]] * width if u[0] else [n + u[3] for n in columns[u[2]]]
+        for y in u[1]:
+            values = [v if g else 0 for v, g in zip(values, columns[y])]
+        column = _column_max(column, values)
+    return column
 
 
 def first_witness(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:

@@ -82,7 +82,9 @@ def test_differential_case_takes_a_level_past_the_recursion_limit():
 def test_failures_name_the_levels_and_the_witness(monkeypatch):
     # each phase's Failure, forced by a wrong answer at the name the harness binds
     t = Succ(IMax(y, x))
-    monkeypatch.setattr(harness, "eval_repr", lambda r, columns, width: [-1] * width)
+    # the guard bit of every lane: a value above any the level takes there
+    monkeypatch.setattr(harness, "eval_repr",
+                        lambda r, sigma, lanes: lanes.ones << lanes.width - 1)
     assert differential_case(t) == Failure("s(imax(x1, x0))", None, "eval", {"x0": 0, "x1": 0})
     monkeypatch.undo()
 
@@ -122,24 +124,33 @@ def test_an_exhausted_budget_is_its_own_phase():
     assert report.result == encode_repr(normalize(t))
 
 
-def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):
-    # a representation evaluator that is wrong only where the values sum to
-    # 2 mod 3: the Failure names the first such valuation among the case's
-    # 22, which it evaluates as one column each
+def skewed_eval_cases(monkeypatch):
+    """The first 60 levels of `GenConfig(seed=3, max_size=12)`, each with its
+    `differential_case` and the case's 22 valuations, under a representation
+    evaluator that is wrong only where the values sum to 2 mod 3."""
     points = []
 
-    def skewed(r, columns, width):
-        points[:] = [{v: column[i] for v, column in columns.items()} for i in range(width)]
-        return [n + (sum(sigma.values()) % 3 == 2)
-                for n, sigma in zip(eval_repr(r, columns, width), points)]
+    def skewed(r, sigma, lanes):
+        mask = (1 << lanes.width) - 1
+        points[:] = [{v: packed >> lanes.width * k & mask for v, packed in sigma.items()}
+                     for k in range(lanes.count)]
+        return eval_repr(r, sigma, lanes) + lanes.pack(
+            [sum(point.values()) % 3 == 2 for point in points])
 
     monkeypatch.setattr(harness, "eval_repr", skewed)
     cfg = GenConfig(seed=3, max_size=12)
-    later = 0
     for i in range(60):
         t = gen_level(cfg, i)
         points.clear()
         failure = differential_case(t)
+        yield t, failure, list(points)
+
+
+def test_an_eval_failure_names_the_first_disagreeing_valuation(monkeypatch):
+    # the Failure names the first wrong valuation among the case's 22, which
+    # it evaluates in one lane each
+    later = 0
+    for t, failure, points in skewed_eval_cases(monkeypatch):
         wrong = [sigma for sigma in points if sum(sigma.values()) % 3 == 2]
         if failure is None or failure.phase != "eval":
             assert len(points) == 22 and not wrong

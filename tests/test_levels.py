@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import deep_level_strategy, level_strategy
-from oracles import first_witness, up, valuations_on
+from oracles import enumerate_sublevels, first_witness, grid, up, valuations_on
 from levelcanon import (
     IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero,
     const_depth, default_grid_bound, eval_level, eval_repr, find_counterexample_leq,
     imax_nat, level_size, level_vars,
 )
-from levelcanon import harness
-from levelcanon.levels import GRID_LANES
+from levelcanon import SubB, eval_sub, harness
+from levelcanon.levels import GRID_LANES, _Lanes
 from levelcanon.normalize import normalize
 
 x, y, z = Var(0), Var(1), Var(2)
@@ -45,24 +45,38 @@ def test_eval_unbound_variable_names_the_id():
         eval_level(Max(x, y), {0: 1})
     assert err.value.vid == 1
     assert "1" in str(err.value)
-    with pytest.raises(UnboundVariableError):
-        eval_level(Max(x, y), {0: [1, 2]}, 2)
-    for sigma, width in (({0: 1}, None), ({0: [1, 2]}, 2)):
-        with pytest.raises(UnboundVariableError) as err:
-            eval_repr(normalize(Max(x, y)), sigma, width)
-        assert err.value.vid == 1
+    with pytest.raises(UnboundVariableError) as err:
+        eval_repr(normalize(Max(x, y)), {0: 1})
+    assert err.value.vid == 1
 
 
-@given(level_strategy(max_leaves=6))
-@settings(max_examples=150)
-def test_eval_on_columns_is_eval_at_each_point(t):
+def _unpacked(packed: int, lanes: _Lanes) -> list[int]:
+    return [packed >> lanes.width * p & (1 << lanes.width) - 1 for p in range(lanes.count)]
+
+
+_LEVELS = [harness.gen_level(harness.GenConfig(seed=36, max_size=16), i) for i in range(80)]
+# each evaluator, what it evaluates, and one of those over x, y and the unbound Var(3)
+_EVALUATED = {
+    "eval_level": (eval_level, _LEVELS, Max(x, Var(3))),
+    "eval_repr": (eval_repr, [normalize(t) for t in _LEVELS], normalize(Max(x, Var(3)))),
+    "eval_sub": (eval_sub, enumerate_sublevels(3, 3), SubB((0, 3), 1)),
+}
+
+
+@pytest.mark.parametrize("name", _EVALUATED)
+def test_eval_on_lanes_is_eval_at_each_point(name):
     # of a level by one fold, of its representation by one pass over the atoms
-    vids = tuple(sorted(level_vars(t)))
-    points = list(valuations_on(vids, 2))
-    columns = {v: [sigma[v] for sigma in points] for v in vids}
-    assert list(eval_level(t, columns, len(points))) == [eval_level(t, s) for s in points]
-    r = normalize(t)
-    assert eval_repr(r, columns, len(points)) == [eval_repr(r, s) for s in points]
+    evaluate, items, unbound = _EVALUATED[name]
+    points, columns = grid((0, 1, 2), 3)
+    top = 3 + max(map(const_depth, _LEVELS))
+    lanes = _Lanes(len(points), top.bit_length() + 1)
+    sigma = {v: lanes.pack(column) for v, column in columns.items()}
+    for item in items:
+        assert _unpacked(evaluate(item, sigma, lanes), lanes) == [
+            evaluate(item, point) for point in points], item
+    with pytest.raises(UnboundVariableError) as err:
+        evaluate(unbound, sigma, lanes)
+    assert err.value.vid == 3
 
 
 def test_level_vars():

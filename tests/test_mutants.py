@@ -21,18 +21,19 @@ from typing import Callable, NamedTuple
 
 import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
-from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, wrong_merges
+from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, up, wrong_merges
+from test_harness import skewed_eval_cases
 from test_parser_reference import first_difference
 from test_rule_model import check
 
-from levelcanon import IMax, Max, Succ, Var, ZERO, levels
+from levelcanon import Max, ZERO, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
 from levelcanon.normalize import Repr, _merge, succ_repr
 from levelcanon.parser import _NUMERALS, _error_at, _numeral
 from levelcanon.printer import print_repr
 from levelcanon.rewrite import default_rules, rules
 from levelcanon.rewrite.rules import read_rules
-from levelcanon.sublevels import _new, _sub_b, imax_sub, leq_sub, succ_sub
+from levelcanon.sublevels import _new, _sub_b, eval_sub, imax_sub, leq_sub, succ_sub
 
 DEFAULT_RULES = set(default_rules())
 
@@ -71,6 +72,21 @@ def merge_check():
     names = harness_names(2)
     for op, r, arg in wrong_merges(reprs):
         return op, print_repr(r, names), arg if op == "succ" else print_repr(arg, names)
+    return None
+
+
+def eval_witness_check():
+    """The eval failures of `test_harness.skewed_eval_cases`, each of which
+    must name its case's first wrong valuation: the first that names
+    another, as (level, the valuation named, the first wrong one)."""
+    names = harness_names(3)
+    with pytest.MonkeyPatch.context() as patch:
+        for t, failure, points in skewed_eval_cases(patch):
+            if failure is not None and failure.phase == "eval":
+                first = next(point for point in points if sum(point.values()) % 3 == 2)
+                first = {names.name_of(v): n for v, n in first.items()}
+                if failure.witness != first:
+                    return failure.level, failure.witness, first
     return None
 
 
@@ -149,6 +165,22 @@ def succ_repr_always_flooring(r, n):
     shifted = [succ_sub(u, n) for u in r]
     shifted.insert(bisect_left(r, (1,)), _sub_b((), n, frozenset()))
     return _new(Repr, shifted)
+
+
+def eval_sub_skipping_the_last_guard(u, sigma, lanes=None):
+    """`sublevels.eval_sub` whose lane form masks an atom by the lanes where
+    each guard variable but the last is not 0."""
+    if lanes is None:
+        return eval_sub(u, sigma)
+    mask = -1
+    for y in u[1][:-1]:
+        mask &= lanes.nonzero(sigma[y])
+    return mask & lanes.succ(0 if u[0] else sigma[u[2]], u[-2])
+
+
+def first_reading_the_highest_lane(lanes, mask):
+    """`levels._Lanes.first` giving the highest lane with a bit set."""
+    return (mask.bit_length() - 1) // lanes.width
 
 
 def numeral_splitting_a_copy(text, lexemes, index):
@@ -240,11 +272,18 @@ KILLED = [
            (124, {"level": "s(x1)", "other": None, "phase": "eval", "witness": {"x1": 0}})),
     Mutant("_below as getrandbits(k) % n", "levelcanon.harness._below",
            lambda: below_by_remainder, stream_check, "5042fb149de4b7f9"),
-    # bound 1, one variable: the layout built for lanes of 3 bits serves lanes of 4
+    # bound 0, no variables: the lanes built 1 bit wide serve a value of 6,
+    # which needs 4
     Mutant("layout cache keyed without width", "levelcanon.levels._layout",
            layout_keyed_without_width, oracle_check,
-           (1, 1, Max(Succ(Succ(Succ(ZERO))), IMax(Var(0), Var(0))), Succ(Var(0)),
-            {0: 1}, {0: 0})),
+           (0, 0, ZERO, up(Max(ZERO, ZERO), 6), {}, None)),
+    Mutant("lane atom whose guard mask skips its last variable", "levelcanon.normalize.eval_sub",
+           lambda: eval_sub_skipping_the_last_guard, fuzz_check,
+           (25, {"level": "imax(max(x2, s(x2)), max(x2, imax(x0, x1)))", "other": None,
+                 "phase": "eval", "witness": {"x0": 0, "x1": 0, "x2": 0}})),
+    Mutant("_Lanes.first reading the highest lane", "levelcanon.levels._Lanes.first",
+           lambda: first_reading_the_highest_lane, eval_witness_check,
+           ("max(s(x2), max(x0, x0))", {"x0": 5, "x2": 0}, {"x0": 1, "x2": 1})),
     # the three leq_sub mutants again, on every ordered pair of 20 atoms
     Mutant("B <= A without + 1, on the atom suite", "oracles.leq_sub",
            lambda: leq_sub_b_under_a_without_plus_one, atom_suite_check,

@@ -549,7 +549,9 @@ def test_two_rule_sets_reducing_at_once_agree_with_serial_runs():
     # each rule set's evaluator is its own generated module, whose globals
     # hold the step count, the budget and the table of the reduction under
     # way; two of them running interleaved must not see each other's, and
-    # two threads on one rule set take turns
+    # two threads on one rule set take turns; all four leave the recursion
+    # limit as they found it
+    limit = sys.getrecursionlimit()
     term = encode_level(gen_level(GenConfig(seed=707, max_size=50), 546))
     budgets = [(10**6, reduce(term, RuleSet(rules)).steps // 2) for rules in (RULES, LITERAL)]
     serial = [[reduce(term, RuleSet(rules), budget=budget) for budget in pair]
@@ -575,6 +577,7 @@ def test_two_rule_sets_reducing_at_once_agree_with_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert reports == serial * 2
+    assert sys.getrecursionlimit() == limit
     assert all(full.steps > 1000 and not full.budget_exhausted for full, _ in serial)
     assert all(half.budget_exhausted for _, half in serial)
 
@@ -931,8 +934,7 @@ def test_positional_results_are_plain_terms(strategy):
         assert report.result == reduce(term, RULES).result
 
 
-# run in a child interpreter, since an untraced innermost reduction in this
-# process raises the limit for good
+# run in a child interpreter, at the default recursion limit
 _POSITIONAL_RUNS = """
 import sys
 from levelcanon.harness import GenConfig, gen_level
@@ -972,10 +974,7 @@ assert sys.getrecursionlimit() == before, (before, sys.getrecursionlimit())
 """
 
 
-# a library call should leave interpreter-wide state as it found it; when
-# the evaluator stops raising the limit, this passes and the marker must go
-@pytest.mark.xfail(strict=True, reason="an untraced innermost reduction raises the "
-                   "recursion limit from 1,000 to 100,000 and leaves it there")
+# a library call should leave interpreter-wide state as it found it
 def test_innermost_reduction_leaves_the_recursion_limit_alone():
     proc = _run_in_child(_INNERMOST_RUN)
     assert proc.returncode == 0, proc.stderr

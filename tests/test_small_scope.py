@@ -16,11 +16,12 @@ from itertools import product
 from operator import le
 
 import pytest
-from oracles import antichains, enumerate_sublevels, grid, wrong_merges
+from oracles import (
+    antichains, column_level, column_repr, enumerate_sublevels, grid, wrong_merges,
+)
 
 from levelcanon import (
-    IMax, Max, Repr, Succ, Var, ZERO, const_depth, eval_level, eval_repr, leq_repr, level_size,
-    subst_repr,
+    IMax, Max, Repr, Succ, Var, ZERO, const_depth, leq_repr, level_size, subst_repr,
 )
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import soundness_report
@@ -42,7 +43,7 @@ def classes_of(levels: list, columns: dict, width: int) -> dict:
     if the levels of one vector have more than one representation."""
     found = {}
     for t in levels:
-        found.setdefault(tuple(eval_level(t, columns, width)), set()).add(normalize(t))
+        found.setdefault(tuple(column_level(t, columns, width)), set()).add(normalize(t))
     assert [sorted(rs) for rs in found.values() if len(rs) > 1] == []
     return {vec: rs.pop() for vec, rs in found.items()}
 
@@ -60,7 +61,7 @@ def wrong_subst(classes: dict, points: list, columns: dict) -> list:
     moved = {(vid, n): [index[tuple({**point, vid: n}.values())] for point in points]
              for vid, n in product(columns, range(3))}
     return [(r, vid, n) for (vec, r), (vid, n) in product(classes.items(), moved)
-            if eval_repr(subst_repr(r, vid, n), columns, len(points))
+            if column_repr(subst_repr(r, vid, n), columns, len(points))
             != [vec[i] for i in moved[vid, n]]]
 
 
@@ -116,7 +117,7 @@ def test_no_two_small_representations_mean_the_same_function(num_vars, max_shift
     seen, collisions = {}, []
     for chain in chains:
         r = Repr(tuple(sorted(chain)))
-        vec = tuple(eval_repr(r, columns, len(points)))
+        vec = tuple(column_repr(r, columns, len(points)))
         if vec in seen:
             collisions.append((seen[vec], r))
         seen.setdefault(vec, r)

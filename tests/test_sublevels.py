@@ -6,12 +6,11 @@ import time
 from itertools import product
 
 import pytest
-from oracles import enumerate_sublevels, grid, valuations_on
+from oracles import enumerate_sublevels, valuations_on
 
 from levelcanon import (
     Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub, leq_sub, set_delete, succ_sub,
 )
-from levelcanon.levels import UnboundVariableError
 from levelcanon.normalize import normalize
 from levelcanon.sublevels import subst_sub
 
@@ -116,15 +115,6 @@ def test_eval_sub():
     assert eval_sub(SubA((0,), 0, 0), {0: 3}) == 3
     assert eval_sub(SubB((0, 1), 2), {0: 1, 1: 0}) == 0
     assert eval_sub(SubA((0, 1), 0, 1), {0: 2, 1: 3}) == 3
-
-
-def test_eval_sub_on_columns_is_eval_at_each_point():
-    points, columns = grid((0, 1), 2)
-    for u in (SubA((0,), 0, 0), SubA((0, 1), 1, 2), SubB((0, 1), 2), SubB((), 1)):
-        assert eval_sub(u, columns, len(points)) == [eval_sub(u, s) for s in points]
-    with pytest.raises(UnboundVariableError) as err:
-        eval_sub(SubB((0, 2), 1), columns, len(points))
-    assert err.value.vid == 2
 
 
 def test_leq_sub_theorem_cases():
