@@ -22,17 +22,19 @@ UNARY_WARN_DEPTH = 64
 # parser does not load the engine; a test pins the two equal
 STRATEGIES = ("innermost", "outermost", "random")
 
-# The names that only `rewrite` and `export` use, and the modules they come
-# from.  They are module attributes resolved on first access (`__getattr__`),
-# so a decision command's process never imports the rewrite engine; the two
-# commands call them through `_cli`, this module, so a binding patched on it
-# is the one that runs.
+# The names that only `rewrite`, `export` and `fuzz` use, and the modules
+# they come from.  They are module attributes resolved on first access
+# (`__getattr__`), so a decision command's process never imports the rewrite
+# engine or the harness; the three commands call them through `_cli`, this
+# module, so a binding patched on it is the one that runs.
 _LATE = {
     "export_framework": ".export",
     "encode_level": ".rewrite.codec",
     "reduce": ".rewrite.engine",
     "builtin_ruleset": ".rewrite.rules",
     "term_to_str": ".rewrite.terms",
+    "GenConfig": ".harness",
+    "run_fuzz": ".harness",
 }
 _cli = sys.modules[__name__]
 
@@ -201,11 +203,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "fuzz":
         if args.size < 1 or args.cases < 0:
             raise UsageError("--size must be positive and --cases non-negative")
-        # imported here so that the other commands do not load the harness
-        from .harness import GenConfig, run_fuzz
-
-        cfg = GenConfig(seed=args.seed, max_size=args.size)
-        report = run_fuzz(cfg, args.cases)
+        report = _cli.run_fuzz(_cli.GenConfig(seed=args.seed, max_size=args.size), args.cases)
         print(report.to_json())
         return 0 if report.ok else 1
 

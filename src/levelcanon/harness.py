@@ -144,10 +144,10 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
 
     # (a) representation evaluation against the level semantics at 22
     # valuations at once, valuation k in lane k (all 0, all 1, then 20 drawn
-    # valuation by valuation, ids ascending), lanes wide for every value
+    # valuation by valuation, ids ascending), lanes holding every value
     draws = [_below(rng, 7) for _ in range(20 * len(vids))]
     columns = {v: [0, 1, *draws[i::len(vids)]] for i, v in enumerate(vids)}
-    lanes = _Lanes(22, (6 + max(depth, max((u[-2] for u in r), default=0))).bit_length() + 1)
+    lanes = _Lanes(22, 6 + max(depth, max((u.shift for u in r), default=0)))
     sigma = {v: lanes.pack(column) for v, column in columns.items()}
     wrong = eval_level(t, sigma, lanes) ^ eval_repr(r, sigma, lanes)
     if wrong:

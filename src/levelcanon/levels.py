@@ -213,26 +213,23 @@ def eval_level(t: Level, sigma: Valuation, lanes: Optional[_Lanes] = None) -> in
 
 def level_vars(t: Level) -> frozenset[VarId]:
     """The set of variable ids occurring in `t`."""
-    # filled as variables are reached: a set union at every node would copy
-    # the sets again at every level of a deep chain
-    found: set[VarId] = set()
-    fold_level(t, None, found.add, lambda value, n: None, lambda a, b: None, lambda a, b: None)
-    return frozenset(found)
+    return level_facts(t)[0]
 
 
 def level_size(t: Level) -> int:
     """Node count of `t`."""
-    pair = lambda a, b: a + b + 1
-    return fold_level(t, 1, lambda vid: 1, add, pair, pair)
+    return level_facts(t)[1]
 
 
 def const_depth(t: Level) -> int:
     """Maximum number of successors stacked along any path of `t`."""
-    return fold_level(t, 0, lambda vid: 0, add, max, max)
+    return level_facts(t)[2]
 
 
 def level_facts(t: Level) -> tuple[frozenset[VarId], int, int]:
-    """`level_vars(t)`, `level_size(t)` and `const_depth(t)`, from one fold."""
+    """`t`'s variable ids, node count and constant depth, from one fold."""
+    # filled as variables are reached: a set union at every node would copy
+    # the sets again at every level of a deep chain
     found: set[VarId] = set()
     var = lambda vid: found.add(vid) or (1, 0)
     pair = lambda a, b: (a[0] + b[0] + 1, a[1] if a[1] > b[1] else b[1])
@@ -275,22 +272,25 @@ def _ramp(count: int, step: int) -> int:
 
 
 class _Lanes:
-    """`count` lanes of `width` bits in one int, lane p at bit width * p, so
-    an int holds a value per point and each operation acts on every lane at
-    once (SIMD within a register).
+    """`count` lanes in one int, each wide enough for the values 0..top,
+    lane p at bit width * p, so an int holds a value per point and each
+    operation acts on every lane at once (SIMD within a register).
 
-    The lanes keep apart while values are below 2 ** (width - 1), and b in
-    `at_least(a, b)` at most that: the top bit of each lane of a, its guard,
-    is then 0, and `(a | guards) - b` borrows only within each lane, leaving
-    the guard set exactly where a >= b.  A set guard less its shifted copy
-    sets the value bits of its lane.
+    A lane is one bit wider than top needs, the highest bit its guard.  The
+    lanes keep apart while values are below 2 ** (width - 1), as every value
+    up to top is, and b in `at_least(a, b)` at most that, as top + 1 still
+    is (2 ** (width - 1) > top): the guard of each lane of a is then 0,
+    and `(a | guards) - b` borrows only within each lane, leaving the guard
+    set exactly where a >= b.  A set guard less its shifted copy sets the
+    value bits of its lane.
     """
 
     __slots__ = ("count", "width", "ones", "_guards", "_shift")
 
-    def __init__(self, count: int, width: int):
-        self.count, self.width, self._shift = count, width, width - 1
-        self.ones = _repunit(count, width)
+    def __init__(self, count: int, top: int):
+        self.count, self.width = count, top.bit_length() + 1
+        self._shift = self.width - 1
+        self.ones = _repunit(count, self.width)
         self._guards = self.ones << self._shift
 
     def at_least(self, a: int, b: int) -> int:
@@ -321,13 +321,15 @@ class _Lanes:
 
 
 @lru_cache(maxsize=GRID_LAYOUTS)
-def _layout(side: int, width: int, count: int) -> tuple[_Lanes, tuple[int, ...]]:
+def _layout(side: int, top: int, count: int) -> tuple[_Lanes, tuple[int, ...]]:
     """A block of the grid of `count` variables over {0..side - 1}, in lanes
-    of `width` bits: its lanes, and the trailing variables' columns, the
-    last variable first."""
+    that hold the values 0..top: its lanes, and the trailing variables'
+    columns, the last variable first."""
     trailing, lanes = 0, 1
     while trailing < count and lanes * side <= GRID_LANES:
         trailing, lanes = trailing + 1, lanes * side
+    block = _Lanes(lanes, top)
+    width = block.width
     # a trailing variable is constant over runs of `stride` lanes, its
     # values counting up through {0..side - 1} and starting over
     columns, stride = [], 1
@@ -336,7 +338,7 @@ def _layout(side: int, width: int, count: int) -> tuple[_Lanes, tuple[int, ...]]
         columns.append(_ramp(side, width * stride) * _repunit(stride, width)
                        * _repunit(lanes // period, width * period))
         stride = period
-    return _Lanes(lanes, width), tuple(columns)
+    return block, tuple(columns)
 
 
 def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
@@ -353,19 +355,17 @@ def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[V
     fixes the leading variables and runs the trailing ones, which keeps that
     order.  Variables lie in {0..bound}, max and imax pick a side's value,
     and successors add at most the larger constant depth d of the two
-    levels, so a value plus one is at most 2 ** (width - 1).  A block's
+    levels, so every value is at most bound + d, the lanes' top.  A block's
     layout depends only on the grid's shape, so the last GRID_LAYOUTS
     layouts are kept (`_layout`).
     """
     if bound < 0:
         raise ValueError(f"grid bound {bound} is negative")
     side = bound + 1
-    found: set[VarId] = set()
-    # one fold per level finds both its variables and its constant depth
-    depth = lambda t: fold_level(t, 0, lambda vid: found.add(vid) or 0, add, max, max)
-    width = (bound + max(depth(t1), depth(t2))).bit_length() + 1
+    # one fold finds both levels' variables and the larger constant depth
+    found, _, depth = level_facts(Max(t1, t2))
     vids = tuple(sorted(found))
-    lanes, ramps = _layout(side, width, len(vids))
+    lanes, ramps = _layout(side, bound + depth, len(vids))
     leading, trailing = vids[:len(vids) - len(ramps)], vids[len(vids) - len(ramps):]
     columns = dict(zip(reversed(trailing), ramps))
     for block, head in enumerate(product(range(side), repeat=len(leading))):

@@ -40,10 +40,10 @@ heads (whose key fixes a memoized caller's) keep no entry; see
 `codegen.unmemoized_heads`.  A normal form that no rule matches is made as
 a hash-consed node.  Every node and memoized call is in the rule set's
 table, which every innermost reduction with that rule set shares, whatever
-its input.  A key is one int, the head's tag above the ids of the
-arguments.  Entries are inserted in topological order (each names only
-values of earlier entries), so after a reduction leaves the table above a
-fixed size, the rule set binds a new table of the old one's first half.
+its input; after a reduction leaves the table above a fixed size, the rule
+set binds a new table of the old one's first half.  The table's keys, and
+the invariants that make sharing it and halving it sound, are stated once,
+in `codegen`'s comment above `_EVALUATION`.
 Outermost and random (and innermost with a trace) share nothing, so
 confluence sampling still follows genuinely different reduction orders.
 """

@@ -182,19 +182,16 @@ class RuleSet(tuple):
 
         Nodes and the calls of memoized heads (all but selectors and
         caller-keyed heads, `codegen.unmemoized_heads`) are memoized in
-        `table`: a call's entry maps one int, the head's tag shifted above
-        the ids of its normal kids (64 bits each, `codegen.tag`), to
-        ``(normal form, steps it took)``, a node's to ``(node, 0)``.  A
-        repeated call replays its steps, and one that would cross the
-        budget stops at `budget`, where re-running it would have.  A normal
-        form that no rule matches is made as a node, so every value the
-        reduction makes is held by `table`,
-        so the table may outlive the reduction and serve the next; `reduce`
-        passes this rule set's.  Entries are inserted in topological order,
-        so any first part of the table is a table.  The generated functions
-        are made once; a reduction's state lives in their module, so one
-        reduction runs at a time: `reduce` runs each under the engine's
-        lock, which every innermost reduction shares.
+        `table`, a call's entry as ``(normal form, steps it took)`` and a
+        node's as ``(node, 0)``.  A repeated call replays its steps, and one
+        that would cross the budget stops at `budget`, where re-running it
+        would have.  The table may outlive the reduction and serve the next;
+        `reduce` passes this rule set's.  Its keys and the invariants that
+        make that sound are stated in `codegen`'s comment above
+        `_EVALUATION`.  The generated functions are made once; a reduction's
+        state lives in their module, so one reduction runs at a time:
+        `reduce` runs each under the engine's lock, which every innermost
+        reduction shares.
         """
         if self._evaluator is None:
             from .codegen import compile_evaluator

@@ -1,30 +1,42 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from oracles import column_level, grid, up
 
-import levelcanon.levels as lv
 import levelcanon.normalize as nz
 from levelcanon import IMax, Max, Succ, Var, ZERO, find_counterexample_leq, level_vars
 from levelcanon.harness import GenConfig, gen_level
 
 
 NORMALIZE_MEMOS = (nz._var_memo, nz._succ_memo, nz._max_memo, nz._imax_memo)
-PROCESS_CACHES = (*NORMALIZE_MEMOS, lv._layout)
+
+
+def process_caches() -> list:
+    """Every `lru_cache` wrapper bound at the top level of an imported
+    `levelcanon` module, each once.  `test_process_caches.py` checks that
+    the library keeps no other."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "levelcanon":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[id(value)] = value
+    return list(found.values())
 
 
 @pytest.fixture(autouse=True)
 def empty_process_caches():
-    """`normalize`'s memos and the grid's layouts are process-wide: every
-    test starts and ends with them empty, so no entry made before a test, or
-    under its monkeypatch, answers a call in another."""
-    for cache in PROCESS_CACHES:
+    """The library's caches (`normalize`'s memos, the grid's layouts) are
+    process-wide: every test starts and ends with them empty, so no entry
+    made before a test, or under its monkeypatch, answers a call in another."""
+    for cache in process_caches():
         cache.cache_clear()
     yield
-    for cache in PROCESS_CACHES:
+    for cache in process_caches():
         cache.cache_clear()
 
 

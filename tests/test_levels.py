@@ -69,7 +69,7 @@ def test_eval_on_lanes_is_eval_at_each_point(name):
     evaluate, items, unbound = _EVALUATED[name]
     points, columns = grid((0, 1, 2), 3)
     top = 3 + max(map(const_depth, _LEVELS))
-    lanes = _Lanes(len(points), top.bit_length() + 1)
+    lanes = _Lanes(len(points), top)
     sigma = {v: lanes.pack(column) for v, column in columns.items()}
     for item in items:
         assert _unpacked(evaluate(item, sigma, lanes), lanes) == [

@@ -229,13 +229,31 @@ def below_rejecting_above_n_less_one(rng, n):
     return r
 
 
-def layout_keyed_without_width():
+def layout_keyed_without_top():
     """`levels._layout` with a cache that keys a layout by its grid's side
-    and variable count alone, keeping the lane width first asked for."""
+    and variable count alone, keeping the lanes' top first asked for."""
     table = {}
     build = levels._layout.__wrapped__
-    return lambda side, width, count: table.setdefault((side, count),
-                                                       build(side, width, count))
+    return lambda side, top, count: table.setdefault((side, count), build(side, top, count))
+
+
+def facts_keeping_the_left_depth(t):
+    """`levels.level_facts` whose max and imax keep the left side's constant
+    depth, not the larger one."""
+    found = set()
+    var = lambda vid: found.add(vid) or (1, 0)
+    pair = lambda a, b: (a[0] + b[0] + 1, a[1])
+    size, depth = levels.fold_level(t, (1, 0), var, lambda a, n: (a[0] + n, a[1] + n), pair, pair)
+    return frozenset(found), size, depth
+
+
+def lanes_without_the_guard_bit(lanes, count, top):
+    """`levels._Lanes.__init__` with lanes of `top.bit_length()` bits: the
+    values fill the lane, and no guard bit stands above them."""
+    lanes.count, lanes.width = count, top.bit_length()
+    lanes._shift = lanes.width - 1
+    lanes.ones = levels._repunit(count, lanes.width)
+    lanes._guards = lanes.ones << lanes._shift
 
 
 def succ_memo_keyed_without_n():
@@ -274,13 +292,22 @@ KILLED = [
            lambda: below_by_remainder, stream_check, "5042fb149de4b7f9"),
     # bound 0, no variables: the lanes built 1 bit wide serve a value of 6,
     # which needs 4
-    Mutant("layout cache keyed without width", "levelcanon.levels._layout",
-           layout_keyed_without_width, oracle_check,
+    Mutant("layout cache keyed without top", "levelcanon.levels._layout",
+           layout_keyed_without_top, oracle_check,
            (0, 0, ZERO, up(Max(ZERO, ZERO), 6), {}, None)),
     Mutant("lane atom whose guard mask skips its last variable", "levelcanon.normalize.eval_sub",
            lambda: eval_sub_skipping_the_last_guard, fuzz_check,
            (25, {"level": "imax(max(x2, s(x2)), max(x2, imax(x0, x1)))", "other": None,
                  "phase": "eval", "witness": {"x0": 0, "x1": 0, "x2": 0}})),
+    # bound 1, no variables: the grid takes the pair's constant depth as 0,
+    # and lanes for the values 0..1 serve a value of 6
+    Mutant("level_facts keeping the left depth", "levelcanon.levels.level_facts",
+           lambda: facts_keeping_the_left_depth, oracle_check,
+           (1, 0, ZERO, up(Max(ZERO, ZERO), 6), {}, None)),
+    Mutant("_Lanes without its guard bit", "levelcanon.levels._Lanes.__init__",
+           lambda: lanes_without_the_guard_bit, fuzz_check,
+           (158, {"level": "max(imax(max(x2, x1), x1), x0)", "other": None, "phase": "eval",
+                  "witness": {"x0": 5, "x1": 3, "x2": 4}})),
     Mutant("_Lanes.first reading the highest lane", "levelcanon.levels._Lanes.first",
            lambda: first_reading_the_highest_lane, eval_witness_check,
            ("max(s(x2), max(x0, x0))", {"x0": 5, "x2": 0}, {"x0": 1, "x2": 1})),
