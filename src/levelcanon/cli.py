@@ -8,9 +8,9 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
+from . import _late_names
 from .levels import UnboundVariableError, VarId, const_depth, eval_level
 from .normalize import eq_repr, leq_repr, normalize, subst_repr
 from .parser import NameTable, ParseError, parse_level
@@ -23,11 +23,11 @@ UNARY_WARN_DEPTH = 64
 STRATEGIES = ("innermost", "outermost", "random")
 
 # The names that only `rewrite`, `export` and `fuzz` use, and the modules
-# they come from.  They are module attributes resolved on first access
-# (`__getattr__`), so a decision command's process never imports the rewrite
-# engine or the harness; the three commands call them through `_cli`, this
-# module, so a binding patched on it is the one that runs.
-_LATE = {
+# they come from.  They are module attributes resolved on first access, so a
+# decision command's process never imports the rewrite engine or the
+# harness; the three commands call them through `_cli`, this module, so a
+# binding patched on it is the one that runs.
+_cli = _late_names(globals(), {
     "export_framework": ".export",
     "encode_level": ".rewrite.codec",
     "reduce": ".rewrite.engine",
@@ -35,15 +35,7 @@ _LATE = {
     "term_to_str": ".rewrite.terms",
     "GenConfig": ".harness",
     "run_fuzz": ".harness",
-}
-_cli = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _LATE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(_LATE[name], __package__), name)
-    return value
+})
 
 
 class UsageError(Exception):

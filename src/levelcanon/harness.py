@@ -8,11 +8,9 @@ Failures carry a reproducible witness.
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .levels import (
     IMax, Level, Max, Succ, Var, ZERO, _Lanes, const_depth, eval_level, find_counterexample_leq,
@@ -27,21 +25,26 @@ from .rewrite.codec import soundness_report
 CONST_BOUND = 3
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    max_size: int = 50
-    num_vars: int = 3
+# a NamedTuple cannot define __new__: a record that checks or fills in its
+# fields is a subclass of one
+class _GenConfig(NamedTuple):
+    seed: int
+    max_size: int
+    num_vars: int
 
-    def __post_init__(self):
-        if self.max_size < 1:
+
+class GenConfig(_GenConfig):
+    __slots__ = ()
+
+    def __new__(cls, seed: int = 0, max_size: int = 50, num_vars: int = 3):
+        if max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if self.num_vars < 0:
+        if num_vars < 0:
             raise ValueError("num_vars must be a natural")
+        return super().__new__(cls, seed, max_size, num_vars)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     level: str
     other: Optional[str]
     # "eval" | "rewrite" (a wrong normal form) | "budget" (the rewrite path
@@ -50,21 +53,32 @@ class Failure:
     witness: Optional[dict[str, int]]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The failure as a dict of its fields, the witness a copy."""
+        return {**self._asdict(), "witness": None if self.witness is None else dict(self.witness)}
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class _DiffReport(NamedTuple):
     cases_run: int
     failures: tuple[Failure, ...]
-    step_stats: dict[str, int] = field(default_factory=dict)
+    step_stats: dict[str, int]
+
+
+class DiffReport(_DiffReport):
+    __slots__ = ()
+
+    def __new__(cls, cases_run: int, failures: tuple[Failure, ...],
+                step_stats: Optional[dict[str, int]] = None):
+        return super().__new__(cls, cases_run, failures, {} if step_stats is None else step_stats)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        import json  # here, so that only printing a fuzz report loads it
+        return json.dumps({"cases_run": self.cases_run,
+                           "failures": [f.to_json() for f in self.failures],
+                           "step_stats": self.step_stats}, separators=(",", ":"))
 
 
 def _rng_for(cfg: GenConfig, index: int) -> random.Random:

@@ -8,12 +8,17 @@ can be compared against ``encode_repr(normalize(t))`` syntactically.
 
 from __future__ import annotations
 
+from .. import _late_names
 from ..levels import Level, fold_level
 from ..normalize import Repr, normalize
 from ..sublevels import SubA, SubLevel, VarSet
-from .engine import ReductionReport, reduce
 from .rules import default_rules
 from .terms import RTerm, app
+
+# the engine loads on the first reduction, not with the codec; the reductions
+# call `reduce` through `_codec`, this module, so a binding patched on it is
+# the one that runs
+_codec = _late_names(globals(), {"reduce": ".engine", "ReductionReport": ".engine"})
 
 _ZERO_N = app("zeroN")
 _ZERO_L = app("zeroL")
@@ -68,7 +73,7 @@ def soundness_report(t: Level) -> tuple[bool, ReductionReport, Repr]:
     """Whether the rewrite path reaches exactly the normalizer's answer
     within 10**6 steps, with the underlying reduction report (step counts)
     and that answer, `normalize(t)`."""
-    report = reduce(encode_level(t), default_rules())
+    report = _codec.reduce(encode_level(t), default_rules())
     r = normalize(t)
     ok = not report.budget_exhausted and report.result == encode_repr(r)
     return ok, report, r
@@ -81,8 +86,8 @@ def confluence_runs(t: Level, strategies: int, seed: int, budget: int) -> list[R
         raise ValueError("need at least two strategies to compare")
     rules = default_rules()
     term = encode_level(t)
-    runs = [reduce(term, rules, "innermost", budget),
-            reduce(term, rules, "outermost", budget)]
+    runs = [_codec.reduce(term, rules, "innermost", budget),
+            _codec.reduce(term, rules, "outermost", budget)]
     for i in range(strategies - 2):
-        runs.append(reduce(term, rules, "random", budget, seed=seed + i))
+        runs.append(_codec.reduce(term, rules, "random", budget, seed=seed + i))
     return runs

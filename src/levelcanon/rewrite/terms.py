@@ -8,8 +8,7 @@ checked, not encoded in the terms themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from ..printer import join_rope
 
@@ -20,8 +19,7 @@ RTerm = tuple
 PVAR_HEAD = "$"
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
     args: tuple[Sort, ...]
     result: Sort
@@ -91,17 +89,22 @@ def term_to_str(t: RTerm) -> str:
     return join_rope(fold_term(t, str, _print_node))
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+# a NamedTuple cannot define __new__, so the checked constructor is a subclass's
+class _RewriteRule(NamedTuple):
     lhs: RTerm
     rhs: RTerm
 
-    def __post_init__(self):
-        if is_pvar(self.lhs):
+
+class RewriteRule(_RewriteRule):
+    __slots__ = ()
+
+    def __new__(cls, lhs: RTerm, rhs: RTerm):
+        if is_pvar(lhs):
             raise ValueError("rule left-hand side must not be a bare pattern variable")
-        extra = term_vars(self.rhs) - term_vars(self.lhs)
+        extra = term_vars(rhs) - term_vars(lhs)
         if extra:
             raise ValueError(f"right-hand side introduces variables {sorted(extra)}")
+        return super().__new__(cls, lhs, rhs)
 
     def __str__(self) -> str:
         return f"{term_to_str(self.lhs)} --> {term_to_str(self.rhs)}"

@@ -7,12 +7,16 @@ of values per variable, where the library evaluates packed lanes, every atom
 where it reasons about antichains, an interpretive matcher where it compiles
 one, structural rules where it normalizes, and a parser that lexes with one
 regular expression and builds every node where the library's splits words
-and shares leaves.
+and shares leaves.  The serializations of a fuzz report are checked against
+`dataclasses.asdict` of frozen dataclasses of the same fields, which is how
+the report records were once defined and serialized.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
+from dataclasses import asdict, dataclass
 from itertools import islice, product
 from typing import Iterator, Optional
 
@@ -27,6 +31,40 @@ from levelcanon.parser import (
 from levelcanon.printer import print_atom
 from levelcanon.rewrite.terms import PVAR_HEAD, RewriteRule, RTerm, fold_term
 from levelcanon.sublevels import SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
+
+
+# --- the fuzz report's serialization -------------------------------------
+
+@dataclass(frozen=True)
+class _FailureFields:
+    level: str
+    other: Optional[str]
+    phase: str
+    witness: Optional[dict[str, int]]
+
+
+@dataclass(frozen=True)
+class _ReportFields:
+    cases_run: int
+    failures: tuple[_FailureFields, ...]
+    step_stats: dict[str, int]
+
+
+def _failure_fields(failure: Failure) -> _FailureFields:
+    return _FailureFields(failure.level, failure.other, failure.phase, failure.witness)
+
+
+def failure_json(failure: Failure) -> dict:
+    """`Failure.to_json`'s reference: `asdict` of the failure's fields."""
+    return asdict(_failure_fields(failure))
+
+
+def report_json(report: DiffReport) -> str:
+    """`DiffReport.to_json`'s reference: compact JSON of `asdict` of the
+    report's fields, its failures included."""
+    fields = _ReportFields(report.cases_run, tuple(map(_failure_fields, report.failures)),
+                           report.step_stats)
+    return json.dumps(asdict(fields), separators=(",", ":"))
 
 
 # --- levels and their grids ----------------------------------------------

@@ -111,10 +111,12 @@ def test_level_walkers_do_not_recurse():
 
 
 # what each command may not add to a bare interpreter's modules: only
-# `normalize --json` prints JSON, only `rewrite` and `export` run the rewrite
-# engine (which loads `dataclasses` and, through it, `inspect`), only `export`
-# loads `levelcanon.export`, and only `fuzz` runs the differential harness
+# `normalize --json` prints JSON; only `rewrite` and `export` load the
+# rewrite package, and only a reduction (`rewrite`) its engine, which loads
+# `dataclasses` and, through it, `inspect`; only `export` loads
+# `levelcanon.export`, and only `fuzz` runs the differential harness
 _ENGINE = ("levelcanon.rewrite", "levelcanon.export", "dataclasses", "inspect")
+_REDUCTION = ("levelcanon.rewrite.engine", "dataclasses", "inspect")
 _COMMANDS = [
     (["normalize", "max(imax(x,y),imax(y,x))"], ("json", *_ENGINE)),
     (["normalize", "s(0)", "--json"], _ENGINE),
@@ -123,6 +125,8 @@ _COMMANDS = [
     (["subst", "max(imax(x,y), z)", "x=0", "z=2"], ("json", *_ENGINE)),
     (["eval", "imax(s(y), s(x))", "--val", "x=0,y=1"], ("json", *_ENGINE)),
     (["rewrite", "imax(x,x)"], ("levelcanon.export",)),
+    (["export"], _REDUCTION),
+    (["export", "imax(x,x)"], _REDUCTION),
 ]
 
 
@@ -146,6 +150,43 @@ def test_cli_import_leaves_the_harness_unloaded():
         assert "levelcanon.cli" in added
         assert [name for name in sorted(added) if name == "levelcanon.harness" or any(
             name == u or name.startswith(u + ".") for u in unloaded)] == [], argv
+
+
+def _workload_modules() -> dict[str, tuple[str, ...]]:
+    """The `modules` tuple of each workload class in perfbench/workloads.py:
+    what the benchmark imports, before it builds the rules, to time set-up."""
+    path = SRC.parents[1] / "perfbench" / "workloads.py"
+    return {node.name: ast.literal_eval(stmt.value)
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
+            for stmt in node.body if isinstance(stmt, ast.Assign)
+            and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["modules"]}
+
+
+def test_setup_builds_the_rules_without_the_engine():
+    # every workload's set-up as perfbench/run.py's child runs it: building
+    # the rule set loads neither the engine nor its compiler, and nothing
+    # before a reduction loads `dataclasses`, `inspect` or `json`
+    workloads = _workload_modules()
+    assert "Decide" in workloads and "Fuzz" in workloads and "Cli" in workloads
+    unloaded = ("levelcanon.rewrite.engine", "levelcanon.rewrite.codegen", "dataclasses",
+                "inspect", "json")
+    for name, modules in workloads.items():
+        loaded = _loaded_modules("import importlib; [importlib.import_module(m) for m in "
+                                 "sys.argv[1:]]; from levelcanon.rewrite.rules import "
+                                 "default_rules; default_rules()", list(modules))
+        assert "levelcanon.rewrite.rules" in loaded
+        assert [m for m in unloaded if m in loaded] == [], name
+
+
+def test_only_the_engine_imports_dataclasses():
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["rewrite/engine.py"]
 
 
 def test_public_names_are_pinned():

@@ -24,6 +24,7 @@ from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
 from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, up, wrong_merges
 from test_harness import skewed_eval_cases
 from test_parser_reference import first_difference
+from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
 
 from levelcanon import Max, ZERO, levels
@@ -263,6 +264,29 @@ def succ_memo_keyed_without_n():
     return lambda r, n: table.setdefault(r, succ_repr(r, n))
 
 
+def to_json_returning_its_own_witness(self):
+    """`harness.Failure.to_json` giving the failure's fields as they are, so
+    the dict it returns holds the failure's own witness."""
+    return self._asdict()
+
+
+def report_sharing_its_default_stats():
+    """`harness.DiffReport.__new__` whose default `step_stats` is one dict,
+    made once, that every report built without stats holds."""
+    shared = {}
+
+    def new(cls, cases_run, failures, step_stats=shared):
+        return tuple.__new__(cls, (cases_run, failures, step_stats))
+    return staticmethod(new)
+
+
+def config_without_the_size_check(cls, seed=0, max_size=50, num_vars=3):
+    """`harness.GenConfig.__new__` that checks `num_vars` but not `max_size`."""
+    if num_vars < 0:
+        raise ValueError("num_vars must be a natural")
+    return tuple.__new__(cls, (seed, max_size, num_vars))
+
+
 class Mutant(NamedTuple):
     name: str
     target: str  # the binding the mutant replaces
@@ -353,6 +377,13 @@ KILLED = [
     Mutant("numeral table off by one", "levelcanon.parser._NUMERALS", numerals_off_by_one,
            first_difference,
            (" 2\t", ("Succ(child=Succ(child=Zero()))", []), ("Succ(child=Zero())", []))),
+    Mutant("Failure.to_json returning its own witness", "levelcanon.harness.Failure.to_json",
+           lambda: to_json_returning_its_own_witness, witness_copy_check, {"x0": 2}),
+    Mutant("DiffReport sharing one default step_stats", "levelcanon.harness.DiffReport.__new__",
+           report_sharing_its_default_stats, default_stats_check, {"total": 5}),
+    Mutant("GenConfig accepting max_size 0", "levelcanon.harness.GenConfig.__new__",
+           lambda: staticmethod(config_without_the_size_check), validation_check,
+           ("GenConfig(max_size=0)", "GenConfig(seed=0, max_size=0, num_vars=3)")),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),
