@@ -146,6 +146,14 @@ def imax_nat(i: int, j: int) -> int:
     return 0 if j == 0 else max(i, j)
 
 
+class _Scalar:
+    """`_Lanes`'s operations on one plain natural, the value at one
+    valuation, a mask being -1 (every bit set) or 0: the class itself is the
+    evaluators' default lanes."""
+    succ, max_, imax = staticmethod(add), staticmethod(max), staticmethod(imax_nat)
+    nonzero = staticmethod(lambda a: -1 if a else 0)
+
+
 def fold_level(t: Level, zero: T, var: Callable[[VarId], T], succ: Callable[[T, int], T],
                max_: Callable[[T, T], T], imax: Callable[[T, T], T]) -> T:
     """The value of `t` computed bottom-up: `zero` for 0, `var(vid)` for a
@@ -195,19 +203,17 @@ def fold_level(t: Level, zero: T, var: Callable[[VarId], T], succ: Callable[[T, 
     return values[0]
 
 
-def eval_level(t: Level, sigma: Valuation, lanes: Optional[_Lanes] = None) -> int:
+def eval_level(t: Level, sigma: Valuation, lanes: _Lanes | type[_Scalar] = _Scalar) -> int:
     """Value of `t` under `sigma`.  Raises UnboundVariableError.
 
     With `lanes`, `sigma` maps each variable to its values at some points,
     packed one a lane, and the result is `t`'s values there, packed: one
-    fold for all of them.
+    fold for all of them.  Without, the one point's values are plain.
     """
     def var(vid: VarId):
         if vid not in sigma:
             raise UnboundVariableError(vid)
         return sigma[vid]
-    if lanes is None:
-        return fold_level(t, 0, var, add, max, imax_nat)
     return fold_level(t, 0, var, lanes.succ, lanes.max_, lanes.imax)
 
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .levels import Level, Valuation, VarId, _Lanes, fold_level
+from .levels import Level, Valuation, VarId, _Lanes, _Scalar, fold_level
 from .sublevels import (
     SubA, SubB, SubLevel, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, subst_sub, succ_sub,
 )
@@ -203,11 +203,11 @@ def subst_repr(r: Repr, y: VarId, n: int) -> Repr:
     return _merge((), (u for u in images if u is not None))
 
 
-def eval_repr(r: Repr, sigma: Valuation, lanes: Optional[_Lanes] = None) -> int:
+def eval_repr(r: Repr, sigma: Valuation, lanes: _Lanes | type[_Scalar] = _Scalar) -> int:
     """Max of the atom values; 0 for the empty representation.  Raises
     UnboundVariableError.  With `lanes`, the values packed in them, as for
     `eval_level`: one pass over the atoms for all of them."""
-    join = max if lanes is None else lanes.max_
+    join = lanes.max_
     best = 0
     for u in r:
         best = join(best, eval_sub(u, sigma, lanes))

@@ -18,7 +18,7 @@ from .terms import RTerm, app
 # the engine loads on the first reduction, not with the codec; the reductions
 # call `reduce` through `_codec`, this module, so a binding patched on it is
 # the one that runs
-_codec = _late_names(globals(), {"reduce": ".engine", "ReductionReport": ".engine"})
+_codec = _late_names(globals(), {"reduce": ".engine"})
 
 _ZERO_N = app("zeroN")
 _ZERO_L = app("zeroL")

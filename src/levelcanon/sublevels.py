@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Optional
 
-from .levels import Valuation, VarId, UnboundVariableError, _Lanes
+from .levels import Valuation, VarId, UnboundVariableError, _Lanes, _Scalar
 
 VarSet = tuple[VarId, ...]  # strictly increasing ids
 
@@ -108,23 +107,17 @@ def _sub_b(varset: VarSet, shift: int, guard: frozenset) -> SubB:
     return _new(SubB, (1, varset, shift, guard))
 
 
-def eval_sub(u: SubLevel, sigma: Valuation, lanes: Optional[_Lanes] = None) -> int:
+def eval_sub(u: SubLevel, sigma: Valuation, lanes: _Lanes | type[_Scalar] = _Scalar) -> int:
     """Value of `u` under `sigma`, or with `lanes` its values packed in them,
-    as for `eval_level`.  Raises UnboundVariableError."""
+    as for `eval_level`: masked by where each guard variable is not 0.
+    Raises UnboundVariableError."""
     # an A-atom's variable is in its set, so the set's check binds it
-    if lanes is not None:
-        mask = -1
-        for y in u[1]:
-            if y not in sigma:
-                raise UnboundVariableError(y)
-            mask &= lanes.nonzero(sigma[y])
-        return mask & lanes.succ(0 if u[0] else sigma[u[2]], u[-2])
+    mask = -1
     for y in u[1]:
         if y not in sigma:
             raise UnboundVariableError(y)
-        if sigma[y] == 0:
-            return 0
-    return u[2] if u[0] else sigma[u[2]] + u[3]
+        mask &= lanes.nonzero(sigma[y])
+    return mask & lanes.succ(0 if u[0] else sigma[u[2]], u[-2])
 
 
 def leq_sub(u: SubLevel, v: SubLevel) -> bool:

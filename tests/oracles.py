@@ -307,6 +307,27 @@ def structural_geq(u: Level, v: Level) -> bool:
     return (base_u == base_v or type(base_v) is Zero) and k >= j
 
 
+def prenormalize(t: Level) -> Level:
+    """`t` as Lean 4's `Level.normalize` first rewrites it, with no atoms:
+    successors pushed through `max`, since s(max(a, b)) = max(s(a), s(b));
+    nested `max` flattened, and its arguments deduplicated and sorted by
+    their text, since max is associative, commutative and idempotent.  The
+    arguments are rebuilt as a chain nested to the right; the sides of an
+    `imax` are prenormalized in place."""
+    args = fold_level(t, [ZERO], lambda vid: [Var(vid)], lambda a, n: [up(u, n) for u in a],
+                      lambda a, b: sorted(set(a + b), key=repr),
+                      lambda a, b: [IMax(_max_chain(a), _max_chain(b))])
+    return _max_chain(args)
+
+
+def _max_chain(args: list[Level]) -> Level:
+    """The max of `args`, nested to the right."""
+    t = args[-1]
+    for u in reversed(args[:-1]):
+        t = Max(u, t)
+    return t
+
+
 # --- the parser ----------------------------------------------------------
 # `parse_level` as it read before it shared leaves: `_LEXEME_RE` lexes the
 # whole text, and every variable and numeral is a new node

@@ -48,6 +48,27 @@ def test_eval_unbound_variable_names_the_id():
     with pytest.raises(UnboundVariableError) as err:
         eval_repr(normalize(Max(x, y)), {0: 1})
     assert err.value.vid == 1
+    assert unbound_check() is None
+
+
+def unbound_check():
+    """Each evaluator on a level, representation or atom whose variable 3 is
+    unbound, under {x0: 0}, where x0 guards each atom before x3 does: the
+    first call that does not raise UnboundVariableError naming 3, and what
+    it gave instead."""
+    calls = {
+        "eval_level(imax(x3, x0))": lambda: eval_level(IMax(Var(3), x), {0: 0}),
+        "eval_repr(normalize(imax(x3, x0)))": lambda: eval_repr(normalize(IMax(Var(3), x)),
+                                                                {0: 0}),
+        "eval_sub(B{x0,x3}+1)": lambda: eval_sub(SubB((0, 3), 1), {0: 0}),
+    }
+    for name, call in calls.items():
+        try:
+            return name, call()
+        except UnboundVariableError as err:
+            if err.vid != 3:
+                return name, f"unbound {err.vid}"
+    return None
 
 
 def _unpacked(packed: int, lanes: _Lanes) -> list[int]:

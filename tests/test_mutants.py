@@ -23,11 +23,12 @@ import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
 from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, up, wrong_merges
 from test_harness import skewed_eval_cases
+from test_levels import unbound_check
 from test_parser_reference import first_difference
 from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
 
-from levelcanon import Max, ZERO, levels
+from levelcanon import Max, UnboundVariableError, ZERO, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
 from levelcanon.normalize import Repr, _merge, succ_repr
 from levelcanon.parser import _NUMERALS, _error_at, _numeral
@@ -179,6 +180,17 @@ def eval_sub_skipping_the_last_guard(u, sigma, lanes=None):
     return mask & lanes.succ(0 if u[0] else sigma[u[2]], u[-2])
 
 
+def eval_sub_stopping_at_the_first_zero_guard(u, sigma, lanes=None):
+    """`sublevels.eval_sub` as its plain-valuation form once read: 0 at the
+    first guard variable that is 0, before the later ones are checked."""
+    for y in u[1]:
+        if y not in sigma:
+            raise UnboundVariableError(y)
+        if sigma[y] == 0:
+            return 0
+    return u[2] if u[0] else sigma[u[2]] + u[3]
+
+
 def first_reading_the_highest_lane(lanes, mask):
     """`levels._Lanes.first` giving the highest lane with a bit set."""
     return (mask.bit_length() - 1) // lanes.width
@@ -323,6 +335,9 @@ KILLED = [
            lambda: eval_sub_skipping_the_last_guard, fuzz_check,
            (25, {"level": "imax(max(x2, s(x2)), max(x2, imax(x0, x1)))", "other": None,
                  "phase": "eval", "witness": {"x0": 0, "x1": 0, "x2": 0}})),
+    Mutant("atom 0 at its first zero guard", "levelcanon.normalize.eval_sub",
+           lambda: eval_sub_stopping_at_the_first_zero_guard, unbound_check,
+           ("eval_repr(normalize(imax(x3, x0)))", 0)),
     # bound 1, no variables: the grid takes the pair's constant depth as 0,
     # and lanes for the values 0..1 serve a value of 6
     Mutant("level_facts keeping the left depth", "levelcanon.levels.level_facts",
