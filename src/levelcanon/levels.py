@@ -154,50 +154,49 @@ class _Scalar:
     nonzero = staticmethod(lambda a: -1 if a else 0)
 
 
+_RUN, _SIDES = object(), object()  # `fold_level`'s step markers
+
+
 def fold_level(t: Level, zero: T, var: Callable[[VarId], T], succ: Callable[[T, int], T],
                max_: Callable[[T, T], T], imax: Callable[[T, T], T]) -> T:
     """The value of `t` computed bottom-up: `zero` for 0, `var(vid)` for a
     variable, `succ(value, n)` for a run of n successors over a value, and
     `max_`/`imax` over the values of the two sides.
 
-    Every walk over a level is this one.  It keeps its own stack, so a level
-    of any depth folds without recursion, and it calls back in post-order,
+    Every walk over a level is this one, one pass on its own stack, so a
+    level of any depth folds without recursion; it calls back in post-order,
     left side before right.  A node that is not a level raises TypeError.
     """
-    # preorder with the right side first, each successor run entered once;
-    # reversed, that is the post-order, and runs.pop() yields the run lengths
-    order = []
-    runs = []
+    # the stack holds levels to fold and, under a private marker, the steps
+    # that combine their values: _RUN over a run's length, _SIDES over Max or
+    # IMax; no level holds a marker, so no node of one is read as a step
+    values = []
     todo = [t]
     while todo:
         node = todo.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is Succ:
-            n = 0
-            while type(node) is Succ:
-                n += 1
-                node = node.child
-            runs.append(n)
-            todo.append(node)
-        elif kind is Max or kind is IMax:
-            todo.append(node.left)
-            todo.append(node.right)
-    values = []
-    for node in reversed(order):
         kind = type(node)
         if kind is Var:
             values.append(var(node.vid))
         elif kind is Zero:
             values.append(zero)
         elif kind is Succ:
-            values[-1] = succ(values[-1], runs.pop())
-        elif kind is Max:
+            n = 0
+            while type(node) is Succ:
+                n += 1
+                node = node.child
+            todo.append(n)
+            todo.append(_RUN)
+            todo.append(node)
+        elif kind is Max or kind is IMax:
+            todo.append(kind)
+            todo.append(_SIDES)
+            todo.append(node.right)
+            todo.append(node.left)
+        elif node is _RUN:
+            values[-1] = succ(values[-1], todo.pop())
+        elif node is _SIDES:
             right = values.pop()
-            values[-1] = max_(values[-1], right)
-        elif kind is IMax:
-            right = values.pop()
-            values[-1] = imax(values[-1], right)
+            values[-1] = (max_ if todo.pop() is Max else imax)(values[-1], right)
         else:
             raise TypeError(f"not a level: {node!r}")
     return values[0]

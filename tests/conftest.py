@@ -1,18 +1,31 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from oracles import column_level, grid, up
 
+import levelcanon
 import levelcanon.normalize as nz
 from levelcanon import IMax, Max, Succ, Var, ZERO, find_counterexample_leq, level_vars
 from levelcanon.harness import GenConfig, gen_level
 
 
 NORMALIZE_MEMOS = (nz._var_memo, nz._succ_memo, nz._max_memo, nz._imax_memo)
+
+
+def run_in_child(script: str) -> subprocess.CompletedProcess:
+    """`script` run by a fresh interpreter that imports this levelcanon."""
+    env = dict(os.environ)
+    src = str(Path(levelcanon.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def process_caches() -> list:

@@ -11,6 +11,7 @@ without the functions under test.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,23 +136,30 @@ WALKS = {
 }
 
 
-BAD_NODES = [Max(x, "x"), IMax(Succ("x"), x), Succ(Succ("x"))]
-BAD_NODE_IDS = ["max-side", "imax-side-under-succ", "succ-run"]
+# (level holding a foreign node, that node); an int and a level class are
+# the kinds of thing a fold's own stack may hold beside the levels
+BAD_NODES = [(Max(x, "x"), "x"), (IMax(Succ("x"), x), "x"), (Succ(Succ("x")), "x"),
+             (Max(x, 3), 3), (Succ(Max), Max)]
+BAD_NODE_IDS = ["max-side", "imax-side-under-succ", "succ-run", "int-side", "class-child"]
+
+
+def _refused(node):
+    return pytest.raises(TypeError, match=f"^{re.escape(f'not a level: {node!r}')}$")
 
 
 @pytest.mark.parametrize("walk", WALKS)
-@pytest.mark.parametrize("bad", [*BAD_NODES, "x"], ids=[*BAD_NODE_IDS, "root"])
-def test_every_walk_rejects_a_node_that_is_not_a_level(walk, bad):
-    with pytest.raises(TypeError, match=r"^not a level: 'x'$"):
+@pytest.mark.parametrize("bad, node", [*BAD_NODES, ("x", "x")], ids=[*BAD_NODE_IDS, "root"])
+def test_every_walk_rejects_a_node_that_is_not_a_level(walk, bad, node):
+    with _refused(node):
         WALKS[walk](bad)
 
 
 @pytest.mark.parametrize("op", ["hash", "=="])
-@pytest.mark.parametrize("bad", BAD_NODES, ids=BAD_NODE_IDS)
-def test_hash_and_equality_reject_a_node_that_is_not_a_level(op, bad):
+@pytest.mark.parametrize("bad, node", BAD_NODES, ids=BAD_NODE_IDS)
+def test_hash_and_equality_reject_a_node_that_is_not_a_level(op, bad, node):
     # the twin is a distinct node over the same fields, so == must walk both
     twin = type(bad)(*(getattr(bad, f) for f in bad.__match_args__))
-    with pytest.raises(TypeError, match=r"^not a level: 'x'$"):
+    with _refused(node):
         hash(bad) if op == "hash" else bad == twin
 
 

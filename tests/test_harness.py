@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import run_in_child
 from oracles import enumerate_sublevels, exhaustive_sublevel_suite
 
 from levelcanon import (
@@ -77,6 +78,31 @@ def test_differential_case_takes_a_level_past_the_recursion_limit():
     for i in range(1200):
         t = Max((x, y, z)[i % 3], t)
     assert differential_case(t) is None
+
+
+# run in a child interpreter at the default recursion limit, which a
+# reduction restores before its result is compared
+_DEEP_SOUNDNESS = """
+import sys
+from levelcanon import Succ, Var
+from levelcanon.harness import differential_case
+from levelcanon.rewrite.codec import soundness_report
+assert sys.getrecursionlimit() == 1000
+for depth, steps in ((1000, 574_457), (1200, 809_357)):
+    t = Var(0)
+    for _ in range(depth):
+        t = Succ(t)
+    ok, report, _ = soundness_report(t)
+    assert ok and report.steps == steps, (depth, ok, report.steps)
+    assert differential_case(t) is None, depth
+"""
+
+
+def test_soundness_report_takes_a_result_past_the_recursion_limit():
+    # the normal form of s^1000(x) is a numeral 1000 deep, too deep for the
+    # recursive `==` of nested tuples
+    proc = run_in_child(_DEEP_SOUNDNESS)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_failures_name_the_levels_and_the_witness(monkeypatch):

@@ -76,9 +76,15 @@ def test_submodules_are_the_package_attributes_of_their_names():
     assert shadowed == []
 
 
-# the modules that walk levels (each walk a `fold_level` call) or terms, and the parser
-LEVEL_WALKERS = ("levels.py", "normalize.py", "parser.py", "printer.py", "rewrite/codec.py",
-                 "rewrite/terms.py")
+# the only recursions in the library, each bounded by something other than
+# the depth of a level or term it is given
+BOUNDED_RECURSIONS = {
+    # on the generator's size budget: at most 47 deep at max_size 10**5, over
+    # 300 levels at each of the seeds 0, 1 and 2
+    "harness.py": {"_gen"},
+    # on a rule's left side, at most 3 deep in both rule sets
+    "rewrite/codegen.py": {"_compile_pattern"},
+}
 
 
 def _calls_itself(call: ast.AST, name: str) -> bool:
@@ -103,11 +109,10 @@ def _self_calls(tree: ast.Module) -> list[str]:
 
 def test_level_walkers_do_not_recurse():
     recursive = {}
-    for name in LEVEL_WALKERS:
-        path = SRC / name
+    for path in sorted(SRC.rglob("*.py")):
         for call in _self_calls(ast.parse(path.read_text(), str(path))):
-            recursive.setdefault(name, set()).add(call.split()[0])
-    assert recursive == {}
+            recursive.setdefault(path.relative_to(SRC).as_posix(), set()).add(call.split()[0])
+    assert recursive == BOUNDED_RECURSIONS
 
 
 # what each command may not add to a bare interpreter's modules: only

@@ -22,13 +22,14 @@ from typing import Callable, NamedTuple
 import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
 from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, up, wrong_merges
+from test_fold import BAD_NODE_IDS, BAD_NODES
 from test_harness import skewed_eval_cases
 from test_levels import unbound_check
 from test_parser_reference import first_difference
 from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
 
-from levelcanon import Max, UnboundVariableError, ZERO, levels
+from levelcanon import IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
 from levelcanon.normalize import Repr, _merge, succ_repr
 from levelcanon.parser import _NUMERALS, _error_at, _numeral
@@ -102,7 +103,106 @@ def rule_model_check():
     return None
 
 
+def foreign_node_check():
+    """The walks that reach `fold_level` through `levels`'s own binding
+    (`eval_level`, `level_facts`, hash and ==) on each level of
+    `test_fold.BAD_NODES`: the first that does not raise "not a level"
+    naming the foreign node, as (walk, level id, what it did instead)."""
+    walks = {
+        "eval_level": lambda t: levels.eval_level(t, {0: 1}),
+        "level_facts": levels.level_facts,
+        "hash": hash,
+        "==": lambda t: t == type(t)(*(getattr(t, f) for f in t.__match_args__)),
+    }
+    for (bad, node), name in zip(BAD_NODES, BAD_NODE_IDS):
+        for walk, run in walks.items():
+            try:
+                got = run(bad)
+            except TypeError as err:
+                if str(err) == f"not a level: {node!r}":
+                    continue
+                got = err
+            except Exception as err:
+                got = err
+            return walk, name, repr(got)
+    return None
+
+
+# s(s(max(imax(x, s(0)), s(s(s(y)))))) and its callbacks in post-order, left
+# side before right, each successor run whole
+POST_ORDER = (Succ(Succ(Max(IMax(Var(0), Succ(ZERO)), Succ(Succ(Succ(Var(1))))))),
+              [("var", 0), ("succ", 1), ("imax",), ("var", 1), ("succ", 3), ("max",),
+               ("succ", 2)])
+
+
+def post_order_check():
+    """`levels.fold_level`'s callbacks on `POST_ORDER`'s level: the calls it
+    made, when they are not the post-order."""
+    calls = []
+    levels.fold_level(POST_ORDER[0], None, lambda vid: calls.append(("var", vid)),
+                      lambda a, n: calls.append(("succ", n)), lambda a, b: calls.append(("max",)),
+                      lambda a, b: calls.append(("imax",)))
+    return None if calls == POST_ORDER[1] else calls
+
+
 # --- mutants -------------------------------------------------------------
+
+def fold_level_with_bare_markers(t, zero, var, succ, max_, imax):
+    """`levels.fold_level` whose steps are marked by what they apply: a
+    successor run by its length, a plain int, and two sides by the bare
+    class Max or IMax."""
+    values, todo = [], [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            values.append(var(node.vid))
+        elif kind is Zero:
+            values.append(zero)
+        elif kind is Succ:
+            n = 0
+            while type(node) is Succ:
+                n, node = n + 1, node.child
+            todo += (n, node)
+        elif kind is Max or kind is IMax:
+            todo += (kind, node.right, node.left)
+        elif kind is int:
+            values[-1] = succ(values[-1], node)
+        elif node is Max or node is IMax:
+            right = values.pop()
+            values[-1] = (max_ if node is Max else imax)(values[-1], right)
+        else:
+            raise TypeError(f"not a level: {node!r}")
+    return values[0]
+
+
+def fold_level_right_side_first(t, zero, var, succ, max_, imax):
+    """`levels.fold_level` pushing the left side before the right, so that
+    the right side folds first; each value still lands on its own side."""
+    values, todo = [], [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            values.append(var(node.vid))
+        elif kind is Zero:
+            values.append(zero)
+        elif kind is Succ:
+            n = 0
+            while type(node) is Succ:
+                n, node = n + 1, node.child
+            todo += (n, levels._RUN, node)
+        elif kind is Max or kind is IMax:
+            todo += (kind, levels._SIDES, node.left, node.right)
+        elif node is levels._RUN:
+            values[-1] = succ(values[-1], todo.pop())
+        elif node is levels._SIDES:
+            left = values.pop()
+            values[-1] = (max_ if todo.pop() is Max else imax)(left, values[-1])
+        else:
+            raise TypeError(f"not a level: {node!r}")
+    return values[0]
+
 
 def leq_sub_b_under_a_without_plus_one(u, v):
     if u[0] and not v[0]:
@@ -343,6 +443,15 @@ KILLED = [
     Mutant("level_facts keeping the left depth", "levelcanon.levels.level_facts",
            lambda: facts_keeping_the_left_depth, oracle_check,
            (1, 0, ZERO, up(Max(ZERO, ZERO), 6), {}, None)),
+    # eval_level reads the 3 of max(x, 3) as a run of 3 successors over x,
+    # then finds no left side for the max
+    Mutant("fold_level with bare int and class markers", "levelcanon.levels.fold_level",
+           lambda: fold_level_with_bare_markers, foreign_node_check,
+           ("eval_level", "int-side", "IndexError('list index out of range')")),
+    Mutant("fold_level folding the right side first", "levelcanon.levels.fold_level",
+           lambda: fold_level_right_side_first, post_order_check,
+           [("var", 1), ("succ", 3), ("succ", 1), ("var", 0), ("imax",), ("max",),
+            ("succ", 2)]),
     Mutant("_Lanes without its guard bit", "levelcanon.levels._Lanes.__init__",
            lambda: lanes_without_the_guard_bit, fuzz_check,
            (158, {"level": "max(imax(max(x2, x1), x1), x0)", "other": None, "phase": "eval",

@@ -2,23 +2,19 @@ from __future__ import annotations
 
 import ast
 import gc
-import os
 import pickle
 import random
 import re
-import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import level_strategy
+from conftest import level_strategy, run_in_child
 from oracles import is_left_linear, match, match_args, subst_template
-import levelcanon
 from levelcanon import IMax, Max, Repr, ReprInvariantError, SubA, SubB, Succ, Var, ZERO, subst_repr
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
@@ -951,17 +947,8 @@ assert sys.getrecursionlimit() == fresh, sys.getrecursionlimit()
 """
 
 
-def _run_in_child(script: str) -> subprocess.CompletedProcess:
-    """`script` run by a fresh interpreter that imports this levelcanon."""
-    env = dict(os.environ)
-    src = str(Path(levelcanon.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-
-
 def test_positional_strategies_leave_the_recursion_limit_alone():
-    proc = _run_in_child(_POSITIONAL_RUNS)
+    proc = run_in_child(_POSITIONAL_RUNS)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -976,7 +963,7 @@ assert sys.getrecursionlimit() == before, (before, sys.getrecursionlimit())
 
 # a library call should leave interpreter-wide state as it found it
 def test_innermost_reduction_leaves_the_recursion_limit_alone():
-    proc = _run_in_child(_INNERMOST_RUN)
+    proc = run_in_child(_INNERMOST_RUN)
     assert proc.returncode == 0, proc.stderr
 
 
