@@ -13,10 +13,10 @@ import zlib
 from typing import NamedTuple, Optional
 
 from .levels import (
-    IMax, Level, Max, Succ, Var, ZERO, _Lanes, const_depth, eval_level, find_counterexample_leq,
+    Grid, IMax, Level, Max, Succ, Var, ZERO, _Lanes, eval_level, find_counterexample_leq,
     grid_bound, level_facts,
 )
-from .normalize import eval_repr, leq_repr, normalize
+from .normalize import eq_repr, eval_repr, leq_repr, normalize
 from .parser import NameTable
 from .printer import level_repr, print_level
 from .rewrite.codec import soundness_report
@@ -173,10 +173,13 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
         phase = "budget" if report.budget_exhausted else "rewrite"
         return _failure(pool, phase, t), report.steps
 
-    # (c) comparison decision against grid search, both directions
+    # (c) comparison decision against grid search, both directions, on one
+    # grid of the pair that folds each level once for both
     t2 = _pair_for(size, digest, pool)
     r2 = normalize(t2)
-    grid = grid_bound(depth, const_depth(t2))
+    found2, _, depth2 = level_facts(t2)
+    grid = Grid(t, t2, grid_bound(depth, depth2), tuple(sorted(found | found2)), max(depth, depth2))
+    apart = None  # the first witness, of either direction, that t and t2 differ
     for lhs, rhs, n_lhs, n_rhs in ((t, t2, r, r2), (t2, t, r2, r)):
         claimed = leq_repr(n_lhs, n_rhs)
         witness = find_counterexample_leq(lhs, rhs, grid)
@@ -185,6 +188,10 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
         # witness construction
         if claimed == (witness is not None):
             return _failure(pool, "compare", lhs, rhs, witness), report.steps
+        apart = witness if apart is None else apart
+    # so the representations are equal exactly when neither direction has a witness
+    if eq_repr(r, r2) == (apart is not None):
+        return _failure(pool, "compare", t, t2, apart), report.steps
     return None, report.steps
 
 

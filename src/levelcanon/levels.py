@@ -8,7 +8,7 @@ mapping between source names and ids.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from operator import add
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
@@ -346,39 +346,65 @@ def _layout(side: int, top: int, count: int) -> tuple[_Lanes, tuple[int, ...]]:
     return block, tuple(columns)
 
 
-def find_counterexample_leq(t1: Level, t2: Level, bound: int) -> Optional[dict[VarId, int]]:
+class Grid:
+    """The {0..bound} grid of the levels t1 and t2 over the ascending ids
+    `vids`, `depth` the larger constant depth of the two: one grid answers
+    `find_counterexample_leq` in either direction.  Raises ValueError on a
+    negative bound.
+
+    A block of at most GRID_LANES points is one int per variable, a lane
+    (`_Lanes`) per point.  It fixes the leading variables and runs the
+    trailing ones, which keeps the grid's order.  Variables lie in
+    {0..bound}, max and imax pick a side's value, and successors add at most
+    `depth`, so every value is at most bound + depth, the lanes' top.  Each
+    level folds once per block that some query reaches, the blocks in order.
+    The last GRID_LAYOUTS block layouts are kept (`_layout`)."""
+
+    __slots__ = ("pair", "vids", "side", "lanes", "_leading", "_columns", "_heads", "_blocks")
+
+    def __init__(self, t1: Level, t2: Level, bound: int, vids: tuple[VarId, ...], depth: int):
+        if bound < 0:
+            raise ValueError(f"grid bound {bound} is negative")
+        self.pair, self.vids, self.side = (t1, t2), vids, bound + 1
+        self.lanes, ramps = _layout(self.side, bound + depth, len(vids))
+        cut = len(vids) - len(ramps)
+        self._leading, self._columns = vids[:cut], dict(zip(reversed(vids[cut:]), ramps))
+        self._heads = product(range(self.side), repeat=cut)
+        self._blocks: list[list[int]] = []  # both levels' values on each block reached
+
+    def leq_witness(self, t1: Level, t2: Level) -> Optional[dict[VarId, int]]:
+        """`find_counterexample_leq(t1, t2, self)`: t1 and t2 must be the
+        grid's two levels (`is`), in either order, or ValueError is raised."""
+        lhs = int(t1 is not self.pair[0])
+        if t1 is not self.pair[lhs] or t2 is not self.pair[1 - lhs]:
+            raise ValueError("a grid answers only for its own two levels")
+        lanes, side, blocks = self.lanes, self.side, self._blocks
+        for block in count():
+            if block == len(blocks):
+                head = next(self._heads, None)
+                if head is None:
+                    return None
+                self._columns.update(zip(self._leading, (value * lanes.ones for value in head)))
+                blocks.append([eval_level(t, self._columns, lanes) for t in self.pair])
+            above = lanes.at_least(blocks[block][lhs], lanes.succ(blocks[block][1 - lhs], 1))
+            if above:
+                index = block * lanes.count + lanes.first(above)
+                places = reversed(range(len(self.vids)))
+                return dict(zip(self.vids, (index // side ** k % side for k in places)))
+
+
+def find_counterexample_leq(t1: Level, t2: Level, bound: int | Grid) -> Optional[dict[VarId, int]]:
     """Search the {0..bound} grid for a valuation with value(t1) > value(t2).
 
     A returned valuation is always a genuine counterexample to t1 <= t2;
     returning None only means the grid holds no witness, not that t1 <= t2.
     The grid's order is lexicographic in ascending variable id, the first
     variable slowest, and the first witness in that order is the one
-    returned.  Raises ValueError on a negative bound.
-
-    A block of at most GRID_LANES points is one int per variable, a lane
-    (`_Lanes`) per point, and each level folds once per block.  A block
-    fixes the leading variables and runs the trailing ones, which keeps that
-    order.  Variables lie in {0..bound}, max and imax pick a side's value,
-    and successors add at most the larger constant depth d of the two
-    levels, so every value is at most bound + d, the lanes' top.  A block's
-    layout depends only on the grid's shape, so the last GRID_LAYOUTS
-    layouts are kept (`_layout`).
+    returned.  Raises ValueError on a negative bound.  `bound` may instead
+    be a `Grid` of t1 and t2, which queries in both directions share; an int
+    builds one over both levels' variables, from one fold of the pair.
     """
-    if bound < 0:
-        raise ValueError(f"grid bound {bound} is negative")
-    side = bound + 1
-    # one fold finds both levels' variables and the larger constant depth
-    found, _, depth = level_facts(Max(t1, t2))
-    vids = tuple(sorted(found))
-    lanes, ramps = _layout(side, bound + depth, len(vids))
-    leading, trailing = vids[:len(vids) - len(ramps)], vids[len(vids) - len(ramps):]
-    columns = dict(zip(reversed(trailing), ramps))
-    for block, head in enumerate(product(range(side), repeat=len(leading))):
-        columns.update(zip(leading, (value * lanes.ones for value in head)))
-        lhs, rhs = (eval_level(t, columns, lanes) for t in (t1, t2))
-        above = lanes.at_least(lhs, lanes.succ(rhs, 1))
-        if above:
-            index = block * lanes.count + lanes.first(above)
-            places = reversed(range(len(vids)))
-            return dict(zip(vids, (index // side ** k % side for k in places)))
-    return None
+    if not isinstance(bound, Grid):
+        found, _, depth = level_facts(Max(t1, t2))
+        bound = Grid(t1, t2, bound, tuple(sorted(found)), depth)
+    return bound.leq_witness(t1, t2)

@@ -52,7 +52,7 @@ def test_the_layout_cache_stays_bounded():
     assert levels._layout.cache_info().currsize == GRID_LAYOUTS
 
 
-def test_a_fuzz_case_makes_thirteen_folds(monkeypatch):
+def test_a_fuzz_case_makes_nine_folds(monkeypatch):
     # every binding of `fold_level` in the library, wherever a case reaches it
     fold = levels.fold_level
     calls = 0
@@ -71,10 +71,10 @@ def test_a_fuzz_case_makes_thirteen_folds(monkeypatch):
     for name in bound:
         monkeypatch.setattr(sys.modules[name], "fold_level", counting)
     assert all(differential_case(t) is None for t in cases)
-    # 6 in the two grid searches (a facts fold of the pair, and each level
-    # in the one block), 2 normalize, one facts fold of the case's level, the
-    # partner's constant depth, encode, repr and eval
-    assert calls == 13 * 300
-    # 600 grid searches over 24 distinct (side, top, variable count) shapes
+    # 2 in the grid both searches share (each level in the one block), 2
+    # normalize, the facts folds of the case's level and of its partner,
+    # encode, repr and eval
+    assert calls == 9 * 300
+    # 300 grids, one a case, over 24 distinct (side, top, variable count) shapes
     info = levels._layout.cache_info()
-    assert (info.misses, info.hits) == (24, 576)
+    assert (info.misses, info.hits) == (24, 276)

@@ -28,6 +28,7 @@ from test_levels import unbound_check
 from test_parser_reference import first_difference
 from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
+from test_sublevels import absent_delete_check
 
 from levelcanon import IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
@@ -399,6 +400,27 @@ def config_without_the_size_check(cls, seed=0, max_size=50, num_vars=3):
     return tuple.__new__(cls, (seed, max_size, num_vars))
 
 
+def eq_repr_negated(r1, r2):
+    return r1 != r2
+
+
+def set_delete_reading_past_the_end(elems, x):
+    """`sublevels.set_delete` testing `i <= len(elems)`, so an id above every
+    member reads the slot past the last."""
+    i = bisect_left(elems, x)
+    if i <= len(elems) and elems[i] == x:
+        return elems[:i] + elems[i + 1:]
+    return elems
+
+
+def grid_answering_in_its_own_order():
+    """`levels.Grid.leq_witness` answering every query in the order the
+    grid holds its levels: a reverse query reads the forward one's sides
+    unswapped."""
+    leq_witness = levels.Grid.leq_witness
+    return lambda grid, t1, t2: leq_witness(grid, *grid.pair)
+
+
 class Mutant(NamedTuple):
     name: str
     target: str  # the binding the mutant replaces
@@ -508,6 +530,16 @@ KILLED = [
     Mutant("GenConfig accepting max_size 0", "levelcanon.harness.GenConfig.__new__",
            lambda: staticmethod(config_without_the_size_check), validation_check,
            ("GenConfig(max_size=0)", "GenConfig(seed=0, max_size=0, num_vars=3)")),
+    # every case that reaches the compare phase fails it
+    Mutant("eq_repr negated", "levelcanon.harness.eq_repr", lambda: eq_repr_negated, fuzz_check,
+           (200, {"level": "max(imax(max(x2, x1), x1), x0)", "other": "s(x2)", "phase": "compare",
+                  "witness": {"x0": 0, "x1": 2, "x2": 0}})),
+    Mutant("set_delete testing i <= len(elems)", "levelcanon.sublevels.set_delete",
+           lambda: set_delete_reading_past_the_end, absent_delete_check,
+           ((0,), 5, "IndexError('tuple index out of range')")),
+    Mutant("grid answering in its own order", "levelcanon.levels.Grid.leq_witness",
+           grid_answering_in_its_own_order, fuzz_check,
+           (115, {"level": "imax(0, x2)", "other": "0", "phase": "compare", "witness": None})),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),

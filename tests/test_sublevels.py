@@ -11,6 +11,7 @@ from oracles import enumerate_sublevels, valuations_on
 from levelcanon import (
     Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub, leq_sub, set_delete, succ_sub,
 )
+from levelcanon import sublevels
 from levelcanon.normalize import normalize
 from levelcanon.sublevels import subst_sub
 
@@ -25,6 +26,25 @@ def test_set_delete():
     assert set_delete((0, 1), 0) == (1,)
     assert set_delete((1,), 0) == (1,)
     assert set_delete((0,), 0) == ()
+
+
+def absent_delete_check():
+    """`sublevels.set_delete` of ids absent from a set, below, between and
+    above every member: the first (set, id, what it gave) that is not the
+    set unchanged."""
+    for elems, x in (((0,), 5), ((1, 3), 0), ((1, 3), 2), ((1, 3), 4), ((), 0)):
+        try:
+            got = sublevels.set_delete(elems, x)
+        except Exception as err:
+            got = err
+        if got != elems:
+            return elems, x, repr(got)
+    return None
+
+
+def test_deleting_an_absent_id_leaves_the_set_unchanged():
+    assert set_delete((0,), 5) == (0,)
+    assert absent_delete_check() is None
 
 
 def _word_leq(e, f):
