@@ -2,6 +2,12 @@
 positional strategies and the innermost evaluator (`RuleSet.matchers` and
 `RuleSet.evaluator`).
 
+Each defined head's generated code compiles on the first call that reaches
+it (`_deferred`), into the one namespace of the rule set's matchers or of
+its evaluator: a reduction calls about half of the heads, and compiling all
+of them at once cost a `rewrite` process its largest compile and left about
+1 MB of the compiler's memory resident.
+
 Imported on a rule set's first reduction, so a process that reduces nothing
 does not load it.
 """
@@ -35,32 +41,55 @@ def _items(exprs) -> str:
 def compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callable]:
     # Rule text reaches the generated source only as repr() literals; pattern
     # variables become the positional names v0, v1, ... and the rules
-    # themselves are passed in by name (r<j>), never printed.
+    # themselves are passed in by name (r<j>), never printed.  A head's
+    # matcher m<h> compiles with its rules' builders b<j>.
     namespace: dict[str, object] = {}
-    builds: list[str] = []
-    matchers: list[str] = []
+    matchers: dict[str, Callable] = {}
+    rule_numbers = count()
     for h, (head, rules) in enumerate(by_head.items()):
         kids = [f"k{i}" for i in range(len(rules[0].lhs) - 1)]
-        matchers.append(f"def m{h}(kids):")
+        builds: list[str] = []
+        matcher = [f"def m{h}(kids):"]
         if kids:
-            matchers.append(f"    {_items(kids)}= kids")
+            matcher.append(f"    {_items(kids)}= kids")
         for rule, tests, binds in _left_sides(rules, kids):
-            j = len(namespace)
+            j = next(rule_numbers)
             namespace[f"r{j}"] = rule
             params = dict(zip(binds, (f"v{i}" for i in range(len(binds)))))
             builds.append(f"def b{j}(mk, {_items(params.values())}):")
             builds.append(f"    return {fold_term(rule.rhs, params.__getitem__, _mk_node)}")
-            matchers.append(f"    if {' and '.join(tests) or 'True'}:")
-            matchers.append(f"        return b{j}, ({_items(binds.values())}), r{j}")
-    exec(compile("\n".join(builds + matchers), "<compiled rules>", "exec"), namespace)
-    return {head: namespace[f"m{h}"] for h, head in enumerate(by_head)}
+            matcher.append(f"    if {' and '.join(tests) or 'True'}:")
+            matcher.append(f"        return b{j}, ({_items(binds.values())}), r{j}")
+        matchers[head] = _deferred(namespace, matchers, head, f"m{h}",
+                                   "\n".join(builds + matcher), "<compiled rules>")
+    return matchers
+
+
+def _deferred(namespace: dict, functions: dict, head: str, name: str, source: str,
+              filename: str) -> Callable:
+    """The stand-in for `head`'s generated function `name`, which `source`
+    defines: its first call compiles `source` into `namespace`, which
+    rebinds `name` there, enters the function for `head` in `functions`,
+    and forwards the call, so every later call runs the function itself.
+    A call that generated code looked the stand-in up for before that
+    (``f(f(x))`` loads the outer `f` before the inner call) only forwards."""
+    def compile_on_first_call(*args):
+        function = functions[head]
+        if function is compile_on_first_call:
+            exec(compile(source, filename, "exec"), namespace)
+            function = functions[head] = namespace[name]
+        return function(*args)
+    return compile_on_first_call
 
 
 def _mk_node(head: str, kids: list[str]) -> str:
     return f"mk({head!r}, ({_items(kids)}))"
 
 
-# The innermost evaluator is one generated module per rule set.  A
+# The innermost evaluator is one generated module per rule set, compiled a
+# head at a time: the prelude below and the node makers c<n> at once, each
+# head's function f<h> on the first call that reaches it (`_deferred`), so
+# the compiler's time and memory go only to the heads a reduction calls.  A
 # reduction's state is the module's globals (step count, budget, the table's
 # `get` and `setdefault`), bound by `evaluate` at the start of the reduction,
 # so the engine runs one reduction at a time (`engine._INNERMOST`).
@@ -146,8 +175,14 @@ def tag(head: str) -> int:
 
 
 def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
+    prelude, parts = _evaluator_parts(by_head)
     namespace: dict[str, object] = {"tag": tag}
-    exec(compile(evaluator_source(by_head), "<compiled evaluator>", "exec"), namespace)
+    exec(compile(prelude, "<compiled evaluator>", "exec"), namespace)
+    functions: dict[str, Callable] = {}
+    namespace["calls"] = functions.get
+    for head, name, source in parts:
+        namespace[name] = functions[head] = _deferred(namespace, functions, head, name, source,
+                                                      "<compiled evaluator>")
     return namespace["evaluate"]
 
 
@@ -178,7 +213,10 @@ def unmemoized_heads(by_head: dict[str, list[RewriteRule]]) -> set[str]:
                         if not any(head in keyed for head, _ in callers[callee])}
 
 
-def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
+def _evaluator_parts(by_head: dict[str, list[RewriteRule]],
+                     ) -> tuple[str, list[tuple[str, str, str]]]:
+    """The evaluator's prelude (`_EVALUATION` and the node makers c<n>), and
+    per defined head ``(head, function name, its source)``."""
     # One function per defined head (f<h>), one per constructor arity (c<n>,
     # the head its first argument and the head's part of the key, ``tag <<
     # 64 n``, its second), and one value per nullary constructor
@@ -208,11 +246,11 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
         return f"    hit = table_get(key := {base}{ids.removesuffix(' << 0')})"
 
     unmemoized = unmemoized_heads(by_head)
-    lines = []
+    parts = []
     for head, head_rules in by_head.items():
         kids = [f"k{i}" for i in range(len(head_rules[0].lhs) - 1)]
         memo = head not in unmemoized
-        lines.append(f"def {defined[head]}({', '.join(kids)}):")
+        lines = [f"def {defined[head]}({', '.join(kids)}):"]
         if memo:
             lines += [lookup(key_base(head, len(kids)), kids),
                       "    if hit:",
@@ -231,17 +269,17 @@ def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
                       f"        {value} {construct(head, kids)}"]
         if memo:
             lines += ["    return table_put(key, (result, steps - start))[0]"]
+        parts.append((head, defined[head], "\n".join(lines) + "\n"))
+    lines = []
     for n in sorted(arities):
         kids = [f"k{i}" for i in range(n)]
         lines += [f"def c{n}(head, base, {_items(kids)}):",
                   lookup("base", kids),
                   f"    return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
-    calls = ", ".join(f"{head!r}: {name}" for head, name in defined.items())
-    lines += [f"calls = {{{calls}}}.get"]
     state = ", ".join(["budget", "steps", "table_get", "table_put", *nullary.values()])
     bind = "\n".join(f"    {name} = c0({head!r}, {key_base(head, 0)})"
                      for head, name in nullary.items())
-    return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n"
+    return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n", parts
 
 
 def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:

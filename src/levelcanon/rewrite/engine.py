@@ -9,7 +9,10 @@ Three redex-selection strategies are supported:
 The rule set is constructor-based and orthogonal, so all strategies reach the
 same normal form.  Untraced innermost is one call of the rule set's
 compiled evaluator (`RuleSet.evaluator`), generated once per rule set: one
-function per defined symbol, called with the normal forms of its arguments.
+function per defined symbol, called with the normal forms of its arguments,
+and compiled on the first call that reaches that symbol (compiling every
+symbol up front cost time and the compiler's memory for symbols that a
+reduction never calls).
 It tests the symbol's rules' left sides in order and builds the matched
 right side as nested calls of the generated functions, so each fresh node
 is reduced as it is made, and constructor nodes are hash-consed (one
@@ -19,8 +22,9 @@ normal form, or None when the budget ran out, with the step count.
 Innermost reductions take turns, under one lock.  The positional loop
 (outermost, random, and innermost with a trace) dispatches through the
 compiled matchers (`RuleSet.matchers`) instead: one generated function per
-defined head returns the first matching rule with its bindings, and the
-rule's generated builder instantiates the right side.  The loop builds
+defined head, compiled with its rules' builders on its first call, returns
+the first matching rule with its bindings, and the rule's generated builder
+instantiates the right side.  The loop builds
 every node of its term, the input's included, as an annotated tuple that
 carries the node's match and the number of redexes in its subterm, set once,
 when the node is built, so the annotations live with the term; the result is
@@ -57,7 +61,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, fold_term
+from ..printer import join_rope
+from .terms import PVAR_HEAD, RTerm, RewriteRule, RuleSet, fold_term, pvar
 
 Strategy = str
 STRATEGIES = ("innermost", "outermost", "random")
@@ -68,9 +73,63 @@ STRATEGIES = ("innermost", "outermost", "random")
 # `dataclasses.replace` (perfbench's self-test does)
 @dataclass(frozen=True)
 class ReductionReport:
+    """Equality, hash, repr and pickling read the result through its
+    post-order records (`_term_records`), one fold of any depth: CPython
+    compares, prints and pickles a nested tuple by recursion, and hashes it
+    by C recursion with no depth check."""
+
     result: RTerm
     steps: int
     budget_exhausted: bool
+
+    def _key(self) -> tuple:
+        return _term_records(self.result), self.steps, self.budget_exhausted
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        def node(head: str, kids: list) -> tuple:  # a rope of the tuple's repr
+            rope = ["(", repr(head)]
+            for kid in kids:
+                rope += (", ", kid)
+            return (*rope, ")" if kids else ",)")
+
+        result = join_rope(fold_term(self.result, lambda name: repr(pvar(name)), node))
+        return (f"{type(self).__qualname__}(result={result}, steps={self.steps!r}, "
+                f"budget_exhausted={self.budget_exhausted!r})")
+
+    def __reduce__(self) -> tuple:
+        return _unfold_report, self._key()
+
+
+def _term_records(t: RTerm) -> tuple[tuple, ...]:
+    # (head, number of arguments) per application, and a pattern variable as
+    # itself, in post-order: equal records are equal terms
+    records: list[tuple] = []
+    fold_term(t, lambda name: records.append(pvar(name)),
+              lambda head, kids: records.append((head, len(kids))))
+    return tuple(records)
+
+
+def _unfold_report(records: tuple[tuple, ...], steps: int, exhausted: bool) -> ReductionReport:
+    """The report whose result `_term_records` recorded: each application's
+    arguments are the last terms built."""
+    built: list[RTerm] = []
+    for head, n in records:
+        if head == PVAR_HEAD:
+            built.append((head, n))
+        else:
+            split = len(built) - n
+            term = (head, *built[split:])
+            del built[split:]
+            built.append(term)
+    return ReductionReport(built[0], steps, exhausted)
 
 
 def reduce(

@@ -150,7 +150,10 @@ class RuleSet(tuple):
 
     def matchers(self) -> dict[str, Callable]:
         """Each defined head's compiled matcher, built on first use and kept
-        on this rule set.
+        on this rule set.  A head's matcher and its rules' builders compile
+        on the first call of that matcher (`codegen._deferred`), so the
+        compiler's time and memory go only to the heads that a reduction
+        builds nodes of.
 
         ``matchers()[head](kids)`` takes the argument tuple of a `head` node
         (as many arguments as the head's rules take) and tests the rules'
@@ -191,10 +194,13 @@ class RuleSet(tuple):
         would have.  The table may outlive the reduction and serve the next;
         `reduce` passes this rule set's.  Its keys and the invariants that
         make that sound are stated in `codegen`'s comment above
-        `_EVALUATION`.  The generated functions are made once; a reduction's
-        state lives in their module, so one reduction runs at a time:
-        `reduce` runs each under the engine's lock, which every innermost
-        reduction shares.
+        `_EVALUATION`.  The generated functions are made once, into one
+        module: its prelude when the evaluator is built, each head's function
+        on the first call that reaches the head (`codegen._deferred`), so
+        the compiler's time and memory go only to the heads that a reduction
+        calls.  A reduction's state lives in the module, so one reduction
+        runs at a time: `reduce` runs each under the engine's lock, which
+        every innermost reduction shares.
         """
         if self._evaluator is None:
             from .codegen import compile_evaluator

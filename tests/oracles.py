@@ -5,11 +5,12 @@ way than the library does, so a test that compares the two checks the
 library against code it does not share: one valuation at a time, or a list
 of values per variable, where the library evaluates packed lanes, every atom
 where it reasons about antichains, an interpretive matcher where it compiles
-one, structural rules where it normalizes, and a parser that lexes with one
+one, structural rules where it normalizes, a parser that lexes with one
 regular expression and builds every node where the library's splits words
-and shares leaves.  The serializations of a fuzz report are checked against
-`dataclasses.asdict` of frozen dataclasses of the same fields, which is how
-the report records were once defined and serialized.
+and shares leaves, and a rule set's whole evaluator module where the
+library compiles it a head at a time.  The serializations of a fuzz report
+are checked against `dataclasses.asdict` of frozen dataclasses of the same
+fields, which is how the report records were once defined and serialized.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from levelcanon.parser import (
     ParseError, _error,
 )
 from levelcanon.printer import print_atom
+from levelcanon.rewrite import codegen
 from levelcanon.rewrite.terms import PVAR_HEAD, RewriteRule, RTerm, fold_term
 from levelcanon.sublevels import SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
 
@@ -405,3 +407,13 @@ def reference_parse_level(text: str, names: NameTable) -> Level:
             if lexemes[i]:
                 raise _unexpected(text, lexemes, i, frozenset({"EOF"}))
             return t
+
+
+def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
+    """The whole innermost evaluator module of a rule set, from the parts
+    that `codegen` compiles (the prelude at once, each head's function on
+    its first call): the prelude, each head's function, then `calls`, the
+    functions by head."""
+    prelude, parts = codegen._evaluator_parts(by_head)
+    calls = ", ".join(f"{head!r}: {name}" for head, name, _ in parts)
+    return prelude + "".join(source for _, _, source in parts) + f"calls = {{{calls}}}.get\n"

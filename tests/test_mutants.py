@@ -17,14 +17,17 @@ Add a row when a change shows that a new check has teeth.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
 from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, up, wrong_merges
+from test_deferred_compile import repeat_compile_check
 from test_fold import BAD_NODE_IDS, BAD_NODES
 from test_harness import skewed_eval_cases
 from test_levels import unbound_check
+from test_normalize import round_trip_check
 from test_parser_reference import first_difference
 from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
@@ -32,12 +35,12 @@ from test_sublevels import absent_delete_check
 
 from levelcanon import IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero, levels
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
-from levelcanon.normalize import Repr, _merge, succ_repr
+from levelcanon.normalize import MEMO_ENTRIES, Repr, _merge, imax_repr, max_repr, repr_var, succ_repr
 from levelcanon.parser import _NUMERALS, _error_at, _numeral
 from levelcanon.printer import print_repr
 from levelcanon.rewrite import default_rules, rules
 from levelcanon.rewrite.rules import read_rules
-from levelcanon.sublevels import _new, _sub_b, eval_sub, imax_sub, leq_sub, succ_sub
+from levelcanon.sublevels import SubB, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, succ_sub
 
 DEFAULT_RULES = set(default_rules())
 
@@ -256,6 +259,55 @@ def shortcut_dropping_u(u, least):
 
 def no_shortcut(u, least):
     return [imax_sub(u, v) for v in least]
+
+
+def strict_own_guard_shortcut(u, least):
+    """`own_guard_shortcut` taken only when a least guard set is strictly
+    within u's (`<=` read as `<`)."""
+    return [u] if any(v[-1] < u[-1] for v in least) else [imax_sub(u, v) for v in least]
+
+
+def imax_repr_testing_both_empty(r1, r2):
+    """`normalize.imax_repr` whose shortcut `not r1 or not r2` reads `and`:
+    one empty side runs the general case."""
+    if not r1 and not r2:
+        return r2
+    least = minimal_guards(r2)
+    return _merge(r2, [c for u in r1 for c in own_guard_shortcut(u, least)])
+
+
+def imax_sub_testing_a_strict_subset(u, v):
+    """`sublevels.imax_sub` that returns u itself only when v's guard set is
+    strictly within u's (`<=` read as `<`)."""
+    if v[-1] < u[-1]:
+        return u
+    guard = u[-1] | v[-1]
+    merged = tuple(sorted(guard))
+    if u[0]:
+        return _sub_b(merged, u[2], guard)
+    return _sub_a(merged, u[2], u[3], guard)
+
+
+def fold_level_with_memos_of(entries):
+    """`levels.fold_level` as `normalize` calls it, with the four memos
+    swapped for fresh ones that each keep `entries` results."""
+    memo = lru_cache(maxsize=entries, typed=True)
+    ops = (memo(repr_var), memo(succ_repr), memo(max_repr), memo(imax_repr))
+    return lambda t, zero, *_: levels.fold_level(t, zero, *ops)
+
+
+def sub_b_tagged_two(varset, shift, guard):
+    """`sublevels._sub_b` tagging its B-atom 2, where `SubB` tags 1."""
+    return _new(SubB, (2, varset, shift, guard))
+
+
+def deferred_without_rebinding(namespace, functions, head, name, source, filename):
+    """`codegen._deferred` whose stand-in compiles and forwards but stays in
+    `functions`, so every call through `functions` compiles again."""
+    def compile_on_first_call(*args):
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace[name](*args)
+    return compile_on_first_call
 
 
 def first_guard_shortcut(u, least):
@@ -540,6 +592,16 @@ KILLED = [
     Mutant("grid answering in its own order", "levelcanon.levels.Grid.leq_witness",
            grid_answering_in_its_own_order, fuzz_check,
            (115, {"level": "imax(0, x2)", "other": "0", "phase": "compare", "witness": None})),
+    # normalize(s(x)) makes its B({}, 1) floor with tag 2, and pickle
+    # rebuilds it through SubB with tag 1 (test_normalize.py's
+    # test_repr_surface runs the check)
+    Mutant("_sub_b tagging B-atoms 2", "levelcanon.normalize._sub_b",
+           lambda: sub_b_tagged_two, round_trip_check, ("Succ(child=Var(vid=0))", 0)),
+    # the stand-ins of the input's heads, called through `calls`, compile
+    # again on every call
+    Mutant("deferred compile without rebinding", "levelcanon.rewrite.codegen._deferred",
+           lambda: deferred_without_rebinding, repeat_compile_check,
+           ("innermost", ["ruleL", "varL"])),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),
@@ -563,6 +625,21 @@ EQUIVALENT = [
             lambda: imax_repr_with(minimal_guards, first_guard_shortcut), merge_check, None),
      "when another minimal guard set than the first is within u's, the copies "
      "include u itself, as with no shortcut"),
+    (Mutant("MEMO_ENTRIES + 1", "levelcanon.normalize.fold_level",
+            lambda: fold_level_with_memos_of(MEMO_ENTRIES + 1), fuzz_check, None),
+     "a memo's size decides which results it keeps, never what normalize returns"),
+    (Mutant("imax shortcut testing a strict subset", "levelcanon.normalize.imax_repr",
+            lambda: imax_repr_with(minimal_guards, strict_own_guard_shortcut), merge_check,
+            None),
+     "when a least guard set equals u's, imax_sub(u, v) is u itself, so the copies "
+     "include u, as with the shortcut"),
+    (Mutant("imax_sub testing a strict subset", "levelcanon.normalize.imax_sub",
+            lambda: imax_sub_testing_a_strict_subset, merge_check, None),
+     "under an equal guard set, u rebuilt under the union is an atom equal to u"),
+    (Mutant("imax_repr testing both sides empty", "levelcanon.normalize.imax_repr",
+            lambda: imax_repr_testing_both_empty, merge_check, None),
+     "with r1 empty there are no candidates, and with r2 empty no guard set gives a "
+     "copy, so the merge gives r2 either way"),
     (Mutant("unionN f e in ruleSL of A-atoms", "levelcanon.rewrite.rules.RULE_TEXT",
             rule_edit(RULE_SL_AA, RULE_SL_AA.replace("unionN e f", "unionN f e")),
             rule_model_check, None),

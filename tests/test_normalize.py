@@ -78,6 +78,20 @@ def test_repr_surface():
             pytest.fail("Repr pattern did not match")
     for image in (copy.deepcopy(r), pickle.loads(pickle.dumps(r)), copy.copy(r)):
         assert image == r and type(image) is Repr
+    assert round_trip_check() is None
+
+
+def round_trip_check():
+    """The normal forms of s(x), max(s(x), imax(y, x)) and imax(x, s(y)),
+    each pickled at every protocol: the first (level, protocol) whose copy
+    is not an equal `Repr`."""
+    for t in (Succ(x), Max(Succ(x), IMax(y, x)), IMax(x, Succ(y))):
+        r = normalize(t)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            image = pickle.loads(pickle.dumps(r, protocol))
+            if type(image) is not Repr or image != r:
+                return repr(t), protocol
+    return None
 
 
 def test_repr_unpickling_is_checked():

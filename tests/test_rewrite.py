@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import gc
 import pickle
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import level_strategy, run_in_child
-from oracles import is_left_linear, match, match_args, subst_template
+from oracles import evaluator_source, is_left_linear, match, match_args, subst_template
 from levelcanon import IMax, Max, Repr, ReprInvariantError, SubA, SubB, Succ, Var, ZERO, subst_repr
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
@@ -586,7 +587,7 @@ def test_selectors_and_caller_keyed_heads_are_the_unmemoized_ones():
     assert unmemoized == _SELECTORS | {"ordSL", "maxHelperGo"}
     assert codegen.unmemoized_heads(LITERAL.by_head) == _SELECTORS | {"ordSL"}
     assert codegen.unmemoized_heads(HAND.by_head) == set()
-    source = codegen.evaluator_source(RULES.by_head)
+    source = evaluator_source(RULES.by_head)
     for h, head in enumerate(RULES.by_head):
         body = source.split(f"\ndef f{h}(")[1].split("\ndef ")[0]
         assert ("table_get" in body) == (head not in unmemoized)
@@ -891,7 +892,7 @@ def test_a_reduction_makes_no_functions_of_its_own():
             gc.enable()
     assert peak - before < 2 * 1024
     assert rules.evaluator() is evaluate
-    tree = ast.parse(codegen.evaluator_source(rules.by_head))
+    tree = ast.parse(evaluator_source(rules.by_head))
     nested = [f"{type(node).__name__} at line {node.lineno}" for top in tree.body
               for node in ast.walk(top) if node is not top
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
@@ -1109,3 +1110,52 @@ def test_encode_and_print_deep_numerals():
         t = Succ(t)
     term = encode_level(t)
     assert term_to_str(term) == "succL (" * 99_999 + "succL zeroL" + ")" * 99_999
+
+
+def test_reports_compare_hash_print_and_pickle_as_their_fields():
+    reports = [reduce(encode_level(level), RULES) for level in (ZERO, IMax(x, x), Max(x, Succ(y)))]
+    reports.append(ReductionReport(app("f", pvar("x"), app("c")), 0, True))
+    for report in reports:
+        assert repr(report) == (f"ReductionReport(result={report.result!r}, steps={report.steps}, "
+                                f"budget_exhausted={report.budget_exhausted})")
+        for copied in [pickle.loads(pickle.dumps(report, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert copied == report and hash(copied) == hash(report)
+            assert type(copied) is ReductionReport and copied.result == report.result
+    first = reports[1]
+    assert dataclasses.replace(first, steps=first.steps + 1) != first
+    assert dataclasses.replace(first, budget_exhausted=True) != first
+    assert ReductionReport(app("c", app("d")), 0, False) != ReductionReport(app("c", app("e")), 0, False)
+    assert first != first.result and len({*reports, *reports}) == len(reports)
+
+
+# run in a child interpreter, at the default recursion limit: CPython prints,
+# compares and pickles a nested tuple by recursion, and hashes it by C
+# recursion with no depth check (a SIGSEGV at 200,000 levels)
+_DEEP_REPORTS = """
+import copy, dataclasses, pickle, sys
+from levelcanon import Succ, Var
+from levelcanon.rewrite import ReductionReport, builtin_ruleset, encode_level, encode_nat, reduce
+rules = builtin_ruleset(False)
+t = Var(0)
+for _ in range(1000):
+    t = Succ(t)
+report = reduce(encode_level(t), rules)
+assert report.steps == 574_457 and not report.budget_exhausted
+text = repr(report)
+for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+    copied = pickle.loads(pickle.dumps(report, protocol))
+    assert copied == report and hash(copied) == hash(report) and repr(copied) == text
+assert copy.deepcopy(report) == report != dataclasses.replace(report, steps=0)
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(20_000)
+assert text == f"ReductionReport(result={report.result!r}, steps=574457, budget_exhausted=False)"
+sys.setrecursionlimit(limit)
+tower = reduce(encode_nat(200_000), rules)
+assert tower.steps == 0 and hash(tower) == hash(ReductionReport(encode_nat(200_000), 0, False))
+"""
+
+
+def test_reports_of_any_depth_compare_hash_print_and_pickle():
+    proc = run_in_child(_DEEP_REPORTS)
+    assert proc.returncode == 0, proc.stderr
