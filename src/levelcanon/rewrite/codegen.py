@@ -2,11 +2,11 @@
 positional strategies and the innermost evaluator (`RuleSet.matchers` and
 `RuleSet.evaluator`).
 
-Each defined head's generated code compiles on the first call that reaches
-it (`_deferred`), into the one namespace of the rule set's matchers or of
-its evaluator: a reduction calls about half of the heads, and compiling all
-of them at once cost a `rewrite` process its largest compile and left about
-1 MB of the compiler's memory resident.
+Each defined head's generated code is written and compiled on the first
+call that reaches it (`_deferred`), into the one namespace of the rule
+set's matchers or of its evaluator: a reduction calls about half of the
+heads, and compiling all of them at once cost a `rewrite` process its
+largest compile and left about 1 MB of the compiler's memory resident.
 
 Imported on a rule set's first reduction, so a process that reduces nothing
 does not load it.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable
 
-from .terms import PVAR_HEAD, RTerm, RewriteRule, fold_term, is_pvar, term_vars
+from .terms import PVAR_HEAD, RTerm, RewriteRule, fold_term, is_pvar, preorder, term_vars
 
 
 def _left_sides(rules: list[RewriteRule], kids: list[str]):
@@ -41,44 +41,50 @@ def _items(exprs) -> str:
 def compile_matchers(by_head: dict[str, list[RewriteRule]]) -> dict[str, Callable]:
     # Rule text reaches the generated source only as repr() literals; pattern
     # variables become the positional names v0, v1, ... and the rules
-    # themselves are passed in by name (r<j>), never printed.  A head's
-    # matcher m<h> compiles with its rules' builders b<j>.
+    # themselves are passed in by name (r<h>_<i>, the i-th rule of head h),
+    # never printed.  A head's matcher m<h> compiles with its rules' builders
+    # b<h>_<i>, and its source is written then.
     namespace: dict[str, object] = {}
     matchers: dict[str, Callable] = {}
-    rule_numbers = count()
     for h, (head, rules) in enumerate(by_head.items()):
-        kids = [f"k{i}" for i in range(len(rules[0].lhs) - 1)]
-        builds: list[str] = []
-        matcher = [f"def m{h}(kids):"]
-        if kids:
-            matcher.append(f"    {_items(kids)}= kids")
-        for rule, tests, binds in _left_sides(rules, kids):
-            j = next(rule_numbers)
-            namespace[f"r{j}"] = rule
-            params = dict(zip(binds, (f"v{i}" for i in range(len(binds)))))
-            builds.append(f"def b{j}(mk, {_items(params.values())}):")
-            builds.append(f"    return {fold_term(rule.rhs, params.__getitem__, _mk_node)}")
-            matcher.append(f"    if {' and '.join(tests) or 'True'}:")
-            matcher.append(f"        return b{j}, ({_items(binds.values())}), r{j}")
-        matchers[head] = _deferred(namespace, matchers, head, f"m{h}",
-                                   "\n".join(builds + matcher), "<compiled rules>")
+        namespace.update((f"r{h}_{i}", rule) for i, rule in enumerate(rules))
+        matchers[head] = _deferred(namespace, matchers, head, f"m{h}", "<compiled rules>",
+                                   _matcher_part, rules, h)
     return matchers
 
 
-def _deferred(namespace: dict, functions: dict, head: str, name: str, source: str,
-              filename: str) -> Callable:
-    """The stand-in for `head`'s generated function `name`, which `source`
-    defines: its first call compiles `source` into `namespace`, which
-    rebinds `name` there, enters the function for `head` in `functions`,
-    and forwards the call, so every later call runs the function itself.
-    A call that generated code looked the stand-in up for before that
-    (``f(f(x))`` loads the outer `f` before the inner call) only forwards."""
-    def compile_on_first_call(*args):
+def _matcher_part(rules: list[RewriteRule], h: int) -> str:
+    """The source of the matcher m<h> of the head of `rules`, the h-th, and
+    of its rules' builders."""
+    kids = [f"k{i}" for i in range(len(rules[0].lhs) - 1)]
+    builds: list[str] = []
+    matcher = [f"def m{h}(kids):"]
+    if kids:
+        matcher.append(f"    {_items(kids)}= kids")
+    for i, (rule, tests, binds) in enumerate(_left_sides(rules, kids)):
+        params = dict(zip(binds, (f"v{n}" for n in range(len(binds)))))
+        builds.append(f"def b{h}_{i}(mk, {_items(params.values())}):")
+        builds.append(f"    return {fold_term(rule.rhs, params.__getitem__, _mk_node)}")
+        matcher.append(f"    if {' and '.join(tests) or 'True'}:")
+        matcher.append(f"        return b{h}_{i}, ({_items(binds.values())}), r{h}_{i}")
+    return "\n".join(builds + matcher)
+
+
+def _deferred(namespace: dict, functions: dict, head: str, name: str, filename: str,
+              write: Callable[..., str], *args) -> Callable:
+    """The stand-in for `head`'s generated function `name`: its first call
+    writes the source that defines `name`, `write(*args)`, and compiles it
+    into `namespace`, which rebinds `name` there, enters the function for
+    `head` in `functions`, and forwards the call, so every later call runs
+    the function itself.  A call that generated code looked the stand-in up
+    for before that (``f(f(x))`` loads the outer `f` before the inner call)
+    only forwards."""
+    def compile_on_first_call(*call_args):
         function = functions[head]
         if function is compile_on_first_call:
-            exec(compile(source, filename, "exec"), namespace)
+            exec(compile(write(*args), filename, "exec"), namespace)
             function = functions[head] = namespace[name]
-        return function(*args)
+        return function(*call_args)
     return compile_on_first_call
 
 
@@ -86,10 +92,11 @@ def _mk_node(head: str, kids: list[str]) -> str:
     return f"mk({head!r}, ({_items(kids)}))"
 
 
-# The innermost evaluator is one generated module per rule set, compiled a
-# head at a time: the prelude below and the node makers c<n> at once, each
-# head's function f<h> on the first call that reaches it (`_deferred`), so
-# the compiler's time and memory go only to the heads a reduction calls.  A
+# The innermost evaluator is one generated module per rule set, written and
+# compiled a head at a time: the prelude below and the node makers c<n> at
+# once, each head's function f<h> on the first call that reaches it
+# (`_deferred`), so the compiler's time and memory go only to the heads a
+# reduction calls.  A
 # reduction's state is the module's globals (step count, budget, the table's
 # `get` and `setdefault`), bound by `evaluate` at the start of the reduction,
 # so the engine runs one reduction at a time (`engine._INNERMOST`).
@@ -175,14 +182,17 @@ def tag(head: str) -> int:
 
 
 def compile_evaluator(by_head: dict[str, list[RewriteRule]]) -> Callable:
-    prelude, parts = _evaluator_parts(by_head)
     namespace: dict[str, object] = {"tag": tag}
+    prelude, nullary = _evaluator_prelude(by_head)
     exec(compile(prelude, "<compiled evaluator>", "exec"), namespace)
     functions: dict[str, Callable] = {}
     namespace["calls"] = functions.get
-    for head, name, source in parts:
-        namespace[name] = functions[head] = _deferred(namespace, functions, head, name, source,
-                                                      "<compiled evaluator>")
+    defined = {head: f"f{h}" for h, head in enumerate(by_head)}
+    unmemoized = unmemoized_heads(by_head)
+    for head, name in defined.items():
+        namespace[name] = functions[head] = _deferred(
+            namespace, functions, head, name, "<compiled evaluator>",
+            _evaluator_part, by_head[head], defined, nullary, head not in unmemoized)
     return namespace["evaluate"]
 
 
@@ -213,73 +223,83 @@ def unmemoized_heads(by_head: dict[str, list[RewriteRule]]) -> set[str]:
                         if not any(head in keyed for head, _ in callers[callee])}
 
 
-def _evaluator_parts(by_head: dict[str, list[RewriteRule]],
-                     ) -> tuple[str, list[tuple[str, str, str]]]:
-    """The evaluator's prelude (`_EVALUATION` and the node makers c<n>), and
-    per defined head ``(head, function name, its source)``."""
-    # One function per defined head (f<h>), one per constructor arity (c<n>,
-    # the head its first argument and the head's part of the key, ``tag <<
-    # 64 n``, its second), and one value per nullary constructor
-    # that a right side builds (n<i>, bound per reduction).  Symbol text
-    # reaches the source only as repr() literals, and a pattern variable is
-    # its source expression in the arguments, such as k1[2].
-    defined = {head: f"f{h}" for h, head in enumerate(by_head)}
-    arities: set[int] = set()
+# One function per defined head (f<h>), one per constructor arity (c<n>, the
+# head its first argument and the head's part of the key, ``tag << 64 n``,
+# its second), and one value per nullary constructor that a right side
+# builds (n<i>, bound per reduction).  Symbol text reaches the source only as
+# repr() literals, and a pattern variable is its source expression in the
+# arguments, such as k1[2].
+
+def _evaluator_prelude(by_head: dict[str, list[RewriteRule]]) -> tuple[str, dict[str, str]]:
+    """`_EVALUATION` and the node makers c<n>, one per arity of a
+    constructor that a right side builds or of a defined head (whose
+    arguments may match no rule), and each nullary constructor that a right
+    side builds with its name n<i>, which `_EVALUATION` binds per reduction."""
+    arities = {len(rules[0].lhs) - 1 for rules in by_head.values()}
     nullary: dict[str, str] = {}
-
-    def node(head: str, kids: list[str]) -> str:
-        if head in defined:
-            return f"{defined[head]}({', '.join(kids)})"
-        arities.add(len(kids))
-        if not kids:
-            return nullary.setdefault(head, f"n{len(nullary)}")
-        return construct(head, kids)
-
-    def key_base(head: str, n: int) -> str:  # a constant once compiled
-        return f"{tag(head)} << {64 * n}"
-
-    def construct(head: str, kids: list[str]) -> str:
-        return f"c{len(kids)}({head!r}, {key_base(head, len(kids))}, {_items(kids)})"
-
-    def lookup(base: str, kids: list[str]) -> str:
-        ids = "".join(f" | id({k}) << {64 * (len(kids) - i)}" for i, k in enumerate(kids, 1))
-        return f"    hit = table_get(key := {base}{ids.removesuffix(' << 0')})"
-
-    unmemoized = unmemoized_heads(by_head)
-    parts = []
-    for head, head_rules in by_head.items():
-        kids = [f"k{i}" for i in range(len(head_rules[0].lhs) - 1)]
-        memo = head not in unmemoized
-        lines = [f"def {defined[head]}({', '.join(kids)}):"]
-        if memo:
-            lines += [lookup(key_base(head, len(kids)), kids),
-                      "    if hit:",
-                      "        return replay(hit)",
-                      "    start = steps"]
-        value = "result =" if memo else "return"
-        branch = "if"
-        for rule, tests, binds in _left_sides(head_rules, kids):
-            lines += [f"    {branch} {' and '.join(tests) or 'True'}:",
-                      "        tick()",
-                      f"        {value} {fold_term(rule.rhs, binds.__getitem__, node)}"]
-            branch = "elif"
-        if tests:  # arguments that no rule matches make a normal form, a node
-            arities.add(len(kids))
-            lines += ["    else:",
-                      f"        {value} {construct(head, kids)}"]
-        if memo:
-            lines += ["    return table_put(key, (result, steps - start))[0]"]
-        parts.append((head, defined[head], "\n".join(lines) + "\n"))
+    for rules in by_head.values():
+        for rule in rules:
+            for term in reversed(preorder(rule.rhs)):  # post-order
+                if term[0] != PVAR_HEAD and term[0] not in by_head:
+                    arities.add(len(term) - 1)
+                    if len(term) == 1:
+                        nullary.setdefault(term[0], f"n{len(nullary)}")
     lines = []
     for n in sorted(arities):
         kids = [f"k{i}" for i in range(n)]
         lines += [f"def c{n}(head, base, {_items(kids)}):",
-                  lookup("base", kids),
+                  _lookup("base", kids),
                   f"    return (hit or table_put(key, ((head, {_items(kids)}), 0)))[0]"]
     state = ", ".join(["budget", "steps", "table_get", "table_put", *nullary.values()])
-    bind = "\n".join(f"    {name} = c0({head!r}, {key_base(head, 0)})"
+    bind = "\n".join(f"    {name} = c0({head!r}, {_key_base(head, 0)})"
                      for head, name in nullary.items())
-    return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n", parts
+    return _EVALUATION.format(state=state, nullary=bind) + "\n".join(lines) + "\n", nullary
+
+
+def _evaluator_part(rules: list[RewriteRule], defined: dict[str, str], nullary: dict[str, str],
+                   memo: bool) -> str:
+    """The source of the function of the head of `rules`, its name in
+    `defined`, which keeps its calls in the table if `memo`."""
+    head = rules[0].lhs[0]
+    kids = [f"k{i}" for i in range(len(rules[0].lhs) - 1)]
+
+    def node(head: str, kids: list[str]) -> str:
+        if head in defined:
+            return f"{defined[head]}({', '.join(kids)})"
+        return nullary[head] if not kids else _construct(head, kids)
+
+    lines = [f"def {defined[head]}({', '.join(kids)}):"]
+    if memo:
+        lines += [_lookup(_key_base(head, len(kids)), kids),
+                  "    if hit:",
+                  "        return replay(hit)",
+                  "    start = steps"]
+    value = "result =" if memo else "return"
+    branch = "if"
+    for rule, tests, binds in _left_sides(rules, kids):
+        lines += [f"    {branch} {' and '.join(tests) or 'True'}:",
+                  "        tick()",
+                  f"        {value} {fold_term(rule.rhs, binds.__getitem__, node)}"]
+        branch = "elif"
+    if tests:  # arguments that no rule matches make a normal form, a node
+        lines += ["    else:",
+                  f"        {value} {_construct(head, kids)}"]
+    if memo:
+        lines += ["    return table_put(key, (result, steps - start))[0]"]
+    return "\n".join(lines) + "\n"
+
+
+def _key_base(head: str, n: int) -> str:  # a constant once compiled
+    return f"{tag(head)} << {64 * n}"
+
+
+def _construct(head: str, kids: list[str]) -> str:
+    return f"c{len(kids)}({head!r}, {_key_base(head, len(kids))}, {_items(kids)})"
+
+
+def _lookup(base: str, kids: list[str]) -> str:
+    ids = "".join(f" | id({k}) << {64 * (len(kids) - i)}" for i, k in enumerate(kids, 1))
+    return f"    hit = table_get(key := {base}{ids.removesuffix(' << 0')})"
 
 
 def _compile_pattern(pat: RTerm, src: str, tests: list[str], binds: dict[str, str]) -> None:

@@ -221,8 +221,6 @@ evalL (maxS nilSL) y n --> maxS nilSL
 evalL (maxS (consSL u q)) y n --> maxL (evalS u y n) (evalL (maxS q) y n)
 """
 
-_TOKEN = re.compile(r"[()]|[^\s()]+")
-
 
 def _logical_lines(text: str, paper_literal: bool) -> list[str]:
     """The non-blank lines of `text` without comments, each joined with the
@@ -262,7 +260,7 @@ def _read_term(text: str, signature: dict[str, Symbol], line: str) -> RTerm:
     # the side itself the outermost group, and a closed group a head (a
     # nullary application or a variable) followed by its arguments
     stack: list[list[RTerm]] = [[]]
-    for tok in _TOKEN.findall(text):
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
             stack.append([])
         elif tok == ")":
@@ -285,12 +283,12 @@ def _apply(group: list[RTerm], line: str) -> RTerm:
     return group[0] + tuple(group[1:])
 
 
-# the declaration lines, which `export` prints as they stand
-DECLARATIONS: list[str] = [line for line in _logical_lines(RULE_TEXT, False)
-                           if " --> " not in line]
-SIGNATURE: dict[str, Symbol] = read_rules("\n".join(DECLARATIONS))[0]
-
-_BUILT: dict[bool, RuleSet] = {}
+# the signature and the default rules, read once when the module loads
+SIGNATURE, _default = read_rules(RULE_TEXT)
+_BUILT: dict[bool, RuleSet] = {False: RuleSet(_default)}
+# the declaration lines, which `export` prints: each symbol as declared
+DECLARATIONS: list[str] = [f"{name} : {' -> '.join((*args, result))}"
+                           for name, args, result in SIGNATURE.values()]
 
 
 def builtin_ruleset(paper_literal: bool = False) -> RuleSet:

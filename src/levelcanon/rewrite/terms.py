@@ -41,6 +41,19 @@ def app(head: str, *children: RTerm) -> RTerm:
     return (head, *children)
 
 
+def preorder(t: RTerm) -> list[RTerm]:
+    """The subterms of `t`, each occurrence once, in preorder with the last
+    argument first; reversed, that is the post-order, left to right.  It
+    keeps its own stack, so a term of any depth is walked without recursion."""
+    order, todo = [], [t]
+    while todo:
+        term = todo.pop()
+        order.append(term)
+        if term[0] != PVAR_HEAD:
+            todo += term[1:]
+    return order
+
+
 def fold_term(t: RTerm, var: Callable[[str], T], node: Callable[[str, list[T]], T]) -> T:
     """The value of `t` computed bottom-up: `var(name)` for a pattern variable
     and `node(head, [argument values])` for an application.
@@ -48,16 +61,8 @@ def fold_term(t: RTerm, var: Callable[[str], T], node: Callable[[str, list[T]], 
     It keeps its own stack, so a term of any depth folds without recursion,
     and it calls back in post-order, left to right.
     """
-    # preorder with the last argument first; reversed, that is the post-order
-    order = []
-    todo = [t]
-    while todo:
-        term = todo.pop()
-        order.append(term)
-        if term[0] != PVAR_HEAD:
-            todo.extend(term[1:])
     values = []
-    for term in reversed(order):
+    for term in reversed(preorder(t)):
         if term[0] == PVAR_HEAD:
             values.append(var(term[1]))
         else:
@@ -69,9 +74,7 @@ def fold_term(t: RTerm, var: Callable[[str], T], node: Callable[[str, list[T]], 
 
 
 def term_vars(t: RTerm) -> frozenset[str]:
-    found: set[str] = set()
-    fold_term(t, found.add, lambda head, kids: None)
-    return frozenset(found)
+    return frozenset(term[1] for term in preorder(t) if term[0] == PVAR_HEAD)
 
 
 def _print_node(head: str, kids: list) -> object:
@@ -136,14 +139,12 @@ class RuleSet(tuple):
             if self.arity.setdefault(head, n) != n:
                 raise ValueError(f"the rules of {head!r} take different numbers of arguments")
 
-        def check(head: str, kids: list) -> None:
-            n = self.arity.get(head, len(kids))
-            if n != len(kids):
-                raise ValueError(f"the rules of {head!r} take different numbers of "
-                                 f"arguments: {n} on their left sides, {len(kids)} in {rule}")
-
         for rule in self:
-            fold_term(rule.rhs, lambda name: None, check)
+            for term in reversed(preorder(rule.rhs)):  # post-order, as `fold_term` meets them
+                n = len(term) - 1
+                if term[0] != PVAR_HEAD and self.arity.get(term[0], n) != n:
+                    raise ValueError(f"the rules of {term[0]!r} take different numbers of arguments: "
+                                     f"{self.arity[term[0]]} on their left sides, {n} in {rule}")
         self.table = {}
         self._matchers = self._evaluator = None
         return self

@@ -7,16 +7,19 @@ of values per variable, where the library evaluates packed lanes, every atom
 where it reasons about antichains, an interpretive matcher where it compiles
 one, structural rules where it normalizes, a parser that lexes with one
 regular expression and builds every node where the library's splits words
-and shares leaves, and a rule set's whole evaluator module where the
-library compiles it a head at a time.  The serializations of a fuzz report
-are checked against `dataclasses.asdict` of frozen dataclasses of the same
-fields, which is how the report records were once defined and serialized.
+and shares leaves, a rule reader that lexes with one regular expression
+where the library's splits words, and a rule set's whole evaluator module
+where the library compiles it a head at a time.  The serializations of a
+fuzz report are checked against `dataclasses.asdict` of frozen dataclasses
+of the same fields, which is how the report records were once defined and
+serialized.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
+import re
 from dataclasses import asdict, dataclass
 from itertools import islice, product
 from typing import Iterator, Optional
@@ -31,7 +34,9 @@ from levelcanon.parser import (
 )
 from levelcanon.printer import print_atom
 from levelcanon.rewrite import codegen
-from levelcanon.rewrite.terms import PVAR_HEAD, RewriteRule, RTerm, fold_term
+from levelcanon.rewrite.terms import (
+    PVAR_HEAD, RewriteRule, RTerm, Symbol, check_rule_sorts, fold_term,
+)
 from levelcanon.sublevels import SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
 
 
@@ -266,6 +271,66 @@ def is_left_linear(rule: RewriteRule) -> bool:
     return len(names) == len(set(names))
 
 
+# --- the rule reader -----------------------------------------------------
+# `rules.read_rules` as it was before its tokenizer split words: a regular
+# expression lexes each side; `RewriteRule` and `check_rule_sorts` then check
+# the rule, as the library's reader does
+
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _reference_logical_lines(text: str, paper_literal: bool) -> list[str]:
+    other = "default" if paper_literal else "paper"
+    text = re.sub(r"\n[ \t]+", " ", re.sub(r"#.*", "", text))
+    text = re.sub(rf"(?m)^\[{other}\] .*|^\[\w+\] ", "", text)
+    return [line for line in map(str.strip, text.splitlines()) if line]
+
+
+def reference_read_rules(text: str, paper_literal: bool = False,
+                         ) -> tuple[dict[str, Symbol], list[RewriteRule]]:
+    signature: dict[str, Symbol] = {}
+    rules: list[RewriteRule] = []
+    for line in _reference_logical_lines(text, paper_literal):
+        lhs, arrow, rhs = line.partition(" --> ")
+        if arrow:
+            rule = RewriteRule(_reference_read_term(lhs, signature, line),
+                               _reference_read_term(rhs, signature, line))
+            check_rule_sorts(rule, signature)
+            rules.append(rule)
+        else:
+            name, colon, sorts = line.partition(" : ")
+            if not colon:
+                raise ValueError(f"neither a declaration nor a rule: {line!r}")
+            *args, result = sorts.split(" -> ")
+            signature[name] = Symbol(name, tuple(args), result)
+    return signature, rules
+
+
+def _reference_read_term(text: str, signature: dict[str, Symbol], line: str) -> RTerm:
+    stack: list[list[RTerm]] = [[]]
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ValueError(f"unbalanced ')' in rule {line!r}")
+            group = stack.pop()
+            stack[-1].append(_reference_apply(group, line))
+        else:
+            stack[-1].append((tok,) if tok in signature else (PVAR_HEAD, tok))
+    if len(stack) > 1:
+        raise ValueError(f"unbalanced '(' in rule {line!r}")
+    return _reference_apply(stack[0], line)
+
+
+def _reference_apply(group: list[RTerm], line: str) -> RTerm:
+    if not group:
+        raise ValueError(f"empty group '()' in rule {line!r}")
+    if len(group) > 1 and group[0][0] == PVAR_HEAD:
+        raise ValueError(f"variable {group[0][1]!r} applied to arguments in rule {line!r}")
+    return group[0] + tuple(group[1:])
+
+
 # --- structural comparison -----------------------------------------------
 
 def _offset(t: Level) -> tuple[Level, int]:
@@ -409,11 +474,22 @@ def reference_parse_level(text: str, names: NameTable) -> Level:
             return t
 
 
+def evaluator_parts(by_head: dict[str, list[RewriteRule]]) -> tuple[str, list[tuple[str, str, str]]]:
+    """The evaluator's prelude, and per defined head ``(head, function name,
+    its source)``, all written at once."""
+    prelude, nullary = codegen._evaluator_prelude(by_head)
+    defined = {head: f"f{h}" for h, head in enumerate(by_head)}
+    unmemoized = codegen.unmemoized_heads(by_head)
+    return prelude, [(head, name, codegen._evaluator_part(by_head[head], defined, nullary,
+                                                          head not in unmemoized))
+                     for head, name in defined.items()]
+
+
 def evaluator_source(by_head: dict[str, list[RewriteRule]]) -> str:
     """The whole innermost evaluator module of a rule set, from the parts
-    that `codegen` compiles (the prelude at once, each head's function on
-    its first call): the prelude, each head's function, then `calls`, the
-    functions by head."""
-    prelude, parts = codegen._evaluator_parts(by_head)
+    that `codegen` writes and compiles (the prelude at once, each head's
+    function on its first call): the prelude, each head's function, then
+    `calls`, the functions by head."""
+    prelude, parts = evaluator_parts(by_head)
     calls = ", ".join(f"{head!r}: {name}" for head, name, _ in parts)
     return prelude + "".join(source for _, _, source in parts) + f"calls = {{{calls}}}.get\n"

@@ -1,6 +1,7 @@
-"""A rule set's generated code compiles one head at a time, on the first call
-that reaches the head: the evaluator's f<h> and the matchers' m<h> (with its
-rules' builders), each into the rule set's one namespace."""
+"""A rule set's generated code is written and compiled one head at a time,
+on the first call that reaches the head: the evaluator's f<h> and the
+matchers' m<h> (with its rules' builders), each into the rule set's one
+namespace."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import tracemalloc
 
 import pytest
 from conftest import run_in_child
-from oracles import evaluator_source
+from oracles import evaluator_parts, evaluator_source
 
 from levelcanon import IMax, Var
 from levelcanon.harness import GenConfig, run_fuzz
@@ -72,16 +73,31 @@ def repeat_compile_check():
     return None
 
 
+def counting_writes(monkeypatch) -> list[str]:
+    """The heads whose generated source is written from now on, evaluator
+    functions and matchers alike, one entry per head written, in order."""
+    written = []
+    for name in ("_evaluator_part", "_matcher_part"):
+        def counting(rules, *args, write=getattr(codegen, name)):
+            written.append(rules[0].lhs[0])
+            return write(rules, *args)
+        monkeypatch.setattr(codegen, name, counting)
+    return written
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_reduction_compiles_exactly_the_heads_it_calls(strategy, monkeypatch):
     fired = []
     reduce(IMAX_XX, fresh_rules(), strategy, trace=lambda step, path, rule: fired.append(rule))
     rule_set = fresh_rules()
     compiled = counting_compiles(monkeypatch, rule_set)
+    written = counting_writes(monkeypatch)
     reduce(IMAX_XX, rule_set, strategy)
     assert len(compiled) == len(set(compiled)) == 19 and len(rule_set.by_head) == 36
     # innermost, traced or not, fires the same rules
     assert set(compiled) == heads_called(IMAX_XX, fired, rule_set)
+    # and only the heads it compiles have their source written, each once
+    assert written == compiled
 
 
 def test_a_repeated_reduction_compiles_nothing():
@@ -131,7 +147,7 @@ def test_a_head_first_called_deep_in_a_chain_compiles_there():
 
 def test_the_whole_module_is_the_prelude_and_every_head_part():
     rule_set = fresh_rules()
-    prelude, parts = codegen._evaluator_parts(rule_set.by_head)
+    prelude, parts = evaluator_parts(rule_set.by_head)
     source = evaluator_source(rule_set.by_head)
     assert [head for head, _, _ in parts] == list(rule_set.by_head)
     assert source.startswith(prelude + "".join(part for _, _, part in parts))

@@ -32,6 +32,8 @@ import sys
 import types
 from pathlib import Path
 
+from process_cost import workload_modules
+
 import levelcanon
 
 SRC = Path(levelcanon.__file__).resolve().parent
@@ -157,30 +159,28 @@ def test_cli_import_leaves_the_harness_unloaded():
             name == u or name.startswith(u + ".") for u in unloaded)] == [], argv
 
 
-def _workload_modules() -> dict[str, tuple[str, ...]]:
-    """The `modules` tuple of each workload class in perfbench/workloads.py:
-    what the benchmark imports, before it builds the rules, to time set-up."""
-    path = SRC.parents[1] / "perfbench" / "workloads.py"
-    return {node.name: ast.literal_eval(stmt.value)
-            for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
-            for stmt in node.body if isinstance(stmt, ast.Assign)
-            and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["modules"]}
+def test_the_commands_that_encode_levels_load_the_codec():
+    # `rewrite` and `export` encode their level, and a fuzz case reduces one
+    for argv in (["rewrite", "imax(x,x)"], ["export"], ["fuzz", "--cases", "1"]):
+        assert "levelcanon.rewrite.codec" in _loaded_modules(
+            "from levelcanon.cli import run_cli; run_cli(sys.argv[1:])", argv), argv
 
 
 def test_setup_builds_the_rules_without_the_engine():
     # every workload's set-up as perfbench/run.py's child runs it: building
-    # the rule set loads neither the engine nor its compiler, and nothing
-    # before a reduction loads `dataclasses`, `inspect` or `json`
-    workloads = _workload_modules()
+    # the rule set loads neither the codec (unless the workload imports it
+    # itself), nor the engine, nor its compiler, and nothing before a
+    # reduction loads `dataclasses`, `inspect` or `json`
+    workloads = workload_modules()
     assert "Decide" in workloads and "Fuzz" in workloads and "Cli" in workloads
-    unloaded = ("levelcanon.rewrite.engine", "levelcanon.rewrite.codegen", "dataclasses",
-                "inspect", "json")
+    unloaded = ("levelcanon.rewrite.codec", "levelcanon.rewrite.engine",
+                "levelcanon.rewrite.codegen", "dataclasses", "inspect", "json")
     for name, modules in workloads.items():
         loaded = _loaded_modules("import importlib; [importlib.import_module(m) for m in "
                                  "sys.argv[1:]]; from levelcanon.rewrite.rules import "
                                  "default_rules; default_rules()", list(modules))
         assert "levelcanon.rewrite.rules" in loaded
-        assert [m for m in unloaded if m in loaded] == [], name
+        assert [m for m in unloaded if m in loaded and m not in modules] == [], name
 
 
 def test_only_the_engine_imports_dataclasses():

@@ -29,6 +29,7 @@ from test_harness import skewed_eval_cases
 from test_levels import unbound_check
 from test_normalize import round_trip_check
 from test_parser_reference import first_difference
+from test_read_rules import reader_difference_check
 from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
 from test_sublevels import absent_delete_check
@@ -40,6 +41,7 @@ from levelcanon.parser import _NUMERALS, _error_at, _numeral
 from levelcanon.printer import print_repr
 from levelcanon.rewrite import default_rules, rules
 from levelcanon.rewrite.rules import read_rules
+from levelcanon.rewrite.terms import SortError, is_pvar
 from levelcanon.sublevels import SubB, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, succ_sub
 
 DEFAULT_RULES = set(default_rules())
@@ -301,13 +303,22 @@ def sub_b_tagged_two(varset, shift, guard):
     return _new(SubB, (2, varset, shift, guard))
 
 
-def deferred_without_rebinding(namespace, functions, head, name, source, filename):
+def deferred_without_rebinding(namespace, functions, head, name, filename, write, *args):
     """`codegen._deferred` whose stand-in compiles and forwards but stays in
     `functions`, so every call through `functions` compiles again."""
-    def compile_on_first_call(*args):
-        exec(compile(source, filename, "exec"), namespace)
-        return namespace[name](*args)
+    def compile_on_first_call(*call_args):
+        exec(compile(write(*args), filename, "exec"), namespace)
+        return namespace[name](*call_args)
     return compile_on_first_call
+
+
+def check_rule_sorts_at_the_roots_only(rule, signature):
+    """`check_rule_sorts` that checks no argument's sort, only that the
+    right side's root, unless a variable, takes the left side's sort."""
+    lhs_sort = signature[rule.lhs[0]].result
+    rhs_sort = lhs_sort if is_pvar(rule.rhs) else signature[rule.rhs[0]].result
+    if rhs_sort != lhs_sort:
+        raise SortError(f"{rule.rhs[0]} has sort {rhs_sort}, expected {lhs_sort}")
 
 
 def first_guard_shortcut(u, least):
@@ -602,6 +613,12 @@ KILLED = [
     Mutant("deferred compile without rebinding", "levelcanon.rewrite.codegen._deferred",
            lambda: deferred_without_rebinding, repeat_compile_check,
            ("innermost", ["ruleL", "varL"])),
+    # a variant's sort error below the root goes unseen
+    Mutant("reader checking the root sorts only", "levelcanon.rewrite.rules.check_rule_sorts",
+           lambda: check_rule_sorts_at_the_roots_only, reader_difference_check,
+           ("drop", False, "SortError: memN expects 4 arguments, got 2",
+            "ValueError: variable 'subsetN' applied to arguments in rule "
+            "'subsetN nilN e --> true'")),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),
