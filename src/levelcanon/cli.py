@@ -188,7 +188,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "export":
-        t = parse_level(args.expr, names) if args.expr else None
+        t = parse_level(args.expr, names) if args.expr is not None else None
         sys.stdout.write(_cli.export_framework(t, args.paper_literal_rules))
         return 0
 

@@ -12,7 +12,6 @@ import random
 import zlib
 from typing import NamedTuple, Optional
 
-from . import _late_names
 from .levels import (
     Grid, IMax, Level, Max, Succ, Var, ZERO, _Lanes, eval_level, find_counterexample_leq,
     grid_bound, level_facts,
@@ -20,11 +19,7 @@ from .levels import (
 from .normalize import eq_repr, eval_repr, leq_repr, normalize
 from .parser import NameTable
 from .printer import level_repr, print_level
-
-# the codec loads on the first case, not with the harness; a case calls
-# `soundness_report` through `_harness`, this module, so a binding patched on
-# it is the one that runs
-_harness = _late_names(globals(), {"soundness_report": ".rewrite.codec"})
+from .rewrite.codec import soundness_report
 
 # generated numerals are successor towers of height 1..CONST_BOUND
 CONST_BOUND = 3
@@ -156,7 +151,7 @@ def _failure(pool: int, phase: str, t: Level, other: Optional[Level] = None,
 def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
     found, size, depth = level_facts(t)
     vids = tuple(sorted(found))
-    ok, report, r = _harness.soundness_report(t)
+    ok, report, r = soundness_report(t)
     digest = _digest(t)
     rng = random.Random(digest ^ 0x5EED)
     pool = max(3, vids[-1] + 1) if vids else 3

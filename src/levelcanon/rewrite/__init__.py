@@ -1,6 +1,6 @@
-"""First-order rewrite interpreter for the level algebra; the names of the
-codec and of the engine resolve on first access, so building the rules loads
-neither, and only a reduction loads the engine."""
+"""First-order rewrite interpreter for the level algebra; the engine's names
+resolve on first access, so building the rules or encoding a level leaves
+the engine unloaded, and only a reduction loads it."""
 
 from .. import _late_names
 from .terms import (
@@ -8,9 +8,8 @@ from .terms import (
     infer_sort, is_pvar, pvar, term_to_str, term_vars,
 )
 from .rules import SIGNATURE, builtin_ruleset, default_rules, rule_dump
+from .codec import (confluence_runs, encode_level, encode_nat, encode_repr, encode_sub,
+                    encode_varset, soundness_report)
 
-_late_names(globals(), {
-    **dict.fromkeys(("confluence_runs", "encode_level", "encode_nat", "encode_repr", "encode_sub",
-                     "encode_varset", "soundness_report"), ".codec"),
-    **dict.fromkeys(("STRATEGIES", "ReductionReport", "Strategy", "reduce"), ".engine"),
-})
+_late_names(globals(), dict.fromkeys(("STRATEGIES", "ReductionReport", "Strategy", "reduce"),
+                                     ".engine"))

@@ -236,7 +236,9 @@ def read_rules(text: str, paper_literal: bool = False,
     """The symbols that `text` declares, by name in declaration order, and its
     rules in text order (with the published forms if `paper_literal`).
     Raises `SortError` for a rule whose sides do not elaborate, at one sort,
-    in the symbols declared above it."""
+    in the symbols declared above it, and `ValueError` naming the line for a
+    declaration whose name or a sort is not one word, or whose name is
+    declared already."""
     signature: dict[str, Symbol] = {}
     rules: list[RewriteRule] = []
     for line in _logical_lines(text, paper_literal):
@@ -251,6 +253,8 @@ def read_rules(text: str, paper_literal: bool = False,
             if not colon:
                 raise ValueError(f"neither a declaration nor a rule: {line!r}")
             *args, result = sorts.split(" -> ")
+            if name in signature or not all(w.isidentifier() for w in (name, *args, result)):
+                raise ValueError(f"not a new symbol and its sorts, one word each: {line!r}")
             signature[name] = Symbol(name, tuple(args), result)
     return signature, rules
 

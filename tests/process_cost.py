@@ -10,9 +10,9 @@ outside; then each benchmark workload's set-up child, as
 `perfbench/run.py` runs it for `setup_s`: a fresh interpreter that imports
 the workload's `modules` (read from `perfbench/workloads.py`) and builds
 `default_rules()`, timed inside; and the first fuzz case after that
-set-up, timed alone.  Each tree's `src` is copied to a scratch
-directory, and every command runs ROUNDS times per tree, the trees taking
-turns to run first, in two ways:
+set-up, timed alone and, in another child, together with the set-up.
+Each tree's `src` is copied to a scratch directory, and every command runs
+ROUNDS times per tree, the trees taking turns to run first, in two ways:
 
   * no bytecode: PYTHONDONTWRITEBYTECODE=1 on a copy without `__pycache__`,
     so every module is compiled in every process;
@@ -55,15 +55,18 @@ from levelcanon.rewrite.rules import default_rules
 default_rules()
 print(time.perf_counter() - start)
 """
-# the fuzz workload's set-up, then its first operation, timed alone: what a
-# set-up leaves unloaded, the first case loads
+# the fuzz workload's set-up, then its first operation, timed from before the
+# imports ("set-up") or alone ("case"): what a set-up leaves unloaded, the
+# first case loads, so a load moved from one to the other leaves the sum flat
 FIRST_CASE_CHILD = """\
-import time
+import sys, time
+start = time.perf_counter()
 from levelcanon.harness import GenConfig, differential_case, gen_level
 from levelcanon.rewrite.rules import default_rules
 default_rules()
 level = gen_level(GenConfig(seed=707, max_size=50), 0)
-start = time.perf_counter()
+if sys.argv[1] == "case":
+    start = time.perf_counter()
 differential_case(level)
 print(time.perf_counter() - start)
 """
@@ -102,7 +105,8 @@ def commands() -> list[Command]:
     return ([Command(shlex.join(argv), ["-m", "levelcanon", *argv], False) for argv in cli]
             + [Command(f"set-up of {name}", ["-c", SETUP_CHILD, *modules], True)
                for name, modules in workload_modules().items()]
-            + [Command("first fuzz case after set-up", ["-c", FIRST_CASE_CHILD], True)])
+            + [Command("first fuzz case after set-up", ["-c", FIRST_CASE_CHILD, "case"], True),
+               Command("fuzz set-up + first case", ["-c", FIRST_CASE_CHILD, "set-up"], True)])
 
 
 def run(src: Path, command: Command, env: dict) -> tuple[float, str, int]:

@@ -168,19 +168,29 @@ def test_the_commands_that_encode_levels_load_the_codec():
 
 def test_setup_builds_the_rules_without_the_engine():
     # every workload's set-up as perfbench/run.py's child runs it: building
-    # the rule set loads neither the codec (unless the workload imports it
-    # itself), nor the engine, nor its compiler, and nothing before a
-    # reduction loads `dataclasses`, `inspect` or `json`
+    # the rule set loads neither the engine nor its compiler, and nothing
+    # before a reduction loads `dataclasses`, `inspect` or `json`
     workloads = workload_modules()
     assert "Decide" in workloads and "Fuzz" in workloads and "Cli" in workloads
-    unloaded = ("levelcanon.rewrite.codec", "levelcanon.rewrite.engine",
-                "levelcanon.rewrite.codegen", "dataclasses", "inspect", "json")
+    unloaded = ("levelcanon.rewrite.engine", "levelcanon.rewrite.codegen", "dataclasses",
+                "inspect", "json")
     for name, modules in workloads.items():
         loaded = _loaded_modules("import importlib; [importlib.import_module(m) for m in "
                                  "sys.argv[1:]]; from levelcanon.rewrite.rules import "
                                  "default_rules; default_rules()", list(modules))
         assert "levelcanon.rewrite.rules" in loaded
         assert [m for m in unloaded if m in loaded and m not in modules] == [], name
+
+
+def test_the_harness_binds_the_codec_when_it_loads():
+    # a case calls `soundness_report` by the harness's own global, the one a
+    # tracer patches; importing the harness binds it, and loads no engine
+    loaded = _loaded_modules(
+        "import levelcanon.harness as h; names = vars(h); "
+        "assert '__getattr__' not in names; "
+        "assert names['soundness_report'] is "
+        "sys.modules['levelcanon.rewrite.codec'].soundness_report", [])
+    assert "levelcanon.harness" in loaded and "levelcanon.rewrite.engine" not in loaded
 
 
 def test_only_the_engine_imports_dataclasses():

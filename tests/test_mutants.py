@@ -22,7 +22,10 @@ from typing import Callable, NamedTuple
 
 import pytest
 from conftest import GEN_STREAM_SHA256, gen_stream_sha256, oracle_sweep
-from oracles import antichains, enumerate_sublevels, exhaustive_sublevel_suite, up, wrong_merges
+from oracles import (
+    antichains, enumerate_sublevels, exhaustive_sublevel_suite, reference_read_rules, up,
+    wrong_merges,
+)
 from test_deferred_compile import repeat_compile_check
 from test_fold import BAD_NODE_IDS, BAD_NODES
 from test_harness import skewed_eval_cases
@@ -616,9 +619,14 @@ KILLED = [
     # a variant's sort error below the root goes unseen
     Mutant("reader checking the root sorts only", "levelcanon.rewrite.rules.check_rule_sorts",
            lambda: check_rule_sorts_at_the_roots_only, reader_difference_check,
-           ("drop", False, "SortError: memN expects 4 arguments, got 2",
-            "ValueError: variable 'subsetN' applied to arguments in rule "
-            "'subsetN nilN e --> true'")),
+           ("drop", False, "SortError: ltN expects 2 arguments, got 1", "85 rules")),
+    # the reader without its declaration check is the reference reader: a
+    # declaration that an indented line joins passes, and a rule trips on it
+    Mutant("reader without the declaration check", "test_read_rules.read_rules",
+           lambda: reference_read_rules, reader_difference_check,
+           ("drop", False, "ValueError: not a new symbol and its sorts, one word each: "
+            "'memN : nat -> natset -> bool : natset -> natset -> bool'",
+            "SortError: memN expects 4 arguments, got 2")),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),

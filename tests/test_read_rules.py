@@ -1,7 +1,12 @@
 """The rule reader against `oracles.reference_read_rules`, which lexes with a
 regular expression and reads the text once per call: on `RULE_TEXT` under
 both flags, and on seeded malformed variants of it, both give the same
-signature and rules, or raise the same exception type with the same message."""
+signature and rules, or raise the same exception type with the same message.
+
+The reference reader does not check declarations.  Where a declaration's
+name or a sort is not one word, or its name is declared already, and the
+reference reads every line above it, the reader raises `ValueError` naming
+that line instead (`expected_outcome`)."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import random
 import re
 
 import pytest
-from oracles import reference_read_rules
+from oracles import _reference_logical_lines, reference_read_rules
 
 from levelcanon.rewrite import rules
 from levelcanon.rewrite.rules import read_rules
@@ -56,6 +61,27 @@ def outcome(read, text: str, paper_literal: bool):
     return list(signature.items()), rule_list
 
 
+def expected_outcome(text: str, paper_literal: bool):
+    """The reader's outcome on `text` as the reference reader and the
+    declaration check give it: the reference's outcome, unless a logical
+    line declares a name or sort of more than one word, or a name declared
+    above it, and the reference reads the lines above that one; then the
+    reader's `ValueError` for that line."""
+    lines = _reference_logical_lines(text, paper_literal)
+    declared = set()
+    for i, line in enumerate(lines):
+        name, colon, sorts = line.partition(" : ")
+        if " --> " in line or not colon:
+            continue
+        if name not in declared and all(w.isidentifier() for w in (name, *sorts.split(" -> "))):
+            declared.add(name)
+            continue
+        above = outcome(reference_read_rules, "\n".join(lines[:i]), paper_literal)
+        return above if isinstance(above[0], str) else (
+            "ValueError", f"not a new symbol and its sorts, one word each: {line!r}")
+    return outcome(reference_read_rules, text, paper_literal)
+
+
 def _brief(found) -> str:
     return f"{found[0]}: {found[1]}" if isinstance(found[0], str) else f"{len(found[1])} rules"
 
@@ -70,10 +96,10 @@ def cases() -> list[tuple[str, bool, str]]:
 
 
 def reader_difference_check():
-    """Both readers on each of `cases()`: the first (kind, flag, reference's
-    outcome, reader's outcome) that differ, briefly."""
+    """The reader against `expected_outcome` on each of `cases()`: the first
+    (kind, flag, expected outcome, reader's outcome) that differ, briefly."""
     for kind, paper_literal, text in cases():
-        want = outcome(reference_read_rules, text, paper_literal)
+        want = expected_outcome(text, paper_literal)
         got = outcome(read_rules, text, paper_literal)
         if got != want:
             return kind, paper_literal, _brief(want), _brief(got)

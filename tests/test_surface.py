@@ -246,6 +246,15 @@ def test_cli_parse_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_cli_export_of_an_empty_query_is_a_parse_error(capsys):
+    # an empty query is a query, and fails to parse as `normalize ""` does
+    assert run_cli(["normalize", ""]) == 2
+    refused = capsys.readouterr()
+    assert run_cli(["export", ""]) == 2
+    assert capsys.readouterr() == refused == ("", "error: unexpected end of input at line 1, "
+                                              "column 1 (expected IDENT, NAT, imax, max, s)\n")
+
+
 def _nested_max(depth: int) -> str:
     return "max(" * depth + "x" + ",y)" * depth
 
