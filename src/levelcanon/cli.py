@@ -8,12 +8,13 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import _late_names
 from .levels import UnboundVariableError, VarId, const_depth, eval_level
 from .normalize import eq_repr, leq_repr, normalize, subst_repr
-from .parser import NameTable, ParseError, parse_level
+from .parser import KEYWORDS, NameTable, ParseError, parse_level
 from .printer import print_repr, print_repr_json
 
 UNARY_WARN_DEPTH = 64
@@ -91,8 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_binding(text: str) -> tuple[str, int]:
-    name, sep, value = text.partition("=")
-    if not sep or not name or not (value.isascii() and value.isdigit()):
+    name, _, value = text.partition("=")
+    if not (name.isascii() and name.isidentifier() and name not in KEYWORDS
+            and value.isascii() and value.isdigit()):
         raise ParseError(f"expected NAME=NAT, got {text!r}", 1, 1)
     return name, _int_text(int, value.lstrip("0") or "0")
 
@@ -203,4 +205,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """The `levelcanon` process entry: runs the command line and exits the
+    interpreter with its code.  Library callers use `run_cli`, which returns
+    the code and leaves the collector as it found it."""
+    code = run_cli(sys.argv[1:])
+    # the process ends here: what it built moves to the collector's permanent
+    # generation, which the interpreter's shutdown collections skip
+    gc.freeze()
+    sys.exit(code)

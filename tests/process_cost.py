@@ -21,7 +21,8 @@ ROUNDS times per tree, the trees taking turns to run first, in two ways:
 It prints, per way and command, each tree's median time with its
 quartiles (`statistics.quantiles(n=4, method="inclusive")`), the new tree's
 change of the median, and in how many rounds the new tree was faster.  A
-command whose stdout or exit code differs between the trees is flagged.
+command whose stdout, stderr or exit code differs between the trees is
+flagged with what differs.
 pytest does not collect this file; it takes a few minutes.
 """
 
@@ -109,31 +110,31 @@ def commands() -> list[Command]:
                Command("fuzz set-up + first case", ["-c", FIRST_CASE_CHILD, "set-up"], True)])
 
 
-def run(src: Path, command: Command, env: dict) -> tuple[float, str, int]:
-    """One process: (seconds, stdout, exit code), the seconds the wall time
-    or, if it is timed inside, the ones it printed (and no stdout)."""
+def run(src: Path, command: Command, env: dict) -> tuple[float, tuple[str, str, int]]:
+    """One process: (seconds, (stdout, stderr, exit code)), the seconds the
+    wall time or, if it is timed inside, the ones it printed (and no stdout)."""
     env = {**env, "PYTHONPATH": str(src)}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *command.argv], env=env,
                           capture_output=True, text=True, timeout=120)
     seconds = time.perf_counter() - start
     if command.timed_inside and proc.returncode == 0:
-        return float(proc.stdout), "", proc.returncode
-    return seconds, proc.stdout, proc.returncode
+        return float(proc.stdout), ("", proc.stderr, proc.returncode)
+    return seconds, (proc.stdout, proc.stderr, proc.returncode)
 
 
 def measure(trees: dict[str, Path], commands: list[Command], rounds: int, env: dict) -> dict:
     """Per command, per tree: the times of every round, in round order,
-    and the (stdout, exit code) of the first."""
+    and the (stdout, stderr, exit code) of the first."""
     found = {i: {name: [] for name in trees} for i in range(len(commands))}
     outputs: dict = {}
     for r in range(rounds):
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         for i, command in enumerate(commands):
             for name in order:
-                seconds, out, code = run(trees[name], command, env)
+                seconds, output = run(trees[name], command, env)
                 found[i][name].append(seconds)
-                outputs.setdefault((i, name), (out, code))
+                outputs.setdefault((i, name), output)
     return {"times": found, "outputs": outputs}
 
 
@@ -149,11 +150,13 @@ def report(way: str, commands: list[Command], measured: dict) -> None:
         times = measured["times"][i]
         a, b = quartiles(times["old"]), quartiles(times["new"])
         wins = sum(y < x for x, y in zip(times["old"], times["new"]))
-        same = measured["outputs"][i, "old"] == measured["outputs"][i, "new"]
+        differs = [stream for stream, old, new in zip(
+            ("stdout", "stderr", "exit code"), measured["outputs"][i, "old"],
+            measured["outputs"][i, "new"]) if old != new]
         print(f"{command.label[:48]:48} {a[1] * 1e3:8.1f} ({a[0] * 1e3:5.1f}-{a[2] * 1e3:5.1f}) "
               f"{b[1] * 1e3:8.1f} ({b[0] * 1e3:5.1f}-{b[2] * 1e3:5.1f}) "
               f"{b[1] / a[1] - 1:+8.1%} {wins:>3}/{len(times['new'])}"
-              + ("" if same else "  OUTPUT DIFFERS"))
+              + (f"  {', '.join(differs).upper()} DIFFERS" if differs else ""))
 
 
 def main() -> int:

@@ -16,6 +16,7 @@ Add a row when a change shows that a new check has teeth.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -36,8 +37,10 @@ from test_read_rules import reader_difference_check
 from test_records import default_stats_check, validation_check, witness_copy_check
 from test_rule_model import check
 from test_sublevels import absent_delete_check
+from test_surface import EXIT_HANDLER_WRAPPER, exit_handler_check, freeze_count_check
 
 from levelcanon import IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero, levels
+from levelcanon.cli import run_cli
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
 from levelcanon.normalize import MEMO_ENTRIES, Repr, _merge, imax_repr, max_repr, repr_var, succ_repr
 from levelcanon.parser import _NUMERALS, _error_at, _numeral
@@ -487,6 +490,32 @@ def grid_answering_in_its_own_order():
     return lambda grid, t1, t2: leq_witness(grid, *grid.pair)
 
 
+def run_cli_freezing(argv):
+    """`cli.run_cli` with the console entry's `gc.freeze()` moved into it."""
+    code = run_cli(argv)
+    gc.freeze()
+    return code
+
+
+# `levelcanon.cli.main` flushing stdio and ending the process by `os._exit`
+OS_EXIT_MAIN = """\
+import os, sys
+from levelcanon import cli
+def main():
+    code = cli.run_cli(sys.argv[1:])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+cli.main = main
+"""
+
+
+def wrapper_with_an_os_exit_main():
+    """`test_surface.EXIT_HANDLER_WRAPPER` run after `OS_EXIT_MAIN`: the
+    console entry skips the interpreter's shutdown, exit handlers and all."""
+    return OS_EXIT_MAIN + EXIT_HANDLER_WRAPPER
+
+
 class Mutant(NamedTuple):
     name: str
     target: str  # the binding the mutant replaces
@@ -627,6 +656,12 @@ KILLED = [
            ("drop", False, "ValueError: not a new symbol and its sorts, one word each: "
             "'memN : nat -> natset -> bool : natset -> natset -> bool'",
             "SortError: memN expects 4 arguments, got 2")),
+    # the check runs a child process, and the mutant goes ahead of its wrapper
+    Mutant("console entry ending by os._exit", "test_surface.EXIT_HANDLER_WRAPPER",
+           wrapper_with_an_os_exit_main, exit_handler_check, (0, "true\n", "")),
+    # the check unfreezes the collector after the command that froze it
+    Mutant("run_cli freezing the collector", "levelcanon.cli.run_cli",
+           lambda: run_cli_freezing, freeze_count_check, ["eq", "imax(x,x)", "x"]),
     Mutant("leqN (succN n) zeroN --> true", "levelcanon.rewrite.rules.RULE_TEXT",
            rule_edit("leqN (succN n) zeroN --> false", "leqN (succN n) zeroN --> true"),
            rule_model_check, ("leqN (succN n) zeroN --> true", {"n": 0})),

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
+import io
 import json
 import os
 import pickle
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from process_cost import readme_commands
 
 import levelcanon
-from levelcanon import IMax, Max, Succ, Var, ZERO, Repr, repr_var
+from levelcanon import IMax, Max, Succ, Var, ZERO, Repr, cli, repr_var
 from levelcanon.cli import run_cli
 from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level, harness_names
@@ -341,17 +346,84 @@ def test_cli_prints_a_result_at_the_integer_text_limit(argv, out, capsys):
     assert capsys.readouterr().out == out
 
 
-def _run_levelcanon(*argv: str) -> subprocess.CompletedProcess:
+@pytest.mark.parametrize("argv", [
+    ["subst", "max(x,y)", "x =0"],
+    ["subst", "max(x,y)", "1x=0"],
+    ["subst", "max(x,y)", "max=0"],
+    ["eval", "s(x)", "--val", "x =1"],
+    ["eval", "x", "--val", "x=1,imax=2"],
+])
+def test_cli_rejects_a_binding_name_that_is_no_identifier(argv, capsys):
+    # NAME must be an IDENT of the grammar, or no variable could be bound
+    assert run_cli(argv) == 2
+    binding = argv[-1].split(",")[-1]
+    assert capsys.readouterr() == ("", f"error: expected NAME=NAT, got {binding!r} "
+                                       "at line 1, column 1\n")
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(levelcanon.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "levelcanon", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_python_dash_m_runs_the_cli():
-    proc = _run_levelcanon("eq", "imax(x,x)", "x")
-    assert (proc.returncode, proc.stdout) == (0, "true\n")
+def _run_levelcanon(*argv: str) -> subprocess.CompletedProcess:
+    return _run_python("-m", "levelcanon", *argv)
+
+
+# the README's CLI examples, then a false verdict, a usage error and a parse error
+ENTRY_COMMANDS = readme_commands() + [["eq", "max(x,y)", "x"], ["leq", "x"],
+                                      ["normalize", "imax(x"]]
+
+
+@pytest.mark.parametrize("argv", ENTRY_COMMANDS, ids=shlex.join)
+def test_python_dash_m_runs_the_cli(argv, capsys):
+    proc = _run_levelcanon(*argv)
+    code = run_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
+
+
+# a `-c` wrapper that registers an exit handler, then calls the console entry
+EXIT_HANDLER_WRAPPER = """\
+import atexit
+from levelcanon.cli import main
+atexit.register(print, "exit handler ran")
+main()
+"""
+
+
+def exit_handler_check():
+    """`eq imax(x,x) x` through `main` under `EXIT_HANDLER_WRAPPER`: the
+    process's (exit code, stdout, stderr) unless the handler printed after
+    the verdict."""
+    proc = _run_python("-c", EXIT_HANDLER_WRAPPER, "eq", "imax(x,x)", "x")
+    got = (proc.returncode, proc.stdout, proc.stderr)
+    return None if got == (0, "true\nexit handler ran\n", "") else got
+
+
+def test_the_console_entry_runs_the_exit_handlers():
+    assert exit_handler_check() is None
+
+
+def freeze_count_check():
+    """`cli.run_cli` on a decision, a reduction and a usage error: the first
+    command after which `gc.get_freeze_count()` changed, the collector then
+    unfrozen so that this process goes on as it was."""
+    for argv in (["eq", "imax(x,x)", "x"], ["rewrite", "imax(x,x)"], ["leq", "x"]):
+        before = gc.get_freeze_count()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.run_cli(argv)
+        if gc.get_freeze_count() != before:
+            gc.unfreeze()
+            return argv
+    return None
+
+
+def test_run_cli_leaves_the_collector_unfrozen():
+    # only the process entry freezes: a library caller keeps collecting
+    assert freeze_count_check() is None
 
 
 # the encoding of the numeral 10000: a 10000-deep successor tower
