@@ -378,8 +378,13 @@ ENTRY_COMMANDS = readme_commands() + [["eq", "max(x,y)", "x"], ["leq", "x"],
                                       ["normalize", "imax(x"]]
 
 
+def test_python_dash_m_runs_the_cli():
+    proc = _run_levelcanon("eq", "imax(x,x)", "x")
+    assert (proc.returncode, proc.stdout) == (0, "true\n")
+
+
 @pytest.mark.parametrize("argv", ENTRY_COMMANDS, ids=shlex.join)
-def test_python_dash_m_runs_the_cli(argv, capsys):
+def test_python_dash_m_matches_run_cli(argv, capsys):
     proc = _run_levelcanon(*argv)
     code = run_cli(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
