@@ -10,12 +10,10 @@ from .levels import (
     ZERO, const_depth, default_grid_bound, eval_level, find_counterexample_leq,
     fold_level, imax_nat, level_size, level_vars,
 )
-from .sublevels import (
-    SubA, SubB, SubLevel, VarSet, eval_sub, imax_sub, leq_sub, set_delete, succ_sub,
-)
 from .normalize import (
-    Repr, ReprInvariantError, eq_repr, eval_repr, imax_repr, leq_repr, max_repr,
-    repr_var, subst_repr, succ_repr,
+    Repr, ReprInvariantError, SubA, SubB, SubLevel, VarSet, eq_repr, eval_repr, eval_sub,
+    imax_repr, imax_sub, leq_repr, leq_sub, max_repr, repr_var, set_delete, subst_repr,
+    succ_repr, succ_sub,
 )
 from .parser import NameTable, ParseError, parse_level
 from .printer import print_level, print_repr, print_repr_json

@@ -29,7 +29,7 @@ STRATEGIES = ("innermost", "outermost", "random")
 # harness; the three commands call them through `_cli`, this module, so a
 # binding patched on it is the one that runs.
 _cli = _late_names(globals(), {
-    "export_framework": ".export",
+    "export_framework": ".rewrite.rules",
     "encode_level": ".rewrite.codec",
     "reduce": ".rewrite.engine",
     "builtin_ruleset": ".rewrite.rules",
@@ -190,8 +190,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "export":
-        t = parse_level(args.expr, names) if args.expr is not None else None
-        sys.stdout.write(_cli.export_framework(t, args.paper_literal_rules))
+        query = None if args.expr is None else _cli.encode_level(parse_level(args.expr, names))
+        sys.stdout.write(_cli.export_framework(query, args.paper_literal_rules))
         return 0
 
     if args.command == "fuzz":

@@ -185,8 +185,10 @@ def _differential_case(t: Level) -> tuple[Optional[Failure], int]:
         witness = find_counterexample_leq(lhs, rhs, grid)
         # a claimed t1 <= t2 with a witness is refuted; so is a claimed
         # strict inequality without one, since the grid covers every
-        # witness construction
-        if claimed == (witness is not None):
+        # witness construction; and a witness must refute t1 <= t2 at its
+        # one point, by the scalar evaluator
+        if claimed == (witness is not None) or (
+                witness is not None and eval_level(lhs, witness) <= eval_level(rhs, witness)):
             return _failure(pool, "compare", lhs, rhs, witness), report.steps
         apart = witness if apart is None else apart
     # so the representations are equal exactly when neither direction has a witness

@@ -16,7 +16,7 @@ node for a variable of id below 64 and the same tower for a numeral 0-15.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .levels import IMax, Level, Max, Succ, Var, ZERO, VarId
 
@@ -70,10 +70,6 @@ class ParseError(Exception):
 # the first character no lexeme can hold
 _BAD_RE = re.compile(r"[^ \t\r\n0-9A-Za-z_(),]")
 
-# one lexeme per match, after whitespace: a numeral, a name or keyword,
-# punctuation, or the empty end of input; the lexer of the error path
-_LEXEME_RE = re.compile(r"[ \t\r\n]*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[(),]|\Z)")
-
 # what may start a level
 _LEVEL_START = frozenset({"NAT", "IDENT", *KEYWORDS})
 
@@ -93,17 +89,23 @@ def _error(text: str, offset: int, message: str,
                       expected)
 
 
-def _error_at(text: str, index: int, message: str,
+def _error_at(text: str, lexemes: list[str], index: int, message: str,
               expected: frozenset[str] = frozenset()) -> ParseError:
-    """The error at the `index`-th lexeme, which `_LEXEME_RE` finds only now;
-    a `{}` in `message` stands for that lexeme."""
-    lexeme = next(islice(_LEXEME_RE.finditer(text), index, None))
-    return _error(text, lexeme.start(1), message.format(lexeme[1] or "end of input"),
-                  expected)
+    """The error at the `index`-th lexeme, found in `text` after the ones
+    before it (the end of input at its end); a `{}` in `message` stands for
+    that lexeme, or for a numeral's digits where a name is glued to them."""
+    offset = 0
+    for lexeme in lexemes[:index]:
+        offset = text.index(lexeme, offset) + len(lexeme)
+    lexeme = lexemes[index]
+    shown = lexeme[:len(lexeme) - len(lexeme.lstrip("0123456789"))] or lexeme
+    return _error(text, text.index(lexeme, offset) if lexeme else len(text),
+                  message.format(shown or "end of input"), expected)
 
 
-def _unexpected(text: str, index: int, expected: frozenset[str]) -> ParseError:
-    return _error_at(text, index, "unexpected {}", expected)
+def _unexpected(text: str, lexemes: list[str], index: int,
+                expected: frozenset[str]) -> ParseError:
+    return _error_at(text, lexemes, index, "unexpected {}", expected)
 
 
 def _numeral(text: str, lexemes: list[str], index: int) -> Level:
@@ -118,7 +120,7 @@ def _numeral(text: str, lexemes: list[str], index: int) -> Level:
     if n is None or n > MAX_NUMERAL:
         # a numeral longer than the limit's text is named by its length
         shown = digits if len(digits) <= len(str(MAX_NUMERAL)) else f"of {len(digits)} digits"
-        raise _error_at(text, index, f"numeral {shown} too large (limit {MAX_NUMERAL})")
+        raise _error_at(text, lexemes, index, f"numeral {shown} too large (limit {MAX_NUMERAL})")
     t: Level = ZERO
     for _ in range(n):
         t = Succ(t)
@@ -145,14 +147,14 @@ def parse_level(text: str, names: NameTable) -> Level:
         lex = lexemes[i]
         if lex in KEYWORDS:
             if len(stack) == MAX_NESTING:
-                raise _error_at(text, i, f"nesting deeper than {MAX_NESTING}")
+                raise _error_at(text, lexemes, i, f"nesting deeper than {MAX_NESTING}")
             if lexemes[i + 1] != "(":
-                raise _unexpected(text, i + 1, frozenset({"("}))
+                raise _unexpected(text, lexemes, i + 1, frozenset({"("}))
             stack.append([_BINARY.get(lex, Succ), None])
             i += 2
             continue
         if lex in "(),":  # punctuation, or "" at the end of input
-            raise _unexpected(text, i, _LEVEL_START)
+            raise _unexpected(text, lexemes, i, _LEVEL_START)
         if lex[0] <= "9":  # digits sort before letters and "_"
             t = _NUMERALS.get(lex) or _numeral(text, lexemes, i)
         else:
@@ -163,7 +165,7 @@ def parse_level(text: str, names: NameTable) -> Level:
             make, left = stack[-1]
             want = ")" if make is Succ or left is not None else ","
             if lexemes[i] != want:
-                raise _unexpected(text, i, frozenset({want}))
+                raise _unexpected(text, lexemes, i, frozenset({want}))
             i += 1
             if want == ",":
                 stack[-1][1] = t
@@ -172,5 +174,5 @@ def parse_level(text: str, names: NameTable) -> Level:
             stack.pop()
         else:
             if lexemes[i]:
-                raise _unexpected(text, i, frozenset({"EOF"}))
+                raise _unexpected(text, lexemes, i, frozenset({"EOF"}))
             return t

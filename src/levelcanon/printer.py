@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from .levels import Level, fold_level
-from .normalize import Repr
+from .normalize import Repr, SubA, SubLevel
 from .parser import NameTable
-from .sublevels import SubA, SubLevel
 
 
 def join_rope(rope) -> str:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from .. import _late_names
 from ..levels import Level, fold_level
-from ..normalize import Repr, normalize
-from ..sublevels import SubA, SubLevel, VarSet
+from ..normalize import Repr, SubA, SubLevel, VarSet, normalize
 from .rules import default_rules
 from .terms import RTerm, app, term_to_str
 

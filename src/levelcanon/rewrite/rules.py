@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import re
 
-from .terms import RewriteRule, RTerm, RuleSet, Symbol, check_rule_sorts, is_pvar, pvar
+from .terms import (
+    RewriteRule, RTerm, RuleSet, Symbol, check_rule_sorts, is_pvar, pvar, term_to_str,
+)
 
 RULE_TEXT = """\
 # booleans
@@ -312,3 +314,14 @@ def default_rules() -> RuleSet:
 def rule_dump(rules: RuleSet) -> str:
     """One rule per line, ``lhs --> rhs``."""
     return "\n".join(str(r) for r in rules)
+
+
+def export_framework(query: RTerm | None = None, paper_literal: bool = False) -> str:
+    """The system as ``levelcanon export`` prints it, which `read_rules` reads
+    back: every symbol as declared, the rules of `builtin_ruleset` in prefix
+    application syntax, and then the encoded `query` term if one is given."""
+    lines = ["# level rewrite system", "", "# symbols", *DECLARATIONS, "", "# rules",
+             rule_dump(builtin_ruleset(paper_literal))]
+    if query is not None:
+        lines += "", "# query", term_to_str(query)
+    return "\n".join(lines) + "\n"

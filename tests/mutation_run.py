@@ -1,12 +1,11 @@
-"""How much of `sublevels.py` and `normalize.py` the fuzz checks: a
-mutation score.
+"""How much of `normalize.py` the fuzz checks: a mutation score.
 
     python3 tests/mutation_run.py
 
 Run it from anywhere; it measures the `src/` beside this directory.  Every
-first-order site of the two modules gets a mutant under each of three
-operators: a relational swap (`<` and `<=`, `>` and `>=`, `==` and `!=`),
-an int constant plus one, and `and` and `or` swapped.  Each mutant runs
+first-order site of the module gets a mutant under each of three operators:
+a relational swap (`<` and `<=`, `>` and `>=`, `==` and `!=`), an int
+constant plus one, and `and` and `or` swapped.  Each mutant runs
 `run_fuzz(GenConfig(seed=0, max_size=50), 1000)` in its own child
 interpreter, JOBS at a time.  The child compiles the mutated module and
 installs it under the module's name before `levelcanon` is imported, so the
@@ -32,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-TARGETS = ("levelcanon.sublevels", "levelcanon.normalize")
+TARGETS = ("levelcanon.normalize",)
 SEED, MAX_SIZE, CASES = 0, 50, 1000
 JOBS, TIMEOUT_S = 2, 60  # child interpreters at a time; the seconds one may run
 CHILD_MEMORY = 1 << 30  # a child's address space, so a runaway mutant stops itself

@@ -27,9 +27,9 @@ from typing import Iterator, Optional
 from levelcanon import IMax, Max, Succ, Zero, eval_level, level_vars
 from levelcanon.harness import DiffReport, Failure, harness_names
 from levelcanon.levels import Level, Var, VarId, ZERO, fold_level
-from levelcanon.normalize import Repr
+from levelcanon.normalize import Repr, SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
 from levelcanon.parser import (
-    _BAD_RE, _BINARY, _LEVEL_START, _LEXEME_RE, KEYWORDS, MAX_NESTING, MAX_NUMERAL, NameTable,
+    _BAD_RE, _BINARY, _LEVEL_START, KEYWORDS, MAX_NESTING, MAX_NUMERAL, NameTable,
     ParseError, _error,
 )
 from levelcanon.printer import print_atom
@@ -37,7 +37,6 @@ from levelcanon.rewrite import codegen
 from levelcanon.rewrite.terms import (
     PVAR_HEAD, RewriteRule, RTerm, Symbol, check_rule_sorts, fold_term,
 )
-from levelcanon.sublevels import SubA, SubB, SubLevel, eval_sub, imax_sub, leq_sub, succ_sub
 
 
 # --- the fuzz report's serialization -------------------------------------
@@ -398,6 +397,11 @@ def _max_chain(args: list[Level]) -> Level:
 # --- the parser ----------------------------------------------------------
 # `parse_level` as it read before it shared leaves: `_LEXEME_RE` lexes the
 # whole text, and every variable and numeral is a new node
+
+# one lexeme per match, after whitespace: a numeral, a name or keyword,
+# punctuation, or the empty end of input
+_LEXEME_RE = re.compile(r"[ \t\r\n]*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[(),]|\Z)")
+
 
 def _error_at(text: str, index: int, message: str,
               expected: frozenset[str] = frozenset()) -> ParseError:

@@ -73,8 +73,9 @@ def test_a_fuzz_case_makes_nine_folds(monkeypatch):
     assert all(differential_case(t) is None for t in cases)
     # 2 in the grid both searches share (each level in the one block), 2
     # normalize, the facts folds of the case's level and of its partner,
-    # encode, repr and eval
-    assert calls == 9 * 300
+    # encode, repr and eval; and 2 scalar evaluations for each of the 427
+    # witnesses the grid finds in the 300 cases, which checks them
+    assert calls == 9 * 300 + 2 * 427
     # 300 grids, one a case, over 24 distinct (side, top, variable count) shapes
     info = levels._layout.cache_info()
     assert (info.misses, info.hits) == (24, 276)

@@ -42,13 +42,15 @@ from test_surface import EXIT_HANDLER_WRAPPER, exit_handler_check, freeze_count_
 from levelcanon import IMax, Max, Succ, UnboundVariableError, Var, ZERO, Zero, levels
 from levelcanon.cli import run_cli
 from levelcanon.harness import GenConfig, harness_names, run_fuzz
-from levelcanon.normalize import MEMO_ENTRIES, Repr, _merge, imax_repr, max_repr, repr_var, succ_repr
+from levelcanon.normalize import (
+    MEMO_ENTRIES, Repr, SubB, _merge, _new, _sub_a, _sub_b, eval_sub, imax_repr, imax_sub,
+    leq_sub, max_repr, repr_var, succ_repr, succ_sub,
+)
 from levelcanon.parser import _NUMERALS, _error_at, _numeral
 from levelcanon.printer import print_repr
 from levelcanon.rewrite import default_rules, rules
 from levelcanon.rewrite.rules import read_rules
 from levelcanon.rewrite.terms import SortError, is_pvar
-from levelcanon.sublevels import SubB, _new, _sub_a, _sub_b, eval_sub, imax_sub, leq_sub, succ_sub
 
 DEFAULT_RULES = set(default_rules())
 
@@ -285,7 +287,7 @@ def imax_repr_testing_both_empty(r1, r2):
 
 
 def imax_sub_testing_a_strict_subset(u, v):
-    """`sublevels.imax_sub` that returns u itself only when v's guard set is
+    """`normalize.imax_sub` that returns u itself only when v's guard set is
     strictly within u's (`<=` read as `<`)."""
     if v[-1] < u[-1]:
         return u
@@ -305,7 +307,7 @@ def fold_level_with_memos_of(entries):
 
 
 def sub_b_tagged_two(varset, shift, guard):
-    """`sublevels._sub_b` tagging its B-atom 2, where `SubB` tags 1."""
+    """`normalize._sub_b` tagging its B-atom 2, where `SubB` tags 1."""
     return _new(SubB, (2, varset, shift, guard))
 
 
@@ -340,7 +342,7 @@ def succ_repr_always_flooring(r, n):
 
 
 def eval_sub_skipping_the_last_guard(u, sigma, lanes=None):
-    """`sublevels.eval_sub` whose lane form masks an atom by the lanes where
+    """`normalize.eval_sub` whose lane form masks an atom by the lanes where
     each guard variable but the last is not 0."""
     if lanes is None:
         return eval_sub(u, sigma)
@@ -351,7 +353,7 @@ def eval_sub_skipping_the_last_guard(u, sigma, lanes=None):
 
 
 def eval_sub_stopping_at_the_first_zero_guard(u, sigma, lanes=None):
-    """`sublevels.eval_sub` as its plain-valuation form once read: 0 at the
+    """`normalize.eval_sub` as its plain-valuation form once read: 0 at the
     first guard variable that is 0, before the later ones are checked."""
     for y in u[1]:
         if y not in sigma:
@@ -366,18 +368,25 @@ def first_reading_the_highest_lane(lanes, mask):
     return (mask.bit_length() - 1) // lanes.width
 
 
+def first_one_lane_low(lanes, mask):
+    """`levels._Lanes.first` with `- 2` for its `- 1`: the lane below the
+    lowest lane with a bit set, whenever that bit is a lane's lowest."""
+    return ((mask & -mask).bit_length() - 2) // lanes.width
+
+
 def numeral_splitting_a_copy(text, lexemes, index):
     """`parser._numeral` whose split of a glued word ("2x") the parse never
     sees: the digits are read, and the whole word stays one lexeme."""
     return _numeral(text, list(lexemes), index)
 
 
-def unexpected_naming_the_split_word(text, index, expected):
-    """`parser._unexpected` naming the `index`-th word of `str.split`, not
-    the `index`-th lexeme of `_LEXEME_RE`."""
+def unexpected_naming_the_split_word(text, lexemes, index, expected):
+    """`parser._unexpected` naming the `index`-th word of a fresh `str.split`
+    of the text, not the `index`-th lexeme the parse read, in which
+    `_numeral` split each glued numeral it read ("2x")."""
     words = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
     word = words[index] if index < len(words) else ""
-    return _error_at(text, index, f"unexpected {word or 'end of input'}", expected)
+    return _error_at(text, lexemes, index, f"unexpected {word or 'end of input'}", expected)
 
 
 def numerals_off_by_one():
@@ -474,7 +483,7 @@ def eq_repr_negated(r1, r2):
 
 
 def set_delete_reading_past_the_end(elems, x):
-    """`sublevels.set_delete` testing `i <= len(elems)`, so an id above every
+    """`normalize.set_delete` testing `i <= len(elems)`, so an id above every
     member reads the slot past the last."""
     i = bisect_left(elems, x)
     if i <= len(elems) and elems[i] == x:
@@ -571,11 +580,17 @@ KILLED = [
             ("succ", 2)]),
     Mutant("_Lanes without its guard bit", "levelcanon.levels._Lanes.__init__",
            lambda: lanes_without_the_guard_bit, fuzz_check,
-           (158, {"level": "max(imax(max(x2, x1), x1), x0)", "other": None, "phase": "eval",
+           (160, {"level": "max(imax(max(x2, x1), x1), x0)", "other": None, "phase": "eval",
                   "witness": {"x0": 5, "x1": 3, "x2": 4}})),
     Mutant("_Lanes.first reading the highest lane", "levelcanon.levels._Lanes.first",
            lambda: first_reading_the_highest_lane, eval_witness_check,
            ("max(s(x2), max(x0, x0))", {"x0": 5, "x2": 0}, {"x0": 1, "x2": 1})),
+    # the grid names a point one lane before its witness, where the scalar
+    # evaluator finds t1 <= t2
+    Mutant("_Lanes.first one lane low", "levelcanon.levels._Lanes.first",
+           lambda: first_one_lane_low, fuzz_check,
+           (124, {"level": "max(imax(max(x2, x1), x1), x0)", "other": "s(x2)", "phase": "compare",
+                  "witness": {"x0": 0, "x1": 1, "x2": 4}})),
     # the three leq_sub mutants again, on every ordered pair of 20 atoms
     Mutant("B <= A without + 1, on the atom suite", "oracles.leq_sub",
            lambda: leq_sub_b_under_a_without_plus_one, atom_suite_check,
@@ -601,13 +616,15 @@ KILLED = [
            (67, {"level": "imax(s(imax(s(max(0, 0)), max(imax(s(max(x2, s(0))), x1), "
                           "s(imax(x0, s(s(s(x1)))))))), s(imax(s(x1), s(max(x0, 0)))))",
                  "other": None, "phase": "eval", "witness": {"x0": 0, "x1": 0, "x2": 0}})),
+    # the error path reads the lexemes the parse reads, so after the unsplit
+    # "15y" it names the "7" and finds it at its own column
     Mutant("glued numeral read without its split", "levelcanon.parser._numeral",
            lambda: numeral_splitting_a_copy, first_difference,
-           ("imax\n(\r\n9z9,s ( imax\r\n( 015\n, y )\t, imax(\n15\n,\t15y ) ",
-            (("unexpected z9", 3, 2, [","], "unexpected z9 at line 3, column 2 (expected ,)"),
+           ("\r\n15y 7",
+            (("unexpected y", 2, 3, ["EOF"], "unexpected y at line 2, column 3 (expected EOF)"),
              []),
-            (("unexpected )", 5, 5, [")"], "unexpected ) at line 5, column 5 (expected ))"),
-             ["y"]))),
+            (("unexpected 7", 2, 5, ["EOF"], "unexpected 7 at line 2, column 5 (expected EOF)"),
+             []))),
     Mutant("_unexpected naming the split word", "levelcanon.parser._unexpected",
            lambda: unexpected_naming_the_split_word, first_difference,
            ("\r\n15y 7",
@@ -629,12 +646,15 @@ KILLED = [
     Mutant("eq_repr negated", "levelcanon.harness.eq_repr", lambda: eq_repr_negated, fuzz_check,
            (200, {"level": "max(imax(max(x2, x1), x1), x0)", "other": "s(x2)", "phase": "compare",
                   "witness": {"x0": 0, "x1": 2, "x2": 0}})),
-    Mutant("set_delete testing i <= len(elems)", "levelcanon.sublevels.set_delete",
+    Mutant("set_delete testing i <= len(elems)", "levelcanon.normalize.set_delete",
            lambda: set_delete_reading_past_the_end, absent_delete_check,
            ((0,), 5, "IndexError('tuple index out of range')")),
+    # a reverse query's witness is the forward one's, which the scalar
+    # evaluator finds does not refute the reverse inequality
     Mutant("grid answering in its own order", "levelcanon.levels.Grid.leq_witness",
            grid_answering_in_its_own_order, fuzz_check,
-           (115, {"level": "imax(0, x2)", "other": "0", "phase": "compare", "witness": None})),
+           (198, {"level": "s(x2)", "other": "max(imax(max(x2, x1), x1), x0)",
+                  "phase": "compare", "witness": {"x0": 0, "x1": 2, "x2": 0}})),
     # normalize(s(x)) makes its B({}, 1) floor with tag 2, and pickle
     # rebuilds it through SubB with tag 1 (test_normalize.py's
     # test_repr_surface runs the check)

@@ -361,7 +361,7 @@ def test_max_fold_order_independent(t1, t2):
 def test_independence_lemma():
     # an atom sits below a representation iff some single atom dominates it
     from levelcanon.harness import gen_level, GenConfig
-    from levelcanon.sublevels import eval_sub
+    from levelcanon.normalize import eval_sub
 
     atoms = enumerate_sublevels(2, 1)
     assert len(atoms) == 12

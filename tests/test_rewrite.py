@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from conftest import level_strategy, run_in_child
 from oracles import evaluator_source, is_left_linear, match, match_args, subst_template
 from levelcanon import IMax, Max, Repr, ReprInvariantError, SubA, SubB, Succ, Var, ZERO, subst_repr
-from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level
 from levelcanon.normalize import normalize
 from levelcanon.rewrite import (
@@ -27,7 +26,7 @@ from levelcanon.rewrite import (
     reduce, rule_dump, soundness_report, term_to_str,
 )
 from levelcanon.rewrite import codegen, engine
-from levelcanon.rewrite.rules import read_rules
+from levelcanon.rewrite.rules import export_framework, read_rules
 from levelcanon.rewrite.terms import fold_term
 
 x, y, a, b = Var(0), Var(1), Var(2), Var(3)
@@ -130,7 +129,7 @@ def test_the_published_forms_replace_only_the_rules_of_their_heads():
 
 def test_read_rules_rejects_a_line_that_is_neither_declaration_nor_rule():
     with pytest.raises(ValueError, match="neither a declaration nor a rule"):
-        read_rules(export_framework(x))  # the query line
+        read_rules(export_framework(encode_level(x)))  # the query line
 
 
 @pytest.mark.parametrize("rule, message", [

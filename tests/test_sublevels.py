@@ -8,12 +8,11 @@ from itertools import product
 import pytest
 from oracles import enumerate_sublevels, valuations_on
 
+import levelcanon.normalize
 from levelcanon import (
     Max, Succ, Var, SubA, SubB, eval_sub, imax_nat, imax_sub, leq_sub, set_delete, succ_sub,
 )
-from levelcanon import sublevels
-from levelcanon.normalize import normalize
-from levelcanon.sublevels import subst_sub
+from levelcanon.normalize import normalize, subst_sub
 
 
 def _rebuilt(atom):
@@ -29,12 +28,12 @@ def test_set_delete():
 
 
 def absent_delete_check():
-    """`sublevels.set_delete` of ids absent from a set, below, between and
+    """`normalize.set_delete` of ids absent from a set, below, between and
     above every member: the first (set, id, what it gave) that is not the
     set unchanged."""
     for elems, x in (((0,), 5), ((1, 3), 0), ((1, 3), 2), ((1, 3), 4), ((), 0)):
         try:
-            got = sublevels.set_delete(elems, x)
+            got = levelcanon.normalize.set_delete(elems, x)
         except Exception as err:
             got = err
         if got != elems:

@@ -19,12 +19,12 @@ from process_cost import readme_commands
 import levelcanon
 from levelcanon import IMax, Max, Succ, Var, ZERO, Repr, cli, repr_var
 from levelcanon.cli import run_cli
-from levelcanon.export import export_framework
 from levelcanon.harness import GenConfig, gen_level, harness_names
 from levelcanon.normalize import normalize
 from levelcanon.parser import MAX_NESTING, NameTable, ParseError, parse_level
 from levelcanon.printer import print_level, print_repr, print_repr_json
-from levelcanon.rewrite import encode_repr, term_to_str
+from levelcanon.rewrite import encode_level, encode_repr, term_to_str
+from levelcanon.rewrite.rules import export_framework
 
 
 def _names(*vars_in_order: str) -> NameTable:
@@ -167,7 +167,7 @@ def test_export_framework():
     assert "zeroL --> maxS nilSL" in out.splitlines()
     assert out == export_framework()  # deterministic bytes
     names = NameTable()
-    query = export_framework(parse_level("x", names))
+    query = export_framework(encode_level(parse_level("x", names)))
     assert query.rstrip("\n").endswith("varL zeroN")
     assert "leqSL : sublevel -> sublevel -> bool" in query.splitlines()
 
